@@ -1,8 +1,8 @@
 """Command-line experiment driver.
 
-Subcommands: mask, impute, train, eval, stability, sweep, report,
-export-imputed. Exit codes: 0 on success, 2 for configuration or
-validation problems, 3 for numerical failures at runtime.
+Subcommands: mask, impute, train, eval, stability, sweep, report. Exit
+codes: 0 on success, 2 for configuration or validation problems, 3 for
+numerical failures at runtime.
 """
 
 from __future__ import annotations
@@ -62,7 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("impute", parents=[parent],
                        help="write sampled completions of a dataset")
-    _add_impute_flags(p)
+    p.add_argument("--data", type=Path, required=True)
+    p.add_argument("--mask", type=Path, default=None)
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--ns", type=int, default=30)
+    p.add_argument("--jitter", type=float, default=1e-3)
+    p.add_argument("--diag-cov", action="store_true")
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("train", parents=[parent], help="train a model")
@@ -102,21 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[parent], help="summarize sweep results")
     p.add_argument("--results", type=Path, required=True, help="results.csv from sweep")
     p.add_argument("--out", type=Path, default=None, help="tidy CSV path")
-
-    p = sub.add_parser("export-imputed", parents=[parent],
-                       help="per-sampling concatenated-feature CSVs")
-    _add_impute_flags(p)
-    p.add_argument("--out", type=Path, required=True)
     return parser
-
-
-def _add_impute_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--mask", type=Path, default=None)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--ns", type=int, default=30)
-    p.add_argument("--jitter", type=float, default=1e-3)
-    p.add_argument("--diag-cov", action="store_true")
 
 
 def _load_data(data_path: Path, mask_path: Path | None):
@@ -150,27 +141,14 @@ def _cmd_mask(args) -> int:
     return EXIT_OK
 
 
-def _completions_from_args(args):
-    data = _load_data(args.data, args.mask)
-    seed = args.seed if args.seed is not None else 0
+def _cmd_impute(args) -> int:
     completions = sample_completions(
-        data, k=args.k, n_samplings=args.ns, jitter=args.jitter, seed=seed,
+        _load_data(args.data, args.mask), k=args.k, n_samplings=args.ns,
+        jitter=args.jitter, seed=args.seed if args.seed is not None else 0,
         diag_cov=args.diag_cov,
     )
-    return data, completions
-
-
-def _cmd_impute(args) -> int:
-    _, completions = _completions_from_args(args)
     experiments.write_completion_directory(completions, args.out)
     print(f"wrote {completions.n_samplings} samplings to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_export_imputed(args) -> int:
-    data, completions = _completions_from_args(args)
-    paths = experiments.export_imputed(data, completions, args.out)
-    print(f"wrote {len(paths)} concatenated CSVs to {args.out}")
     return EXIT_OK
 
 
@@ -226,12 +204,13 @@ def _cmd_sweep(args) -> int:
     etas = _parse_list(args.etas, float)
     seeds = _parse_list(args.seeds, int)
     modes = _parse_list(args.modes, str)
-    rows = experiments.sweep(
+    experiments.sweep(
         args.data, etas, seeds, modes, cfg, args.out,
         train_fraction=args.train_fraction, workers=args.threads,
     )
-    summary = experiments.summarize(rows)
-    print(f"{summary['cells_ok']} cells ok, {summary['cells_failed']} failed -> {args.out}")
+    summary = json.loads((args.out / "summary.json").read_text())
+    print(f"{summary['cells_ok']} cells ok, {summary['cells_failed']} failed, "
+          f"{len(summary['cells_missing'])} missing -> {args.out}")
     return EXIT_OK
 
 
@@ -252,7 +231,6 @@ _COMMANDS = {
     "stability": _cmd_stability,
     "sweep": _cmd_sweep,
     "report": _cmd_report,
-    "export-imputed": _cmd_export_imputed,
 }
 
 

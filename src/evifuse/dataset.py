@@ -200,15 +200,6 @@ def zscore_apply(data: MultiViewDataset, stats: ZScoreStats) -> MultiViewDataset
     return MultiViewDataset(views, data.labels, data.mask, data.class_count)
 
 
-def zscore_invert(data: MultiViewDataset, stats: ZScoreStats) -> MultiViewDataset:
-    views = []
-    for i, (v, mean, scale) in enumerate(zip(data.views, stats.means, stats.scales())):
-        out = v * scale + mean
-        out[~data.mask[:, i]] = 0.0
-        views.append(out)
-    return MultiViewDataset(views, data.labels, data.mask, data.class_count)
-
-
 def generate_missing_mask(n: int, v: int, spec: MissingnessSpec) -> np.ndarray:
     """Random availability mask with round(eta*n*v) missing slots.
 

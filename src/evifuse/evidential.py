@@ -12,7 +12,7 @@ All operations broadcast over leading axes: ``alpha`` may be ``(K,)`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,12 +118,15 @@ def evidence_to_dirichlet(evidence) -> DirichletParams:
     return DirichletParams(e + 1.0)
 
 
+def _opinion_arrays(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-array projection: b = (alpha - 1)/alpha0, u = K/alpha0."""
+    strength = alpha.sum(axis=-1, keepdims=True)
+    return (alpha - 1.0) / strength, alpha.shape[-1] / strength[..., 0]
+
+
 def dirichlet_to_opinion(d: DirichletParams) -> SubjectiveOpinion:
-    """Project concentrations to an opinion: b = (alpha - 1)/alpha0, u = K/alpha0."""
-    strength = d.alpha.sum(axis=-1, keepdims=True)
-    beliefs = (d.alpha - 1.0) / strength
-    uncertainty = d.class_count / strength[..., 0]
-    return SubjectiveOpinion(beliefs, uncertainty)
+    """Project concentrations to an opinion (belief masses and uncertainty)."""
+    return SubjectiveOpinion(*_opinion_arrays(d.alpha))
 
 
 def ace_loss(d: DirichletParams, label) -> np.ndarray | float:

@@ -1,4 +1,4 @@
-"""Experiment harness: missing-rate sweeps, reports, and imputation export.
+"""Experiment harness: missing-rate sweeps, reports, and completion export.
 
 A sweep runs one cell per (eta, seed, mode): generate per-split masks,
 train, evaluate, and record a row. Completed cells persist as JSON files
@@ -28,7 +28,7 @@ from evifuse.dataset import (
 )
 from evifuse.imputer import CompletionSet
 from evifuse.predictor import evaluate
-from evifuse.trainer import TrainConfig, TrainedModel, _subseed, train
+from evifuse.trainer import TrainConfig, _subseed, train
 
 RESULT_COLUMNS = ("eta", "seed", "mode", "accuracy", "mean_uncertainty", "wall_time")
 
@@ -101,7 +101,9 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
     """Run every (eta, seed, mode) cell, skipping ones already on disk.
 
     Failed cells are recorded with status "error" and the sweep continues.
-    Returns all completed rows and writes results.csv plus summary.json.
+    Returns all completed rows and writes results.csv plus summary.json;
+    the summary lists under ``cells_missing`` the keys of cells that have
+    no result, such as a cell whose lock a killed worker left behind.
     """
     out = Path(out_dir)
     cells_dir = out / "cells"
@@ -113,13 +115,17 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
         data = load_dataset(data_dir)
         for eta, seed, mode in todo:
             _run_cell_guarded(data, eta, seed, mode, cfg, cells_dir, train_fraction)
-    rows = []
+    rows, missing = [], []
     for eta, seed, mode in todo:
-        path = cells_dir / f"{_cell_key(eta, seed, mode)}.json"
+        key = _cell_key(eta, seed, mode)
+        path = cells_dir / f"{key}.json"
         if path.exists():
             rows.append(json.loads(path.read_text()))
+        else:
+            missing.append(key)
     write_results_csv(rows, out / "results.csv")
     summary = summarize(rows)
+    summary["cells_missing"] = missing
     _write_json_atomic(out / "summary.json", summary)
     return rows
 
@@ -267,20 +273,6 @@ def write_tidy_csv(summary: list[dict], path) -> None:
             f'{s["mean_accuracy"]:.17g},{s["std_accuracy"]:.17g}'
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def export_imputed(data: MultiViewDataset, completions: CompletionSet, out_dir) -> list:
-    """One CSV per sampling: views concatenated column-wise plus a label column."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for s in range(completions.n_samplings):
-        views = completions.completion(s)
-        stacked = np.hstack([*views, data.labels[:, None].astype(np.float64)])
-        path = out / f"completion_{s:03d}.csv"
-        np.savetxt(path, stacked, fmt="%.10g", delimiter=",")
-        paths.append(path)
-    return paths
 
 
 def write_completion_directory(completions: CompletionSet, out_dir) -> None:

@@ -7,8 +7,10 @@ with conflict C = sum_{i != j} b_i^1 b_j^2,
     u   = u^1 u^2 / (1 - C)
 
 The rule is commutative and associative, so a left fold over the views is
-order-invariant. A fused opinion converts back to concentrations through
-the strength S = K / u via alpha_k = b_k * S + 1.
+order-invariant. Training treats a row in total conflict (1 - C <= 1e-12)
+as an error; prediction drops it from the vote. A fused opinion converts
+back to concentrations through the strength S = K / u via
+alpha_k = b_k * S + 1.
 
 Raw-array kernels (prefixed ``_``) carry caches and reverse-mode
 vector-Jacobian products so gradients can flow from the fused objective
@@ -19,7 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from evifuse.evidential import DirichletParams, SubjectiveOpinion, view_loss, view_loss_grad
+from evifuse.evidential import (
+    DirichletParams,
+    SubjectiveOpinion,
+    _opinion_arrays,
+    view_loss,
+    view_loss_grad,
+)
 
 _CONFLICT_EPS = 1e-12
 
@@ -35,11 +43,6 @@ class FusionConflictError(RuntimeError):
 # -- raw-array kernels, batched over leading axes ---------------------------
 
 
-def _opinion_arrays(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    strength = alpha.sum(axis=-1, keepdims=True)
-    return (alpha - 1.0) / strength, alpha.shape[-1] / strength[..., 0]
-
-
 def _opinion_arrays_vjp(alpha, grad_b, grad_u) -> np.ndarray:
     strength = alpha.sum(axis=-1, keepdims=True)
     k = alpha.shape[-1]
@@ -47,23 +50,24 @@ def _opinion_arrays_vjp(alpha, grad_b, grad_u) -> np.ndarray:
     return grad_b / strength - (inner + k * grad_u[..., None]) / (strength * strength)
 
 
-def _combine_pair(b1, u1, b2, u2) -> tuple[np.ndarray, np.ndarray]:
+def _combine_pair(b1, u1, b2, u2):
+    """One pair-rule step; returns (b, u, bad).
+
+    Rows in total conflict (1 - C <= 1e-12) are flagged in ``bad`` and come
+    out as the vacuous opinion (b = 0, u = 1), so a fold can carry on past
+    them; callers decide whether a flagged row is an error.
+    """
     s1 = b1.sum(axis=-1)
     s2 = b2.sum(axis=-1)
-    conflict = s1 * s2 - (b1 * b2).sum(axis=-1)
-    norm = 1.0 - conflict
+    norm = 1.0 - (s1 * s2 - (b1 * b2).sum(axis=-1))
     bad = norm <= _CONFLICT_EPS
-    if np.any(bad):
-        rows = np.nonzero(np.atleast_1d(bad))[0]
-        raise FusionConflictError(
-            f"total conflict between opinions (1 - C <= {_CONFLICT_EPS:g}) "
-            f"at batch rows {rows[:8].tolist()}",
-            rows=rows,
-        )
-    norm_col = norm[..., None]
-    b = (b1 * b2 + b1 * u2[..., None] + b2 * u1[..., None]) / norm_col
+    norm = np.where(bad, 1.0, norm)
+    b = (b1 * b2 + b1 * u2[..., None] + b2 * u1[..., None]) / norm[..., None]
     u = u1 * u2 / norm
-    return b, u
+    if bad.any():
+        b = np.where(bad[..., None], 0.0, b)
+        u = np.where(bad, 1.0, u)
+    return b, u, bad
 
 
 def _combine_pair_vjp(b1, u1, b2, u2, b, u, grad_b, grad_u):
@@ -80,14 +84,31 @@ def _combine_pair_vjp(b1, u1, b2, u2, b, u, grad_b, grad_u):
     return gb1, gu1, gb2, gu2
 
 
-def _fold_opinions(beliefs: list, uncerts: list):
-    """Left fold of the pair rule; returns the result and a cache for the VJP."""
+def _fold_with_exclusions(beliefs: list, uncerts: list):
+    """Left fold of the pair rule; returns (b, u, invalid, partials).
+
+    ``invalid`` marks the rows that hit total conflict at any step; such a
+    row restarts from the vacuous opinion at that step, so later views
+    still fold in. ``partials`` caches every intermediate opinion for the VJP.
+    """
     b, u = beliefs[0], uncerts[0]
+    invalid = np.zeros(np.shape(u), dtype=bool)
     partials = [(b, u)]
     for bv, uv in zip(beliefs[1:], uncerts[1:]):
-        b, u = _combine_pair(b, u, bv, uv)
+        b, u, bad = _combine_pair(b, u, bv, uv)
+        invalid |= bad
         partials.append((b, u))
-    return b, u, partials
+    return b, u, invalid, partials
+
+
+def _raise_on_conflict(invalid: np.ndarray) -> None:
+    if invalid.any():
+        rows = np.nonzero(np.atleast_1d(invalid))[0]
+        raise FusionConflictError(
+            f"total conflict between opinions (1 - C <= {_CONFLICT_EPS:g}) "
+            f"at batch rows {rows[:8].tolist()}",
+            rows=rows,
+        )
 
 
 def _fold_opinions_vjp(beliefs, uncerts, partials, grad_b, grad_u):
@@ -128,7 +149,8 @@ def _fuse_alphas(alphas: list[np.ndarray]):
         b, u = _opinion_arrays(alpha)
         beliefs.append(b)
         uncerts.append(u)
-    b, u, partials = _fold_opinions(beliefs, uncerts)
+    b, u, invalid, partials = _fold_with_exclusions(beliefs, uncerts)
+    _raise_on_conflict(invalid)
     fused = _fused_alpha(b, u)
     return fused, (alphas, beliefs, uncerts, partials, b, u)
 
@@ -150,9 +172,10 @@ def ds_combine_pair(s1: SubjectiveOpinion, s2: SubjectiveOpinion) -> SubjectiveO
     """Combine two opinions over the same classes; raises on total conflict."""
     if s1.class_count != s2.class_count:
         raise ValueError("opinions must share the class count")
-    b, u = _combine_pair(
+    b, u, bad = _combine_pair(
         s1.beliefs, np.asarray(s1.uncertainty), s2.beliefs, np.asarray(s2.uncertainty)
     )
+    _raise_on_conflict(bad)
     return SubjectiveOpinion(b, u if u.ndim else float(u))
 
 
@@ -164,9 +187,10 @@ def ds_fold(opinions) -> SubjectiveOpinion:
     k = opinions[0].class_count
     if any(s.class_count != k for s in opinions):
         raise ValueError("opinions must share the class count")
-    b, u, _ = _fold_opinions(
+    b, u, invalid, _ = _fold_with_exclusions(
         [s.beliefs for s in opinions], [np.asarray(s.uncertainty) for s in opinions]
     )
+    _raise_on_conflict(invalid)
     return SubjectiveOpinion(b, u if u.ndim else float(u))
 
 

@@ -44,15 +44,14 @@ class NeighborQuery:
 
 @dataclass(frozen=True)
 class GaussianImputation:
-    """Moments of one missing view's distribution, with the applied jitter.
+    """Moments of one missing view's distribution.
 
-    ``sigma`` already includes ``jitter`` on its diagonal, so drawing uses
+    ``sigma`` already includes the jitter on its diagonal, so drawing uses
     it directly.
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    jitter: float
     neighbor_count: int
 
     def __post_init__(self):
@@ -136,7 +135,7 @@ def estimate_gaussian(neighbors: np.ndarray, jitter: float,
     else:
         cov = np.cov(neighbors, rowvar=False, ddof=1).reshape(d, d)
     sigma = cov + jitter * np.eye(d)
-    return GaussianImputation(mu, sigma, jitter, count)
+    return GaussianImputation(mu, sigma, count)
 
 
 def _stable_cholesky(cov: np.ndarray, jitter: float):

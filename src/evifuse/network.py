@@ -144,15 +144,3 @@ class Adam:
             p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             if self.weight_decay:
                 p -= self.learning_rate * self.weight_decay * p
-
-    def state_arrays(self) -> dict:
-        out = {"step_count": np.array(self.step_count)}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"m{i}"] = m
-            out[f"v{i}"] = v
-        return out
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        self.step_count = int(arrays["step_count"])
-        self.m = [np.array(arrays[f"m{i}"]) for i in range(len(self.m))]
-        self.v = [np.array(arrays[f"v{i}"]) for i in range(len(self.v))]

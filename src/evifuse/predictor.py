@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from evifuse.dataset import MultiViewDataset, zscore_apply
-from evifuse.evidential import SubjectiveOpinion
-from evifuse.fusion import _CONFLICT_EPS, _opinion_arrays
+from evifuse.evidential import SubjectiveOpinion, _opinion_arrays
+from evifuse.fusion import _fold_with_exclusions
 from evifuse.imputer import CompletionSet
 from evifuse.trainer import TrainedModel, _softmax, _subseed, build_completions
 
@@ -32,25 +32,6 @@ class PredictionResult:
     mean_opinion: SubjectiveOpinion
     sampling_opinions: list
     excluded_samplings: int
-
-
-def _fold_with_exclusions(beliefs: list, uncerts: list):
-    """Batched left fold that marks conflicting rows instead of raising."""
-    b, u = beliefs[0], uncerts[0]
-    invalid = np.zeros(u.shape, dtype=bool)
-    for bv, uv in zip(beliefs[1:], uncerts[1:]):
-        s1 = b.sum(axis=-1)
-        s2 = bv.sum(axis=-1)
-        norm = 1.0 - (s1 * s2 - (b * bv).sum(axis=-1))
-        bad = norm <= _CONFLICT_EPS
-        invalid |= bad
-        norm = np.where(bad, 1.0, norm)
-        b = (b * bv + b * uv[..., None] + bv * u[..., None]) / norm[..., None]
-        u = u * uv / norm
-        if bad.any():
-            b[bad] = 0.0
-            u[bad] = 1.0
-    return b, u, invalid
 
 
 def _sampling_opinions(model: TrainedModel, completions: CompletionSet):
@@ -69,7 +50,7 @@ def _sampling_opinions(model: TrainedModel, completions: CompletionSet):
                 b, u = _opinion_arrays(net.forward(x) + 1.0)
                 bs.append(b)
                 us.append(u)
-            b, u, bad = _fold_with_exclusions(bs, us)
+            b, u, bad, _ = _fold_with_exclusions(bs, us)
             all_bad[s] = bad
         else:
             probs = [_softmax(np.atleast_2d(net.forward_logits(x)))
@@ -129,11 +110,7 @@ def predict_sample(model: TrainedModel, views, mask_row,
         overrides["jitter"] = float(jitter)
     if overrides:
         cfg = replace(cfg, **overrides)
-    tweaked = TrainedModel(
-        networks=model.networks, optimizers=model.optimizers, stats=model.stats,
-        config=cfg, loss_history=model.loss_history, train_pool=model.train_pool,
-        class_count=model.class_count, epochs_run=model.epochs_run,
-    )
+    tweaked = replace(model, config=cfg)
     data = MultiViewDataset(
         [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views],
         np.zeros(1, dtype=np.int64),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from evifuse.network import Adam, EvidenceNetwork
 
 MODES = ("uimc", "single_imputation", "naive_ce", "mean_imputation")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CONFIG_SCHEMA = 1
 
 # fixed subkeys carving independent RNG streams out of the config seed
@@ -116,14 +116,12 @@ class TrainedModel:
     """
 
     networks: list
-    optimizers: list
     stats: ZScoreStats
     config: TrainConfig
     loss_history: list
     train_pool: MultiViewDataset
     class_count: int
     epochs_run: int
-    rng_state: dict = field(default_factory=dict)
 
     @property
     def view_dims(self) -> list:
@@ -248,14 +246,12 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
 
     return TrainedModel(
         networks=networks,
-        optimizers=optimizers,
         stats=stats,
         config=cfg,
         loss_history=history,
         train_pool=std_train,
         class_count=k_classes,
         epochs_run=epochs_run,
-        rng_state=shuffle_rng.bit_generator.state,
     )
 
 
@@ -301,11 +297,6 @@ def _cross_entropy_step(networks, optimizers, xs, y):
     return fused_sum, view_sums
 
 
-def loss_history(model: TrainedModel) -> list:
-    """Per-epoch objective totals, split into the fused and per-view terms."""
-    return list(model.loss_history)
-
-
 def save_model(model: TrainedModel, path) -> None:
     """Write a versioned checkpoint atomically (temp file, then rename)."""
     arrays = {}
@@ -313,9 +304,6 @@ def save_model(model: TrainedModel, path) -> None:
         for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
             arrays[f"net{v}_w{layer}"] = w
             arrays[f"net{v}_b{layer}"] = b
-    for v, opt in enumerate(model.optimizers):
-        for key, value in opt.state_arrays().items():
-            arrays[f"opt{v}_{key}"] = value
     for v, view in enumerate(model.train_pool.views):
         arrays[f"pool_view{v}"] = view
         arrays[f"norm_mean{v}"] = model.stats.means[v]
@@ -329,7 +317,6 @@ def save_model(model: TrainedModel, path) -> None:
         "layer_sizes": [net.layer_sizes for net in model.networks],
         "loss_history": model.loss_history,
         "epochs_run": model.epochs_run,
-        "rng_state": _jsonable(model.rng_state),
     }
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
@@ -360,23 +347,14 @@ def load_model(path) -> TrainedModel:
                 f"(expected {CHECKPOINT_VERSION})"
             )
         cfg = TrainConfig.from_dict(meta["config"])
-        networks, optimizers = [], []
+        networks = []
         for v, sizes in enumerate(meta["layer_sizes"]):
             net = EvidenceNetwork(sizes, seed=0)
-            layer_count = len(sizes) - 1
             net.set_params(
                 [arrays[f"net{v}_{kind}{layer}"]
-                 for layer in range(layer_count) for kind in ("w", "b")]
-            )
-            opt = Adam(net.params, cfg.learning_rate, cfg.beta1, cfg.beta2,
-                       cfg.eps, cfg.weight_decay)
-            opt.load_state_arrays(
-                {"step_count": arrays[f"opt{v}_step_count"],
-                 **{f"{kind}{i}": arrays[f"opt{v}_{kind}{i}"]
-                    for i in range(2 * layer_count) for kind in ("m", "v")}}
+                 for layer in range(len(sizes) - 1) for kind in ("w", "b")]
             )
             networks.append(net)
-            optimizers.append(opt)
         view_count = len(meta["layer_sizes"])
         pool = MultiViewDataset(
             [arrays[f"pool_view{v}"] for v in range(view_count)],
@@ -390,26 +368,14 @@ def load_model(path) -> TrainedModel:
         )
         return TrainedModel(
             networks=networks,
-            optimizers=optimizers,
             stats=stats,
             config=cfg,
             loss_history=meta["loss_history"],
             train_pool=pool,
             class_count=int(meta["class_count"]),
             epochs_run=int(meta["epochs_run"]),
-            rng_state=meta["rng_state"],
         )
     except CheckpointError:
         raise
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,17 @@ def write_dataset_dir(path, data: MultiViewDataset, include_mask=True):
     if include_mask:
         np.savetxt(path / "mask.csv", data.mask.astype(int), fmt="%d", delimiter=",")
     return path
+
+
+def write_checkpoint_version(path, version):
+    """Rewrite a checkpoint so its meta names another format version."""
+    with np.load(path) as payload:
+        arrays = {key: payload[key] for key in payload.files}
+    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+    meta["ckpt_version"] = version
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 @pytest.fixture

@@ -1,27 +1,80 @@
-"""Command-line entry point: exit codes and error reporting."""
+"""Command-line entry point: exit codes, error reporting and written outputs."""
 
 import json
 
-from evifuse import cli
-from conftest import make_blobs_dataset, write_dataset_dir
+import numpy as np
+
+from evifuse import cli, experiments
+from evifuse.dataset import load_dataset
+from conftest import make_blobs_dataset, write_checkpoint_version, write_dataset_dir
+
+TINY = {"epochs": 1, "batch_size": 32, "n_samplings": 2, "hidden": [8], "anneal_epochs": 1}
 
 
-def test_eval_truncated_checkpoint_exits_config(tmp_path, capsys):
+def train_tiny(tmp_path):
+    """A dataset directory and a one-epoch checkpoint trained on it by the CLI."""
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"epochs": 1, "batch_size": 32, "n_samplings": 2,
-                                  "hidden": [8], "anneal_epochs": 1}))
+    config.write_text(json.dumps(TINY))
     ckpt = tmp_path / "model.ckpt"
     assert cli.main(["train", "--data", str(data_dir), "--out", str(ckpt),
                      "--config", str(config)]) == cli.EXIT_OK
-    raw = ckpt.read_bytes()
-    ckpt.write_bytes(raw[: len(raw) // 3])
-    capsys.readouterr()
+    return data_dir, ckpt
 
+
+def assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys):
+    capsys.readouterr()
     out = tmp_path / "eval.json"
     code = cli.main(["eval", "--model", str(ckpt), "--data", str(data_dir),
                      "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_eval_truncated_checkpoint_exits_config(tmp_path, capsys):
+    data_dir, ckpt = train_tiny(tmp_path)
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[: len(raw) // 3])
+    assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys)
+
+
+def test_eval_version_1_checkpoint_exits_config(tmp_path, capsys):
+    data_dir, ckpt = train_tiny(tmp_path)
+    write_checkpoint_version(ckpt, 1)
+    assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys)
+
+
+def test_impute_output_loads_as_dataset(tmp_path):
+    data_dir = write_dataset_dir(tmp_path / "data",
+                                 make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
+    out = tmp_path / "imputed"
+    assert cli.main(["impute", "--data", str(data_dir), "--k", "3", "--ns", "2",
+                     "--out", str(out)]) == cli.EXIT_OK
+    source = load_dataset(data_dir)
+    completed = load_dataset(out / "sampling_000")
+    np.testing.assert_array_equal(completed.labels, source.labels)
+    assert completed.mask.all()
+    for v in range(source.n_views):
+        observed = source.mask[:, v]
+        np.testing.assert_array_equal(completed.views[v][observed],
+                                      source.views[v][observed])
+
+
+def test_sweep_reports_cell_left_locked(tmp_path, capsys):
+    data_dir = write_dataset_dir(tmp_path / "data",
+                                 make_blobs_dataset(n=40, seed=21), include_mask=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    out = tmp_path / "sweep"
+    locked = experiments._cell_key(0.2, 0, "uimc")
+    (out / "cells").mkdir(parents=True)
+    (out / "cells" / f"{locked}.lock").touch()
+    assert cli.main(["sweep", "--data", str(data_dir), "--etas", "0.2", "--seeds", "0",
+                     "--modes", "uimc,mean_imputation", "--config", str(config),
+                     "--out", str(out)]) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cells_missing"] == [locked]
+    assert summary["cells_ok"] == 1
+    assert "1 missing" in capsys.readouterr().out

@@ -12,7 +12,6 @@ from evifuse.dataset import (
     split,
     zscore_apply,
     zscore_fit_transform,
-    zscore_invert,
 )
 from conftest import make_blobs_dataset, write_dataset_dir
 
@@ -105,16 +104,6 @@ class TestZScore:
         assert stats.means[0][0] == pytest.approx(2.0)
         np.testing.assert_allclose(out.views[0][:2].ravel(), [-1.0, 1.0])
         assert out.views[0][2, 0] == 0.0  # missing slot zeroed, never read
-
-    def test_inverse_recovers_observed(self):
-        data = make_blobs_dataset(n=40, eta=0.3, seed=9)
-        out, _, stats = zscore_fit_transform(data)
-        back = zscore_invert(out, stats)
-        for v in range(data.n_views):
-            obs = data.mask[:, v]
-            np.testing.assert_allclose(
-                back.views[v][obs], data.views[v][obs], rtol=1e-9, atol=1e-12
-            )
 
     def test_apply_matches_fit_transform(self):
         data = make_blobs_dataset(n=25, eta=0.2, seed=10)

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evifuse.evidential import DirichletParams, SubjectiveOpinion, dirichlet_to_opinion, view_loss
+from evifuse.evidential import (
+    DirichletParams,
+    SubjectiveOpinion,
+    _opinion_arrays,
+    dirichlet_to_opinion,
+    view_loss,
+)
 from evifuse.fusion import (
     FusionConflictError,
+    _fold_with_exclusions,
+    _fuse_alphas,
     ds_combine_pair,
     ds_fold,
     fused_dirichlet,
@@ -131,6 +139,37 @@ class TestFold:
             outputs.append(np.concatenate([out.beliefs, np.asarray(out.uncertainty)[:, None]], axis=1))
         for other in outputs[1:]:
             np.testing.assert_allclose(other, outputs[0], atol=1e-9)
+
+
+class TestSharedKernel:
+    """Training and prediction fold with one kernel and differ only in policy."""
+
+    @staticmethod
+    def conflicting_alphas():
+        """Three views over 5 rows; row 2 ends in total conflict at the last view."""
+        rng = np.random.default_rng(43)
+        alphas = [1.0 + rng.uniform(0.0, 6.0, (5, 3)) for _ in range(3)]
+        alphas[0][2] = [1e15, 1.0, 1.0]
+        alphas[1][2] = [1e15, 1.0, 1.0]
+        alphas[2][2] = [1.0, 1e15, 1.0]
+        return alphas
+
+    def test_fold_flags_conflict_row_and_leaves_it_vacuous(self):
+        alphas = self.conflicting_alphas()
+        beliefs, uncerts = zip(*(_opinion_arrays(a) for a in alphas))
+        b, u, invalid, _ = _fold_with_exclusions(list(beliefs), list(uncerts))
+        assert invalid.tolist() == [False, False, True, False, False]
+        np.testing.assert_array_equal(b[2], 0.0)
+        assert u[2] == 1.0
+        for row in (0, 1, 3, 4):
+            single = ds_fold([dirichlet_to_opinion(DirichletParams(a[row])) for a in alphas])
+            np.testing.assert_array_equal(b[row], single.beliefs)
+            assert u[row] == single.uncertainty
+
+    def test_training_fusion_raises_on_the_same_row(self):
+        with pytest.raises(FusionConflictError) as info:
+            _fuse_alphas(self.conflicting_alphas())
+        assert info.value.rows.tolist() == [2]
 
 
 class TestFusedDirichlet:

@@ -152,7 +152,7 @@ class TestEstimateGaussian:
 
     def test_asymmetric_sigma_rejected(self):
         with pytest.raises(ValueError):
-            GaussianImputation([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]], 0.0, 2)
+            GaussianImputation([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]], 2)
 
 
 class TestSampleCompletions:

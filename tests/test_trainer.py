@@ -1,5 +1,6 @@
 """Training orchestration: modes, accounting, determinism, checkpoints."""
 
+import json
 import struct
 
 import numpy as np
@@ -18,11 +19,10 @@ from evifuse.trainer import (
     _SEED_IMPUTE,
     build_completions,
     load_model,
-    loss_history,
     save_model,
     train,
 )
-from conftest import make_blobs_dataset
+from conftest import make_blobs_dataset, write_checkpoint_version
 
 FAST = dict(epochs=12, batch_size=32, n_samplings=4, hidden=(12,), anneal_epochs=5,
             early_stop=False)
@@ -38,7 +38,7 @@ def toy_model():
 class TestTrainBasics:
     def test_history_length_and_finiteness(self, toy_model):
         _, cfg, model = toy_model
-        hist = loss_history(model)
+        hist = model.loss_history
         assert len(hist) == cfg.epochs
         for entry in hist:
             assert np.isfinite(entry["total"])
@@ -210,6 +210,23 @@ class TestCheckpoint:
         raw[entry + offset] |= value
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
+            load_model(path)
+
+    def test_no_optimizer_or_shuffle_state_saved(self, toy_model, tmp_path):
+        _, _, model = toy_model
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        with np.load(path) as payload:
+            assert not [key for key in payload.files if key.startswith("opt")]
+            meta = json.loads(bytes(payload["meta_json"]).decode("utf-8"))
+        assert "rng_state" not in meta
+
+    def test_version_1_rejected(self, toy_model, tmp_path):
+        _, _, model = toy_model
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        write_checkpoint_version(path, 1)
+        with pytest.raises(CheckpointError, match="unsupported"):
             load_model(path)
 
     def test_garbage_file_structured_error(self, tmp_path):
