@@ -8,6 +8,7 @@ toward the uniform Dirichlet on the non-label classes.
 
 All operations broadcast over leading axes: ``alpha`` may be ``(K,)`` or
 ``(batch, K)``, losses come back as scalars or ``(batch,)`` arrays.
+Labels are one-hot (``one_hot``): the losses read the label class from them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def one_hot(labels, class_count: int) -> np.ndarray:
     return np.eye(class_count, dtype=np.float64)[labels]
 
 
+def _checked_alpha(alpha) -> np.ndarray:
+    """Concentrations as float64; non-finite entries are a numerical failure."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all(np.isfinite(alpha)):
+        raise FloatingPointError("alpha must be finite")
+    if np.any(alpha < 1.0 - _ATOL):
+        raise ValueError("alpha entries must be >= 1")
+    return alpha
+
+
 @dataclass(frozen=True)
 class DirichletParams:
     """Concentration vector(s) of a Dirichlet distribution, all entries >= 1."""
@@ -36,18 +47,10 @@ class DirichletParams:
     alpha: np.ndarray
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
+        alpha = _checked_alpha(self.alpha)
         if alpha.ndim < 1 or alpha.shape[-1] < 2:
             raise ValueError("alpha needs at least 2 classes on the last axis")
-        if not np.all(np.isfinite(alpha)):
-            raise ValueError("alpha must be finite")
-        if np.any(alpha < 1.0 - _ATOL):
-            raise ValueError("alpha entries must be >= 1")
         object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def class_count(self) -> int:
-        return self.alpha.shape[-1]
 
     @property
     def alpha0(self) -> np.ndarray:
@@ -129,61 +132,59 @@ def dirichlet_to_opinion(d: DirichletParams) -> SubjectiveOpinion:
     return SubjectiveOpinion(*_opinion_arrays(d.alpha))
 
 
-def ace_loss(d: DirichletParams, label) -> np.ndarray | float:
-    """Expected cross-entropy of the label under the Dirichlet.
+def _loss_parts(alpha, label):
+    """(ace, kl, ace_grad, kl_grad) of every head stacked on alpha's leading axes.
 
-    Closed form: sum_k y_k (psi(alpha0) - psi(alpha_k)).
-    """
+    Each polygamma runs once, on one array whose last axis holds the masked
+    concentrations, their strength, the label concentration and alpha0."""
+    alpha = _checked_alpha(alpha)
     y = np.asarray(label, dtype=np.float64)
-    alpha = d.alpha
-    out = (y * (digamma(alpha.sum(axis=-1, keepdims=True)) - digamma(alpha))).sum(axis=-1)
-    return out if np.ndim(out) else float(out)
+    k = alpha.shape[-1]
+    # label class reset to 1: the KL term sees only evidence on wrong classes
+    masked = y + (1.0 - y) * alpha
+    z = np.concatenate([masked, masked.sum(axis=-1, keepdims=True),
+                        (y * alpha).sum(axis=-1, keepdims=True),
+                        alpha.sum(axis=-1, keepdims=True)], axis=-1)
+    lg, dg, tg = gammaln(z[..., :k + 1]), digamma(z), trigamma(z)
+    ace = dg[..., k + 2] - dg[..., k + 1]
+    kl = (lg[..., k] - lg[..., :k].sum(axis=-1) - gammaln(float(k))
+          + ((masked - 1.0) * (dg[..., :k] - dg[..., k:k + 1])).sum(axis=-1))
+    ace_grad = tg[..., k + 2:] - y * tg[..., k + 1:k + 2]
+    kl_grad = (1.0 - y) * ((masked - 1.0) * tg[..., :k] - (z[..., k:k + 1] - k) * tg[..., k:k + 1])
+    return ace, kl, ace_grad, kl_grad
+
+
+def loss_and_grad(alpha, label, lam: float):
+    """Per-head objective ACE + lam * KL and its alpha-gradient, for stacked heads."""
+    ace, kl, ace_grad, kl_grad = _loss_parts(alpha, label)
+    return ace + lam * kl, ace_grad + lam * kl_grad
+
+
+def ace_loss(d: DirichletParams, label) -> np.ndarray | float:
+    """Expected cross-entropy of the label under the Dirichlet: psi(alpha0) - psi(alpha_y)."""
+    return _loss_parts(d.alpha, label)[0]
 
 
 def kl_regularizer(d: DirichletParams, label) -> np.ndarray | float:
-    """KL divergence from the uniform Dirichlet after masking out the label class.
-
-    The label's concentration is reset to 1 so only spurious evidence on
-    the wrong classes is penalized.
-    """
-    y = np.asarray(label, dtype=np.float64)
-    masked = y + (1.0 - y) * d.alpha
-    total = masked.sum(axis=-1)
-    k = d.class_count
-    out = (
-        gammaln(total)
-        - gammaln(masked).sum(axis=-1)
-        - gammaln(float(k))
-        + ((masked - 1.0) * (digamma(masked) - digamma(total)[..., None])).sum(axis=-1)
-    )
-    return out if np.ndim(out) else float(out)
+    """KL divergence from the uniform Dirichlet after masking out the label class."""
+    return _loss_parts(d.alpha, label)[1]
 
 
 def view_loss(d: DirichletParams, label, lam: float) -> np.ndarray | float:
     """Per-head objective: expected cross-entropy plus lam times the KL pull."""
-    return ace_loss(d, label) + lam * kl_regularizer(d, label)
-
-
-# -- gradients with respect to alpha (used by the trainers' backward pass) --
+    return loss_and_grad(d.alpha, label, lam)[0]
 
 
 def ace_loss_grad(alpha: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """d ace_loss / d alpha for one-hot labels."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(label, dtype=np.float64)
-    return trigamma(alpha.sum(axis=-1, keepdims=True)) - y * trigamma(alpha)
+    """d ace_loss / d alpha."""
+    return _loss_parts(alpha, label)[2]
 
 
 def kl_regularizer_grad(alpha: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """d kl_regularizer / d alpha for one-hot labels."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(label, dtype=np.float64)
-    masked = y + (1.0 - y) * alpha
-    total = masked.sum(axis=-1, keepdims=True)
-    k = alpha.shape[-1]
-    grad_masked = (masked - 1.0) * trigamma(masked) - (total - k) * trigamma(total)
-    return (1.0 - y) * grad_masked
+    """d kl_regularizer / d alpha."""
+    return _loss_parts(alpha, label)[3]
 
 
 def view_loss_grad(alpha: np.ndarray, label: np.ndarray, lam: float) -> np.ndarray:
-    return ace_loss_grad(alpha, label) + lam * kl_regularizer_grad(alpha, label)
+    """d view_loss / d alpha."""
+    return loss_and_grad(alpha, label, lam)[1]

@@ -3,15 +3,17 @@
 A sweep runs one cell per (eta, seed, mode): generate per-split masks,
 train, evaluate, and record a row. Completed cells persist as JSON files
 under ``<out>/cells`` so a rerun skips them; a lock file (created
-atomically) keeps parallel workers off the same cell. All cell-level
-randomness derives from the cell's seed plus its coordinates, so rerunning
-a cell reproduces its row exactly.
+atomically, holding the owner's pid and host) keeps other workers off the
+cell; a rerun on that host reclaims it once that process is gone. All
+cell-level randomness derives from the cell's seed plus its coordinates,
+so rerunning a cell reproduces its row exactly.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import socket
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -137,11 +139,14 @@ def _run_cell_guarded(data, eta, seed, mode, cfg, cells_dir: Path,
     if result_path.exists():
         return
     lock_path = cells_dir / f"{key}.lock"
+    if _lock_is_stale(lock_path):  # left by a killed worker
+        lock_path.unlink(missing_ok=True)
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         return  # another worker owns this cell
-    os.close(fd)
+    with os.fdopen(fd, "w") as fh:
+        fh.write(f"{os.getpid()} {socket.gethostname()}")
     try:
         try:
             row = run_cell(data, eta, seed, mode, cfg, train_fraction)
@@ -153,6 +158,21 @@ def _run_cell_guarded(data, eta, seed, mode, cfg, cells_dir: Path,
         _write_json_atomic(result_path, row)
     finally:
         lock_path.unlink(missing_ok=True)
+
+
+def _lock_is_stale(lock_path: Path) -> bool:
+    """True for a lock that names this host and a pid that no longer runs.
+
+    A missing, empty or unreadable lock may be mid-write and is not stale.
+    Two reruns that reclaim one stale lock at once may both run the cell."""
+    try:
+        pid, host = lock_path.read_text().split()
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return host == socket.gethostname()
+    except (OSError, ValueError):
+        return False
+    return False
 
 
 _WORKER_DATA: dict = {}

@@ -25,8 +25,9 @@ from evifuse.evidential import (
     DirichletParams,
     SubjectiveOpinion,
     _opinion_arrays,
+    loss_and_grad,
     view_loss,
-    view_loss_grad,
+    view_loss_grad,  # noqa: F401 -- bench/spans.py hooks fusion.view_loss_grad
 )
 
 _CONFLICT_EPS = 1e-12
@@ -221,13 +222,10 @@ def total_loss_alpha_grads(view_alphas: list[np.ndarray], label, lam: float,
     contributes to the loss value but not to the gradients of the
     per-view evidence.
     """
-    label = np.asarray(label, dtype=np.float64)
     fused, cache = _fuse_alphas(view_alphas)
-    fused_term = view_loss(DirichletParams(fused), label, lam)
-    view_terms = [view_loss(DirichletParams(a), label, lam) for a in view_alphas]
-    grads = [view_loss_grad(a, label, lam) for a in view_alphas]
+    losses, grads = loss_and_grad(np.stack([fused, *view_alphas]), label, lam)
+    view_grads = list(grads[1:])
     if not detach_fusion:
-        fused_grad = view_loss_grad(fused, label, lam)
-        for g, extra in zip(grads, _fuse_alphas_vjp(cache, fused_grad)):
+        for g, extra in zip(view_grads, _fuse_alphas_vjp(cache, grads[0])):
             g += extra
-    return fused_term, view_terms, grads
+    return losses[0], list(losses[1:]), view_grads

@@ -273,6 +273,8 @@ def _evidential_step(networks, optimizers, xs, y, lam, detach_fusion,
             f"fusion conflict at epoch {epoch}, samples {rows[:8].tolist()}: {exc}",
             rows=rows,
         ) from exc
+    except FloatingPointError as exc:
+        raise NonFiniteLossError(f"training diverged at epoch {epoch}: {exc}") from exc
     for net, opt, cache, grad in zip(networks, optimizers, caches, grads):
         opt.step(net.params, net.backward(cache, grad / batch_size))
     return float(np.sum(fused_term)), np.array([float(np.sum(t)) for t in view_terms])

@@ -1,6 +1,10 @@
 """Command-line entry point: exit codes, error reporting and written outputs."""
 
 import json
+import os
+import socket
+import subprocess
+import sys
 
 import numpy as np
 
@@ -78,3 +82,65 @@ def test_sweep_reports_cell_left_locked(tmp_path, capsys):
     assert summary["cells_missing"] == [locked]
     assert summary["cells_ok"] == 1
     assert "1 missing" in capsys.readouterr().out
+
+
+def test_diverged_training_exits_numeric(tmp_path, capsys):
+    data_dir = write_dataset_dir(tmp_path / "data",
+                                 make_blobs_dataset(n=60, eta=0.3, seed=21, mask_seed=22))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, "epochs": 3, "learning_rate": 1e200}))
+    ckpt = tmp_path / "model.ckpt"
+    with np.errstate(all="ignore"):
+        code = cli.main(["train", "--data", str(data_dir), "--out", str(ckpt),
+                         "--config", str(config)])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "numerical error:" in err and "at epoch 0" in err
+    assert not ckpt.exists()
+
+
+def sweep_two_cells(tmp_path, lock_text):
+    """A two-cell sweep whose uimc cell starts with a lock holding ``lock_text``."""
+    data_dir = write_dataset_dir(tmp_path / "data",
+                                 make_blobs_dataset(n=40, seed=21), include_mask=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    out = tmp_path / "sweep"
+    key = experiments._cell_key(0.2, 0, "uimc")
+    (out / "cells").mkdir(parents=True)
+    (out / "cells" / f"{key}.lock").write_text(lock_text)
+    assert cli.main(["sweep", "--data", str(data_dir), "--etas", "0.2", "--seeds", "0",
+                     "--modes", "uimc,mean_imputation", "--config", str(config),
+                     "--out", str(out)]) == cli.EXIT_OK
+    return out, key
+
+
+def test_sweep_reclaims_lock_of_finished_process(tmp_path):
+    finished = subprocess.Popen([sys.executable, "-c", "pass"])
+    finished.wait()
+    out, key = sweep_two_cells(tmp_path, f"{finished.pid} {socket.gethostname()}")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cells_missing"] == [] and summary["cells_ok"] == 2
+    assert json.loads((out / "cells" / f"{key}.json").read_text())["status"] == "ok"
+    assert not (out / "cells" / f"{key}.lock").exists()
+
+
+def test_sweep_respects_lock_of_live_process(tmp_path):
+    out, key = sweep_two_cells(tmp_path, f"{os.getpid()} {socket.gethostname()}")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cells_missing"] == [key]
+    assert (out / "cells" / f"{key}.lock").exists()
+
+
+def test_sweep_lock_names_its_owner(tmp_path, monkeypatch):
+    seen = []
+    real_run_cell = experiments.run_cell
+
+    def run_cell(*args, **kwargs):
+        key = experiments._cell_key(*args[1:4])
+        seen.append((tmp_path / "sweep" / "cells" / f"{key}.lock").read_text())
+        return real_run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_cell", run_cell)
+    sweep_two_cells(tmp_path, "")
+    assert seen == [f"{os.getpid()} {socket.gethostname()}"]

@@ -18,10 +18,12 @@ from evifuse.evidential import (
     evidence_to_dirichlet,
     kl_regularizer,
     kl_regularizer_grad,
+    loss_and_grad,
     one_hot,
     view_loss,
     view_loss_grad,
 )
+from evifuse.special import digamma, gammaln, trigamma
 
 evidence_vectors = st.lists(
     st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=2, max_size=8
@@ -186,6 +188,71 @@ class TestGradients:
             bumped = alpha.copy()
             bumped[label] += rng.uniform(0.1, 10)
             assert ace_loss(DirichletParams(bumped), y) <= base + 1e-12
+
+
+def reference_head(alpha, y):
+    """ACE, KL and their gradients for one head, as written before the stacked kernel."""
+    ace = (y * (digamma(alpha.sum(axis=-1, keepdims=True)) - digamma(alpha))).sum(axis=-1)
+    masked = y + (1.0 - y) * alpha
+    total = masked.sum(axis=-1)
+    k = alpha.shape[-1]
+    kl = (
+        gammaln(total)
+        - gammaln(masked).sum(axis=-1)
+        - gammaln(float(k))
+        + ((masked - 1.0) * (digamma(masked) - digamma(total)[..., None])).sum(axis=-1)
+    )
+    ace_grad = trigamma(alpha.sum(axis=-1, keepdims=True)) - y * trigamma(alpha)
+    total = total[..., None]
+    kl_grad = (1.0 - y) * ((masked - 1.0) * trigamma(masked) - (total - k) * trigamma(total))
+    return ace, kl, ace_grad, kl_grad
+
+
+def random_heads(rng, shape):
+    """Concentrations >= 1 spanning 1 to ~1e3, a quarter of them exactly 1."""
+    alpha = 1.0 + rng.exponential(1.0, shape) * 10.0 ** rng.integers(-3, 3, shape)
+    return np.where(rng.random(shape) < 0.25, 1.0, alpha)
+
+
+class TestStackedKernel:
+    """The stacked kernel reproduces the per-head formulas bit for bit."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+    def test_matches_per_head_reference(self, heads, k, lam):
+        rng = np.random.default_rng(100 * heads + k)
+        alpha = random_heads(rng, (heads, 33, k))
+        y = one_hot(rng.integers(0, k, 33), k)
+        loss, grad = loss_and_grad(alpha, y, lam)
+        assert loss.shape == (heads, 33) and grad.shape == (heads, 33, k)
+        for h in range(heads):
+            ace, kl, ace_grad, kl_grad = reference_head(alpha[h], y)
+            np.testing.assert_array_equal(loss[h], ace + lam * kl)
+            np.testing.assert_array_equal(grad[h], ace_grad + lam * kl_grad)
+
+    def test_wrappers_match_reference_on_one_vector(self):
+        rng = np.random.default_rng(7)
+        for k in (2, 3, 10):
+            alpha = random_heads(rng, (k,))
+            y = one_hot(int(rng.integers(0, k)), k)
+            ace, kl, ace_grad, kl_grad = reference_head(alpha, y)
+            d = DirichletParams(alpha)
+            assert np.ndim(ace_loss(d, y)) == 0
+            np.testing.assert_array_equal(ace_loss(d, y), ace)
+            np.testing.assert_array_equal(kl_regularizer(d, y), kl)
+            np.testing.assert_array_equal(view_loss(d, y, 0.37), ace + 0.37 * kl)
+            np.testing.assert_array_equal(ace_loss_grad(alpha, y), ace_grad)
+            np.testing.assert_array_equal(kl_regularizer_grad(alpha, y), kl_grad)
+            np.testing.assert_array_equal(view_loss_grad(alpha, y, 0.37),
+                                          ace_grad + 0.37 * kl_grad)
+
+    def test_non_finite_alpha_is_a_numerical_error(self):
+        y = one_hot([0, 1], 2)
+        with pytest.raises(FloatingPointError):
+            loss_and_grad(np.array([[2.0, np.inf], [1.0, 1.0]]), y, 0.5)
+        with pytest.raises(ValueError):
+            loss_and_grad(np.array([[2.0, 0.5], [1.0, 1.0]]), y, 0.5)
 
 
 class TestAnnealSchedule:

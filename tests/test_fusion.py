@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evifuse import evidential
 from evifuse.evidential import (
     DirichletParams,
     SubjectiveOpinion,
@@ -20,6 +21,7 @@ from evifuse.fusion import (
     ds_fold,
     fused_dirichlet,
     total_loss,
+    total_loss_alpha_grads,
 )
 
 
@@ -220,3 +222,21 @@ class TestTotalLoss:
         views = [DirichletParams(1.0 + rng.uniform(0, 5, 3)) for _ in range(3)]
         y = [0.0, 1.0, 0.0]
         assert total_loss(views, fused, y, 0.5) >= view_loss(fused, y, 0.5)
+
+
+def test_training_step_evaluates_each_polygamma_once(monkeypatch):
+    """One total_loss_alpha_grads call at V=3 runs digamma and trigamma once each;
+    gammaln runs once more only for the constant ln G(K)."""
+    calls = {"digamma": 0, "trigamma": 0, "gammaln": 0}
+    for name in calls:
+        def counted(x, _fn=getattr(evidential, name), _name=name):
+            calls[_name] += 1
+            return _fn(x)
+        monkeypatch.setattr(evidential, name, counted)
+    rng = np.random.default_rng(8)
+    alphas = [1.0 + rng.uniform(0, 9, (16, 4)) for _ in range(3)]
+    y = evidential.one_hot(rng.integers(0, 4, 16), 4)
+    fused_term, view_terms, grads = total_loss_alpha_grads(alphas, y, 0.5)
+    assert calls["digamma"] == 1 and calls["trigamma"] == 1
+    assert calls["gammaln"] <= 2
+    assert fused_term.shape == (16,) and len(view_terms) == 3 and len(grads) == 3
