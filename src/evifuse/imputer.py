@@ -10,6 +10,10 @@ copies of the sample.
 Randomness is keyed on (seed, missing view, content hash of the sample's
 observed data), so completions are reproducible, independent of sample
 order, and safe to compute concurrently.
+
+Slots are completed a block at a time: one GEMM neighbor search per
+(missing view, observed view, label group), then stacked Cholesky factors
+and draws.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ import numpy as np
 from evifuse.dataset import MultiViewDataset
 
 _MAX_JITTER = 1.0
+# Slots searched, factored and drawn together: bounds the distance block
+# (slots x candidates) and the covariance, factor and draw stacks.
+_SLOT_BLOCK = 128
 
 
 class CholeskyEscalationError(RuntimeError):
@@ -84,6 +91,71 @@ def topk_indicator(distances: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
+def _nearest(queries: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """Positions of each query row's k nearest candidate rows, ties to the lowest.
+
+    One GEMM distance ||b||^2 - 2 a.b (||a||^2 is the same for all of a
+    query's candidates) shortlists every candidate within its rounding
+    bound of the query's k-th smallest; the ``distance_set`` formula then
+    ranks the shortlist, so the result equals an exact ranking of all
+    candidates.
+    """
+    count = candidates.shape[0]
+    if count <= k:
+        return np.broadcast_to(np.arange(count), (queries.shape[0], count))
+    b_sq = np.einsum("ij,ij->i", candidates, candidates)
+    a_sq = np.einsum("ij,ij->i", queries, queries)
+    # By the dot-product rounding bound, the GEMM distance plus ||a||^2 and
+    # the exact one differ by at most (2d + 3) eps (||a||^2 + ||b||^2), so
+    # an exact k nearest lies at most twice that above the GEMM k-th; the
+    # slack is twice that again.
+    slack = 8.0 * (queries.shape[1] + 2) * np.finfo(np.float64).eps * (a_sq + b_sq.max())
+    approx = queries @ candidates.T
+    approx *= -2.0
+    approx += b_sq
+    kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+    query_of, cand_of = np.nonzero(approx <= (kth + slack)[:, None])
+    diff = candidates[cand_of] - queries[query_of]
+    exact = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((cand_of, exact, query_of))
+    shortlisted = np.bincount(query_of, minlength=queries.shape[0])
+    first = np.cumsum(shortlisted) - shortlisted
+    return cand_of[order[first[:, None] + np.arange(k)]]
+
+
+def _neighbor_unions(data, ref, rows, m, k, use_labels) -> list:
+    """Neighbor union of every slot (rows[i], m), as sorted reference indices.
+
+    Candidates for view v are reference samples observing both v and m
+    (and sharing the slot's label when ``use_labels``); each observed view
+    proposes its k nearest. A slot with no candidate gets an empty union.
+    """
+    found_slot, found_ref = [], []
+    for v in range(data.n_views):
+        if v == m:
+            continue
+        on_v = data.mask[rows, v]
+        eligible = ref.mask[:, m] & ref.mask[:, v]
+        if use_labels:
+            slot_labels = data.labels[rows]
+            groups = [(on_v & (slot_labels == g), eligible & (ref.labels == g))
+                      for g in np.unique(slot_labels[on_v])]
+        else:
+            groups = [(on_v, eligible)]
+        for slot_mask, cand_mask in groups:
+            slots, cand = np.nonzero(slot_mask)[0], np.nonzero(cand_mask)[0]
+            if slots.size == 0 or cand.size == 0:
+                continue
+            nearest = _nearest(data.views[v][rows[slots]], ref.views[v][cand], k)
+            found_slot.append(np.repeat(slots, nearest.shape[1]))
+            found_ref.append(cand[nearest].ravel())
+    if not found_slot:
+        return [np.empty(0, dtype=np.int64) for _ in rows]
+    pairs = np.unique(np.concatenate(found_slot) * ref.n_samples + np.concatenate(found_ref))
+    slot, index = np.divmod(pairs, ref.n_samples)
+    return np.split(index, np.searchsorted(slot, np.arange(1, len(rows))))
+
+
 def neighbor_union(
     query: NeighborQuery,
     data: MultiViewDataset,
@@ -99,21 +171,23 @@ def neighbor_union(
     n, m = query.sample_index, query.missing_view
     if data.mask[n, m]:
         raise ValueError(f"view {m} of sample {n} is observed, nothing to impute")
-    # the query sample is never eligible: it lacks view m by construction
-    eligible_base = ref.mask[:, m].copy()
-    if query.use_labels:
-        eligible_base &= ref.labels == data.labels[n]
-    union: set = set()
-    for v in range(data.n_views):
-        if v == m or not data.mask[n, v]:
-            continue
-        eligible = eligible_base & ref.mask[:, v]
-        cand_idx = np.nonzero(eligible)[0]
-        if cand_idx.size == 0:
-            continue
-        dists = distance_set(data.views[v][n], ref.views[v][cand_idx])
-        union.update(cand_idx[topk_indicator(dists, query.k)].tolist())
-    return np.array(sorted(union), dtype=np.int64)
+    return _neighbor_unions(data, ref, np.array([n]), m, query.k, query.use_labels)[0]
+
+
+def _moments(neighbors: np.ndarray, diag_only: bool):
+    """Mean and unbiased covariance of the rows; one row gives zero covariance.
+
+    ``dot(centred.T, centred) / (count - 1)`` is what ``np.cov`` computes,
+    bit for bit, without its per-call overhead.
+    """
+    count = neighbors.shape[0]
+    mu = neighbors.mean(axis=0)
+    if count == 1:
+        return mu, np.zeros((mu.size, mu.size))
+    if diag_only:
+        return mu, np.diag(neighbors.var(axis=0, ddof=1))
+    centred = neighbors - mu
+    return mu, np.dot(centred.T, centred) * (1.0 / (count - 1))
 
 
 def estimate_gaussian(neighbors: np.ndarray, jitter: float,
@@ -123,19 +197,10 @@ def estimate_gaussian(neighbors: np.ndarray, jitter: float,
     A single neighbor degenerates to a point mass with sigma = jitter * I.
     """
     neighbors = np.atleast_2d(np.asarray(neighbors, dtype=np.float64))
-    count = neighbors.shape[0]
-    if count == 0:
+    if neighbors.shape[0] == 0:
         raise ValueError("empty neighbor set")
-    mu = neighbors.mean(axis=0)
-    d = mu.size
-    if count == 1:
-        cov = np.zeros((d, d))
-    elif diag_only:
-        cov = np.diag(neighbors.var(axis=0, ddof=1))
-    else:
-        cov = np.cov(neighbors, rowvar=False, ddof=1).reshape(d, d)
-    sigma = cov + jitter * np.eye(d)
-    return GaussianImputation(mu, sigma, count)
+    mu, cov = _moments(neighbors, diag_only)
+    return GaussianImputation(mu, cov + jitter * np.eye(mu.size), neighbors.shape[0])
 
 
 def _stable_cholesky(cov: np.ndarray, jitter: float):
@@ -257,34 +322,36 @@ def sample_completions(
     """
     if n_samplings < 1:
         raise ValueError("n_samplings must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     ref = reference if reference is not None else data
-    imputed_rows = [[] for _ in range(data.n_views)]
-    draw_blocks = [[] for _ in range(data.n_views)]
-    for n in range(data.n_samples):
-        missing = np.nonzero(~data.mask[n])[0]
-        if missing.size == 0:
-            continue
-        key = _sample_content_key(data, n)
-        for m in missing:
-            mu, cov = _slot_distribution(data, ref, n, int(m), k, use_labels, diag_cov)
+    keys = {n: _sample_content_key(data, n)
+            for n in np.nonzero(~data.mask.all(axis=1))[0].tolist()}
+    imputed_rows, draws = [], []
+    for m in range(data.n_views):
+        rows = np.nonzero(~data.mask[:, m])[0]
+        out = np.empty((rows.size, n_samplings, data.view_dims[m]))
+        for start in range(0, rows.size, _SLOT_BLOCK):
+            block = rows[start:start + _SLOT_BLOCK]
+            part = out[start:start + block.size]
+            mu, cov = _slot_distribution(data, ref, block, m, k, use_labels, diag_cov)
             if point_estimate:
-                block = np.broadcast_to(mu, (n_samplings, mu.size)).copy()
-            else:
-                chol, _ = _stable_cholesky(cov, jitter)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([int(seed), int(m), key])
-                )
-                z = rng.standard_normal((n_samplings, mu.size))
-                block = mu + z @ chol.T
-            imputed_rows[m].append(n)
-            draw_blocks[m].append(block)
-    rows_arr, draws_arr = [], []
-    for v in range(data.n_views):
-        rows_arr.append(np.array(imputed_rows[v], dtype=np.int64))
-        if draw_blocks[v]:
-            draws_arr.append(np.stack(draw_blocks[v], axis=0))
-        else:
-            draws_arr.append(np.empty((0, n_samplings, data.view_dims[v])))
+                part[:] = mu[:, None, :]
+                continue
+            try:
+                chol = np.linalg.cholesky(cov + jitter * np.eye(mu.shape[1]))
+            except np.linalg.LinAlgError:
+                # escalate the jitter only for the slots that need it
+                chol = np.stack([_stable_cholesky(c, jitter)[0] for c in cov])
+            z = np.stack([
+                np.random.default_rng(np.random.SeedSequence([int(seed), m, keys[n]]))
+                .standard_normal((n_samplings, mu.shape[1]))
+                for n in block.tolist()
+            ])
+            np.matmul(z, chol.transpose(0, 2, 1), out=part)
+            part += mu[:, None, :]
+        imputed_rows.append(rows)
+        draws.append(out)
     base_views = []
     for v in range(data.n_views):
         mat = data.views[v].copy()
@@ -295,8 +362,8 @@ def sample_completions(
         views=base_views,
         mask=data.mask.copy(),
         labels=data.labels.copy(),
-        imputed_rows=rows_arr,
-        draws=draws_arr,
+        imputed_rows=imputed_rows,
+        draws=draws,
     )
 
 
@@ -337,17 +404,21 @@ def _column_means(ref: MultiViewDataset) -> list:
     return means
 
 
-def _slot_distribution(data, ref, n, m, k, use_labels, diag_cov):
-    """(mu, raw covariance) for one missing slot, applying the fallback chain."""
-    idx = neighbor_union(
-        NeighborQuery(n, m, k, use_labels=use_labels), data, reference=ref
-    )
-    if idx.size == 0 and use_labels:
-        idx = neighbor_union(
-            NeighborQuery(n, m, k, use_labels=False), data, reference=ref
-        )
-    if idx.size == 0:
-        mu = _column_means(ref)[m]
-        return mu, np.zeros((mu.size, mu.size))
-    gauss = estimate_gaussian(ref.views[m][idx], jitter=0.0, diag_only=diag_cov)
-    return gauss.mu, gauss.sigma
+def _slot_distribution(data, ref, rows, m, k, use_labels, diag_cov):
+    """Stacked (mu, raw covariance) of the slots (rows, m), applying the fallback chain."""
+    unions = _neighbor_unions(data, ref, rows, m, k, use_labels)
+    retry = [i for i, idx in enumerate(unions) if idx.size == 0]
+    if use_labels and retry:
+        for i, idx in zip(retry, _neighbor_unions(data, ref, rows[retry], m, k, False)):
+            unions[i] = idx
+    d = ref.view_dims[m]
+    mu, cov = np.empty((rows.size, d)), np.zeros((rows.size, d, d))
+    means = None
+    for i, idx in enumerate(unions):
+        if idx.size:
+            mu[i], cov[i] = _moments(ref.views[m][idx], diag_cov)
+        else:
+            if means is None:
+                means = _column_means(ref)
+            mu[i] = means[m]
+    return mu, cov

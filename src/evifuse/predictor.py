@@ -23,6 +23,12 @@ from evifuse.imputer import CompletionSet
 from evifuse.trainer import TrainedModel, _softmax, _subseed, build_completions
 
 _SEED_TEST_IMPUTE = 201
+# Rows per forward call on the draws and per fold: bounds the activations
+# and opinion arrays of a chunk of samplings. With OpenBLAS, a forward call
+# on fewer than ~800 rows may round the last bit differently from one on
+# all rows; at ~600 imputed rows per view, 2048 rows (3 samplings) a call
+# kept evaluate() output bit-equal to the per-sampling forward.
+_FORWARD_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -35,30 +41,46 @@ class PredictionResult:
 
 
 def _sampling_opinions(model: TrainedModel, completions: CompletionSet):
-    """Fused (beliefs, uncertainty, invalid) per sampling: (S, N, K), (S, N), (S, N)."""
+    """Fused (beliefs, uncertainty, invalid) per sampling: (S, N, K), (S, N), (S, N).
+
+    Observed inputs are the same in every sampling, so each view's network
+    runs once on all rows and then only on the imputed draws, a chunk of
+    whole samplings at a time. A chunk's opinions are folded a few
+    samplings at a time, so neither step holds more than about
+    ``_FORWARD_ROWS`` rows.
+    """
     s_count = completions.n_samplings
     n = completions.n_samples
     k = model.class_count
+    heads = [net.forward if model.uses_evidence else net.forward_logits
+             for net in model.networks]
+    shared = [head(x) for head, x in zip(heads, completions.views)]
+    widest = max(rows.size for rows in completions.imputed_rows)
+    per_forward = max(1, _FORWARD_ROWS // max(widest, 1))
+    per_fold = max(1, _FORWARD_ROWS // max(n, 1))
     all_b = np.empty((s_count, n, k))
-    all_u = np.empty((s_count, n))
+    all_u = np.zeros((s_count, n))
     all_bad = np.zeros((s_count, n), dtype=bool)
-    for s in range(s_count):
-        views = completions.completion(s)
-        if model.uses_evidence:
-            bs, us = [], []
-            for net, x in zip(model.networks, views):
-                b, u = _opinion_arrays(net.forward(x) + 1.0)
-                bs.append(b)
-                us.append(u)
-            b, u, bad, _ = _fold_with_exclusions(bs, us)
-            all_bad[s] = bad
-        else:
-            probs = [_softmax(np.atleast_2d(net.forward_logits(x)))
-                     for net, x in zip(model.networks, views)]
-            b = np.mean(probs, axis=0)
-            u = np.zeros(n)
-        all_b[s] = b
-        all_u[s] = u
+    for first in range(0, s_count, per_forward):
+        last = min(first + per_forward, s_count)
+        drawn = [head(draws[:, first:last].transpose(1, 0, 2).reshape(-1, draws.shape[-1]))
+                 .reshape(last - first, rows.size, k) if rows.size else None
+                 for head, rows, draws in zip(heads, completions.imputed_rows,
+                                              completions.draws)]
+        for start in range(first, last, per_fold):
+            part = slice(start, min(start + per_fold, last))
+            outs = []
+            for out, rows, new in zip(shared, completions.imputed_rows, drawn):
+                full = np.broadcast_to(out, (part.stop - start, n, k)).copy()
+                if rows.size:
+                    full[:, rows] = new[start - first:part.stop - first]
+                outs.append(full)
+            if model.uses_evidence:
+                bs, us = zip(*(_opinion_arrays(e + 1.0) for e in outs))
+                all_b[part], all_u[part], all_bad[part], _ = _fold_with_exclusions(
+                    list(bs), list(us))
+            else:
+                all_b[part] = np.mean([_softmax(logits) for logits in outs], axis=0)
     return all_b, all_u, all_bad
 
 

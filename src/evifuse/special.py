@@ -64,6 +64,17 @@ def _lifted(x, term) -> tuple[np.ndarray, np.ndarray]:
     return z, acc
 
 
+def _inverse_square(z):
+    """1 / z^2, silently inf or 0 where z * z underflows or overflows.
+
+    Beyond ~1.3e154 z * z overflows and 1 / inf = 0 is the limit the series
+    needs; below ~1.5e-162 it underflows and 1 / 0 = inf is the true value's
+    overflow.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / (z * z)
+
+
 def _series(coeffs, r2):
     """Horner evaluation of sum_n coeffs[n-1] * r2^n."""
     out = 0.0
@@ -76,19 +87,19 @@ def gammaln(x) -> np.ndarray | np.floating:
     """Natural log of the gamma function, elementwise, for x > 0."""
     z, logs = _lifted(x, np.log)  # ln G(z) = ln G(z+1) - ln z
     # terms are c_n / z^(2n-1)
-    series = z * _series(_LGAMMA_COEFFS, 1.0 / (z * z))
+    series = z * _series(_LGAMMA_COEFFS, _inverse_square(z))
     return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series - logs
 
 
 def digamma(x) -> np.ndarray | np.floating:
     """Logarithmic derivative of the gamma function, elementwise, for x > 0."""
     z, inverses = _lifted(x, np.reciprocal)  # psi(z) = psi(z+1) - 1/z
-    return np.log(z) - 0.5 / z - _series(_DIGAMMA_COEFFS, 1.0 / (z * z)) - inverses
+    return np.log(z) - 0.5 / z - _series(_DIGAMMA_COEFFS, _inverse_square(z)) - inverses
 
 
 def trigamma(x) -> np.ndarray | np.floating:
     """Derivative of the digamma function, elementwise, for x > 0."""
-    z, inverse_squares = _lifted(x, lambda z: 1.0 / (z * z))  # psi'(z) = psi'(z+1) + 1/z^2
+    z, inverse_squares = _lifted(x, _inverse_square)  # psi'(z) = psi'(z+1) + 1/z^2
     r = 1.0 / z
     r2 = r * r
     # terms are B_2n / z^(2n+1)

@@ -218,13 +218,16 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
             rows = pair_rows[batch]
             xs = completions.gather(rows, pair_slots[batch])
             y = labels_hot[rows]
-            if cfg.mode in ("uimc", "single_imputation"):
-                fused_sum, view_sums = _evidential_step(
-                    networks, optimizers, xs, y, lam, cfg.detach_fusion,
-                    epoch=epoch, batch_rows=rows,
-                )
-            else:
-                fused_sum, view_sums = _cross_entropy_step(networks, optimizers, xs, y)
+            # a diverging step overflows to inf and nan; the finite checks on
+            # alpha, the gradients and the epoch loss report it as an error
+            with np.errstate(over="ignore", invalid="ignore"):
+                if cfg.mode in ("uimc", "single_imputation"):
+                    fused_sum, view_sums = _evidential_step(
+                        networks, optimizers, xs, y, lam, cfg.detach_fusion,
+                        epoch=epoch, batch_rows=rows,
+                    )
+                else:
+                    fused_sum, view_sums = _cross_entropy_step(networks, optimizers, xs, y)
             fused_total += fused_sum
             view_totals += view_sums
         total = fused_total + view_totals.sum()
@@ -333,7 +336,8 @@ def save_model(model: TrainedModel, path) -> None:
 def load_model(path) -> TrainedModel:
     """Read a checkpoint written by save_model; raises CheckpointError on damage."""
     try:
-        with np.load(path, allow_pickle=False) as payload:
+        # np.load does not close a file it opened itself when it fails to read it
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as payload:
             arrays = {key: payload[key] for key in payload.files}
     except (OSError, ValueError, KeyError, EOFError, RuntimeError,
             zipfile.BadZipFile) as exc:

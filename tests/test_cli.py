@@ -5,6 +5,7 @@ import os
 import socket
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 
@@ -90,7 +91,8 @@ def test_diverged_training_exits_numeric(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY, "epochs": 3, "learning_rate": 1e200}))
     ckpt = tmp_path / "model.ckpt"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(["train", "--data", str(data_dir), "--out", str(ckpt),
                          "--config", str(config)])
     assert code == cli.EXIT_NUMERIC

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from evifuse import imputer
 from evifuse.dataset import MultiViewDataset
 from evifuse.imputer import (
     CompletionSet,
     GaussianImputation,
     NeighborQuery,
+    _neighbor_unions,
+    _sample_content_key,
+    _stable_cholesky,
     distance_set,
     estimate_gaussian,
     mean_value_completions,
@@ -105,21 +109,53 @@ class TestNeighborUnion:
             for n in range(data.n_samples):
                 for m in np.nonzero(~data.mask[n])[0]:
                     got = neighbor_union(NeighborQuery(n, int(m), k), data)
-                    expect = set()
-                    for v in range(data.n_views):
-                        if v == m or not data.mask[n, v]:
-                            continue
-                        scored = []
-                        for j in range(data.n_samples):
-                            if not (data.mask[j, v] and data.mask[j, m]):
-                                continue
-                            if data.labels[j] != data.labels[n]:
-                                continue
-                            dist = -np.sum((data.views[v][n] - data.views[v][j]) ** 2)
-                            scored.append((-dist, j))
-                        scored.sort()
-                        expect.update(j for _, j in scored[:k])
-                    assert set(got.tolist()) == expect
+                    assert got.tolist() == exhaustive_union(data, data, n, int(m), k, True)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e4])
+    @pytest.mark.parametrize("use_labels", [True, False])
+    def test_batched_unions_match_exhaustive_scan(self, shift, use_labels):
+        """Every slot of a view at once, against the oracle, with exact ties.
+
+        Each candidate row appears twice, so with k = 3 the 3rd and 4th
+        nearest tie whenever a query's nearest distinct rows are doubled.
+        Scaled by 1e-3 and shifted by 1e4, the terms of ||a||^2 - 2 a.b +
+        ||b||^2 are ~1e8 and the distances ~1e-6, so the GEMM distance
+        alone misorders neighbors.
+        """
+        base = make_blobs_dataset(n=40, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                                  seed=5, mask_seed=105)
+        doubled = base.subset(np.repeat(np.arange(base.n_samples), 2))
+        pool = MultiViewDataset([v * 1e-3 + shift for v in doubled.views], doubled.labels,
+                                doubled.mask, doubled.class_count)
+        queries = make_blobs_dataset(n=30, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                                     seed=5, mask_seed=106)
+        queries = MultiViewDataset([v * 1e-3 + shift for v in queries.views], queries.labels,
+                                   queries.mask, queries.class_count)
+        for data, ref in ((pool, pool), (queries, pool)):
+            for m in range(data.n_views):
+                rows = np.nonzero(~data.mask[:, m])[0]
+                got = _neighbor_unions(data, ref, rows, m, 3, use_labels)
+                expect = [exhaustive_union(data, ref, int(n), m, 3, use_labels) for n in rows]
+                assert [idx.tolist() for idx in got] == expect
+
+
+def exhaustive_union(data, ref, n, m, k, use_labels):
+    """Sorted union of each observed view's k nearest by a full scan, ties to the lower index."""
+    expect = set()
+    for v in range(data.n_views):
+        if v == m or not data.mask[n, v]:
+            continue
+        scored = []
+        for j in range(ref.n_samples):
+            if not (ref.mask[j, v] and ref.mask[j, m]):
+                continue
+            if use_labels and ref.labels[j] != data.labels[n]:
+                continue
+            dist = -np.sum((data.views[v][n] - ref.views[v][j]) ** 2)
+            scored.append((-dist, j))
+        scored.sort()
+        expect.update(j for _, j in scored[:k])
+    return sorted(expect)
 
 
 class TestEstimateGaussian:
@@ -235,6 +271,10 @@ class TestSampleCompletions:
                     gathered[v][pos], cs.completion(int(s))[v][r]
                 )
 
+    def test_k_validation(self, blobs_incomplete):
+        with pytest.raises(ValueError):
+            sample_completions(blobs_incomplete, k=0, n_samplings=2)
+
     def test_provenance_tracks_mask(self, blobs_incomplete):
         cs = sample_completions(blobs_incomplete, k=4, n_samplings=2, seed=5)
         np.testing.assert_array_equal(cs.provenance, (~blobs_incomplete.mask).astype(np.uint8))
@@ -263,6 +303,112 @@ class TestSampleCompletions:
                              reference=train)
         assert idx.size > 0
         assert idx.max() < train.n_samples
+
+
+def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labels=True,
+                          diag_cov=False, point_estimate=False):
+    """Draws slot by slot: full-scan search, np.cov, _stable_cholesky, keyed RNG."""
+    ref = data if ref is None else ref
+    draws = [[] for _ in range(data.n_views)]
+    for n in range(data.n_samples):
+        key = _sample_content_key(data, n)
+        for m in np.nonzero(~data.mask[n])[0].tolist():
+            idx = exhaustive_union(data, ref, n, m, k, use_labels)
+            if not idx and use_labels:
+                idx = exhaustive_union(data, ref, n, m, k, False)
+            d = ref.view_dims[m]
+            if not idx:
+                mu, cov = ref.views[m][ref.mask[:, m]].mean(axis=0), np.zeros((d, d))
+            else:
+                rows = ref.views[m][idx]
+                mu = rows.mean(axis=0)
+                if len(idx) == 1:
+                    cov = np.zeros((d, d))
+                elif diag_cov:
+                    cov = np.diag(rows.var(axis=0, ddof=1))
+                else:
+                    cov = np.cov(rows, rowvar=False, ddof=1).reshape(d, d)
+            if point_estimate:
+                draws[m].append(np.broadcast_to(mu, (n_samplings, d)).copy())
+                continue
+            chol, _ = _stable_cholesky(cov, jitter)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, m, key]))
+            draws[m].append(mu + rng.standard_normal((n_samplings, d)) @ chol.T)
+    return [np.stack(blocks) if blocks else np.empty((0, n_samplings, d))
+            for blocks, d in zip(draws, data.view_dims)]
+
+
+def fallback_dataset():
+    """Blob rows plus slots that need every fallback of the chain.
+
+    Rows 0-29 (classes 0-2) observe views 0 and 1, every fifth misses view
+    1, and none observes view 2, so their view-2 slots take the column
+    means. Rows 30-31 observe only view 2: no candidate shares a view with
+    them, labelled or not. Row 32 is the only one of class 3, so its view-1
+    slot drops the label. Rows 33-36 have one and the same view-1 row next
+    to row 37's view 0, so row 37's view-1 covariance is zero: with jitter
+    0 it needs escalation, inside the block of the other view-1 slots.
+    """
+    base = make_blobs_dataset(n=30, class_count=3, view_dims=(2, 3, 2), seed=9)
+    labels = np.concatenate([base.labels, [0, 1, 3, 0, 0, 0, 0, 0]])
+    rng = np.random.default_rng(10)
+    v0 = np.vstack([base.views[0], np.zeros((2, 2)), [[0.5, 0.5]],
+                    [50.0, 50.0] + rng.normal(0.0, 0.1, (4, 2)), [[50.0, 50.0]]])
+    v1 = np.vstack([base.views[1], np.zeros((3, 3)), np.full((4, 3), 5.0), np.zeros((1, 3))])
+    v2 = np.vstack([base.views[2], rng.normal(0.0, 1.0, (8, 2))])
+    mask = np.zeros((38, 3), dtype=bool)
+    mask[:30, :2] = True
+    mask[0:30:5, 1] = False
+    mask[30:32, 2] = True
+    mask[32, 0] = True
+    mask[33:37, :2] = True
+    mask[37, 0] = True
+    return MultiViewDataset([v0, v1, v2], labels, mask, 4)
+
+
+class TestBatchedDraws:
+    """sample_completions against the slot-by-slot reference, bit for bit."""
+
+    def assert_same_draws(self, got, expect):
+        for v, block in enumerate(expect):
+            np.testing.assert_array_equal(got.imputed_rows[v],
+                                          np.nonzero(~got.mask[:, v])[0])
+            assert got.draws[v].tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("options", [
+        dict(),
+        dict(use_labels=False),
+        dict(diag_cov=True),
+        dict(point_estimate=True),
+    ])
+    def test_matches_slot_by_slot_reference(self, options, monkeypatch):
+        data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                                  seed=4, mask_seed=104)
+        monkeypatch.setattr(imputer, "_SLOT_BLOCK", 4)  # many blocks per view
+        got = sample_completions(data, k=3, n_samplings=5, jitter=1e-3, seed=8, **options)
+        self.assert_same_draws(got, reference_completions(data, 3, 5, 1e-3, 8, **options))
+
+    def test_reference_pool(self):
+        train = make_blobs_dataset(n=60, class_count=3, view_dims=(2, 3, 2), eta=0.3,
+                                   seed=4, mask_seed=105)
+        test = make_blobs_dataset(n=25, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                                  seed=4, mask_seed=106)
+        got = sample_completions(test, k=4, n_samplings=6, seed=2, reference=train,
+                                 use_labels=False)
+        self.assert_same_draws(
+            got, reference_completions(test, 4, 6, 1e-3, 2, ref=train, use_labels=False))
+
+    @pytest.mark.parametrize("use_labels", [True, False])
+    def test_fallbacks_and_escalation(self, use_labels):
+        data = fallback_dataset()
+        got = sample_completions(data, k=4, n_samplings=5, jitter=0.0, seed=3,
+                                 use_labels=use_labels)
+        self.assert_same_draws(
+            got, reference_completions(data, 4, 5, 0.0, 3, use_labels=use_labels))
+        row_37 = int(np.searchsorted(got.imputed_rows[1], 37))
+        assert np.ptp(got.draws[1][row_37], axis=0).max() > 0.0  # drawn with escalated jitter
+        column_mean = data.views[2][30:32].mean(axis=0)  # the rows observing view 2
+        np.testing.assert_allclose(got.draws[2][0], np.tile(column_mean, (5, 1)), atol=1e-2)
 
 
 class TestMeanValueCompletions:

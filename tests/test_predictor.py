@@ -3,8 +3,20 @@
 import numpy as np
 import pytest
 
-from evifuse.predictor import _vote, evaluate, predict_sample, stability_experiment
-from evifuse.trainer import TrainConfig, train
+from evifuse import predictor
+from evifuse.dataset import MultiViewDataset
+from evifuse.evidential import _opinion_arrays
+from evifuse.fusion import _fold_with_exclusions
+from evifuse.imputer import sample_completions
+from evifuse.network import EvidenceNetwork
+from evifuse.predictor import (
+    _sampling_opinions,
+    _vote,
+    evaluate,
+    predict_sample,
+    stability_experiment,
+)
+from evifuse.trainer import TrainConfig, TrainedModel, _softmax, train
 from conftest import make_blobs_dataset
 
 FAST = dict(epochs=12, batch_size=32, n_samplings=4, hidden=(12,), anneal_epochs=5,
@@ -162,3 +174,86 @@ class TestStability:
         model, test = fitted
         with pytest.raises(ValueError):
             stability_experiment(model, test, n_repeats=0)
+
+
+def per_sampling_opinions(model, completions):
+    """Every network on every row of every materialized completion."""
+    all_b, all_u, all_bad = [], [], []
+    for s in range(completions.n_samplings):
+        views = completions.completion(s)
+        if model.uses_evidence:
+            b, u, bad, _ = _fold_with_exclusions(
+                *zip(*(_opinion_arrays(net.forward(x) + 1.0)
+                       for net, x in zip(model.networks, views))))
+        else:
+            b = np.mean([_softmax(net.forward_logits(x))
+                         for net, x in zip(model.networks, views)], axis=0)
+            u, bad = np.zeros(len(b)), np.zeros(len(b), dtype=bool)
+        all_b.append(b)
+        all_u.append(u)
+        all_bad.append(bad)
+    return np.array(all_b), np.array(all_u), np.array(all_bad)
+
+
+def conflict_model(mode):
+    """Two 2-feature views, 3 classes; a first feature above 5 gives evidence
+    of about 1e14 for class 0 in view 0 and for class 1 in view 1."""
+    networks = []
+    for huge_class in (0, 1):
+        net = EvidenceNetwork([2, 2, 3], seed=huge_class)
+        net.weights[0] = np.eye(2)
+        net.biases[0] = np.array([-5.0, 0.0])  # hidden = relu(x0 - 5), relu(x1)
+        net.weights[1] = np.array([[0.0, 0.0, 0.0], [0.7, -0.4, 0.2]])
+        net.weights[1][0, huge_class] = 1e14
+        net.biases[1] = np.array([0.3, 0.1, -0.2])
+        networks.append(net)
+    return TrainedModel(networks=networks, stats=None, config=TrainConfig(mode=mode),
+                        loss_history=[], train_pool=None, class_count=3, epochs_run=0)
+
+
+def conflict_completions():
+    """Row 0 is complete and has both views far out, in total conflict."""
+    rng = np.random.default_rng(12)
+    views = [rng.uniform(-1.0, 1.0, (40, 2)) for _ in range(2)]
+    views[0][0, 0] = views[1][0, 0] = 6.0
+    mask = rng.uniform(size=(40, 2)) > 0.3
+    mask[~mask.any(axis=1), 0] = True
+    mask[0] = True
+    data = MultiViewDataset(views, rng.integers(0, 3, 40), mask, 3)
+    return sample_completions(data, k=4, n_samplings=7, seed=1, use_labels=False)
+
+
+class TestObservedOnce:
+    @pytest.mark.parametrize("mode", ["uimc", "naive_ce"])
+    # 40 rows, at most 13 imputed per view: samplings per forward call and
+    # per fold are (1, 1), (2, 1), (7, 2) and (7, 7)
+    @pytest.mark.parametrize("forward_rows", [5, 30, 100, 4096])
+    def test_matches_per_sampling_loop(self, mode, forward_rows, monkeypatch):
+        monkeypatch.setattr(predictor, "_FORWARD_ROWS", forward_rows)
+        model, completions = conflict_model(mode), conflict_completions()
+        all_b, all_u, all_bad = _sampling_opinions(model, completions)
+        ref_b, ref_u, ref_bad = per_sampling_opinions(model, completions)
+        np.testing.assert_allclose(all_b, ref_b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(all_u, ref_u, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(all_bad, ref_bad)
+        labels, counts = _vote(all_b, all_bad)
+        ref_labels, ref_counts = _vote(ref_b, ref_bad)
+        np.testing.assert_array_equal(labels, ref_labels)
+        np.testing.assert_array_equal(counts, ref_counts)
+        if mode == "uimc":
+            assert all_bad[:, 0].all() and not all_bad[:, 1:].any()
+            assert counts[0].sum() == 0  # flagged in every sampling, out of the vote
+
+    def test_each_input_runs_once(self, monkeypatch):
+        model, completions = conflict_model("uimc"), conflict_completions()
+        rows = []
+        forward = EvidenceNetwork.forward
+
+        def counting_forward(self, x, **kwargs):
+            rows.append(len(x))
+            return forward(self, x, **kwargs)
+
+        monkeypatch.setattr(EvidenceNetwork, "forward", counting_forward)
+        _sampling_opinions(model, completions)
+        imputed = sum(r.size for r in completions.imputed_rows)
+        assert sum(rows) == 2 * completions.n_samples + completions.n_samplings * imputed

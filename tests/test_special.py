@@ -1,10 +1,22 @@
 """The hand-rolled special functions against scipy's implementations."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from evifuse.special import _lifted, digamma, gammaln, trigamma
+from evifuse.special import (
+    _DIGAMMA_COEFFS,
+    _HALF_LOG_2PI,
+    _LGAMMA_COEFFS,
+    _TRIGAMMA_COEFFS,
+    _lifted,
+    _series,
+    digamma,
+    gammaln,
+    trigamma,
+)
 
 ARGS = np.concatenate([
     np.linspace(1.0, 20.0, 777),
@@ -85,3 +97,33 @@ def test_fixed_steps_match_a_loop_that_stops_at_eight(term):
     got_z, got_acc = _lifted(x, term)
     np.testing.assert_array_equal(got_z, z)
     np.testing.assert_array_equal(got_acc, acc)
+
+
+def _plain_gammaln(x):
+    z, logs = _lifted(x, np.log)
+    series = z * _series(_LGAMMA_COEFFS, 1.0 / (z * z))
+    return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series - logs
+
+
+def _plain_digamma(x):
+    z, inverses = _lifted(x, np.reciprocal)
+    return np.log(z) - 0.5 / z - _series(_DIGAMMA_COEFFS, 1.0 / (z * z)) - inverses
+
+
+def _plain_trigamma(x):
+    z, inverse_squares = _lifted(x, lambda z: 1.0 / (z * z))
+    r = 1.0 / z
+    r2 = r * r
+    return r + 0.5 * r2 + r * _series(_TRIGAMMA_COEFFS, r2) + inverse_squares
+
+
+@pytest.mark.parametrize("fn, plain", [(digamma, _plain_digamma), (gammaln, _plain_gammaln),
+                                       (trigamma, _plain_trigamma)])
+def test_extreme_arguments_silent_and_unchanged(fn, plain):
+    """z * z over- or underflows at the ends of the range; the result must not change."""
+    x = np.logspace(-300, 300, 20001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(x)
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(got, plain(x))

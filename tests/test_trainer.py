@@ -1,7 +1,9 @@
 """Training orchestration: modes, accounting, determinism, checkpoints."""
 
+import gc
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from evifuse.network import EvidenceNetwork
 from evifuse.predictor import evaluate
 from evifuse.trainer import (
     CheckpointError,
+    NonFiniteLossError,
     TrainConfig,
     _flatten_pairs,
     _subseed,
@@ -66,6 +69,15 @@ class TestTrainBasics:
         h1 = train(data, cfg).loss_history
         h2 = train(data, cfg).loss_history
         assert h1 == h2
+
+    @pytest.mark.parametrize("mode, error", [("uimc", NonFiniteLossError),
+                                             ("naive_ce", FloatingPointError)])
+    def test_diverged_run_fails_without_warnings(self, mode, error):
+        data = make_blobs_dataset(n=60, eta=0.3, seed=21, mask_seed=22)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                train(data, TrainConfig(learning_rate=1e200, epochs=3, mode=mode))
 
     def test_complete_data_single_pair_per_sample(self, blobs):
         cfg = TrainConfig(seed=0, **FAST)
@@ -154,6 +166,18 @@ class TestAccounting:
         assert reported["total"] == pytest.approx(total, rel=1e-6)
 
 
+def damaged_header(raw: bytes, offset: int, value: int) -> bytes:
+    """A checkpoint whose first central-directory entry has ``value`` ORed in at ``offset``."""
+    raw = bytearray(raw)
+    # the end-of-central-directory record holds the offset of the
+    # first central-directory entry in its bytes 16..19
+    eocd = raw.rfind(b"PK\x05\x06")
+    entry = struct.unpack_from("<I", raw, eocd + 16)[0]
+    assert raw[entry:entry + 4] == b"PK\x01\x02"
+    raw[entry + offset] |= value
+    return bytes(raw)
+
+
 class TestCheckpoint:
     def test_roundtrip_identical_predictions(self, toy_model, tmp_path):
         data, _, model = toy_model
@@ -201,16 +225,24 @@ class TestCheckpoint:
         _, _, model = toy_model
         path = tmp_path / "model.ckpt"
         save_model(model, path)
-        raw = bytearray(path.read_bytes())
-        # the end-of-central-directory record holds the offset of the
-        # first central-directory entry in its bytes 16..19
-        eocd = raw.rfind(b"PK\x05\x06")
-        entry = struct.unpack_from("<I", raw, eocd + 16)[0]
-        assert raw[entry:entry + 4] == b"PK\x01\x02"
-        raw[entry + offset] |= value
-        path.write_bytes(bytes(raw))
+        path.write_bytes(damaged_header(path.read_bytes(), offset, value))
         with pytest.raises(CheckpointError):
             load_model(path)
+
+    def test_damaged_file_left_closed(self, toy_model, tmp_path):
+        _, _, model = toy_model
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        raw = path.read_bytes()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for damaged in (raw[: len(raw) // 3], damaged_header(raw, 6, 0xFF),
+                            damaged_header(raw, 8, 0x01)):
+                path.write_bytes(damaged)
+                with pytest.raises(CheckpointError):
+                    load_model(path)
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_no_optimizer_or_shuffle_state_saved(self, toy_model, tmp_path):
         _, _, model = toy_model
