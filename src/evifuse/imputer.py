@@ -283,12 +283,15 @@ class CompletionSet:
         return out
 
     def gather(self, sample_rows: np.ndarray, samplings: np.ndarray) -> list:
-        """Per-view matrices for a flattened (sample, sampling) batch."""
+        """Per-view matrices for a flattened (sample, sampling) batch.
+
+        Integer-array indexing gives each matrix as a new array, so filling
+        in the draws leaves ``views`` unchanged."""
         sample_rows = np.asarray(sample_rows)
         samplings = np.asarray(samplings)
         out = []
         for v in range(self.n_views):
-            mat = self.views[v][sample_rows].copy()
+            mat = self.views[v][sample_rows]
             pos = self._row_pos[v][sample_rows]
             hit = pos >= 0
             if hit.any():

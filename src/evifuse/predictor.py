@@ -33,10 +33,23 @@ _FORWARD_ROWS = 2048
 
 @dataclass(frozen=True)
 class PredictionResult:
+    """Voted prediction for one sample.
+
+    label: the voted class.
+    vote_counts: (K,) votes per class over the valid samplings.
+    mean_opinion: fused opinion averaged over the valid samplings; vacuous
+        (zero beliefs, uncertainty 1) when every sampling was excluded.
+    sampling_opinions: one batched opinion of the S_valid valid samplings
+        in sampling order, with ``beliefs`` (S_valid, K) and
+        ``uncertainty`` (S_valid,); sampling s of them is
+        ``beliefs[s]``, ``uncertainty[s]``.
+    excluded_samplings: samplings left out for total conflict, S - S_valid.
+    """
+
     label: int
     vote_counts: np.ndarray
     mean_opinion: SubjectiveOpinion
-    sampling_opinions: list
+    sampling_opinions: SubjectiveOpinion
     excluded_samplings: int
 
 
@@ -91,12 +104,12 @@ def _vote(all_b: np.ndarray, all_bad: np.ndarray):
     by the larger belief mass summed over valid samplings, then by the
     lower class index.
     """
-    s_count, n, k = all_b.shape
+    n, k = all_b.shape[1:]
     sampling_labels = all_b.argmax(axis=-1)
     valid = ~all_bad
-    counts = np.zeros((n, k), dtype=np.int64)
-    for c in range(k):
-        counts[:, c] = ((sampling_labels == c) & valid).sum(axis=0)
+    # one bin per (row, class): exact integer counts of the valid votes
+    cells = np.arange(n) * k + sampling_labels
+    counts = np.bincount(cells[valid], minlength=n * k).reshape(n, k)
     summed_belief = (all_b * valid[..., None]).sum(axis=0)
     top = counts.max(axis=1, keepdims=True)
     tied = counts == top
@@ -149,15 +162,11 @@ def predict_sample(model: TrainedModel, views, mask_row,
     else:
         mean_b = np.zeros(model.class_count)
         mean_u = 1.0
-    opinions = [
-        SubjectiveOpinion(all_b[s, 0], float(all_u[s, 0]))
-        for s in range(completions.n_samplings) if valid[s]
-    ]
     return PredictionResult(
         label=int(labels[0]),
         vote_counts=counts[0],
         mean_opinion=SubjectiveOpinion(mean_b, mean_u),
-        sampling_opinions=opinions,
+        sampling_opinions=SubjectiveOpinion(all_b[valid, 0], all_u[valid, 0]),
         excluded_samplings=int((~valid).sum()),
     )
 

@@ -8,6 +8,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 
 from evifuse import cli, experiments
 from evifuse.dataset import load_dataset
@@ -146,3 +147,70 @@ def test_sweep_lock_names_its_owner(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "run_cell", run_cell)
     sweep_two_cells(tmp_path, "")
     assert seen == [f"{os.getpid()} {socket.gethostname()}"]
+
+
+def run_sweep(data_dir, config, out, *extra):
+    return cli.main(["sweep", "--data", str(data_dir), "--etas", "0.2", "--seeds", "0,1",
+                     "--modes", "uimc", "--config", str(config), "--out", str(out), *extra])
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(tmp_path_factory):
+    """A serial two-cell sweep, run to the end: (data dir, config, sweep dir)."""
+    root = tmp_path_factory.mktemp("sweep")
+    data_dir = write_dataset_dir(root / "data", make_blobs_dataset(n=40, seed=21),
+                                 include_mask=False)
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY))
+    assert run_sweep(data_dir, config, root / "sweep") == cli.EXIT_OK
+    return data_dir, config, root / "sweep"
+
+
+def test_report_writes_tidy_csv(finished_sweep, tmp_path, capsys):
+    _, _, out = finished_sweep
+    accs = [json.loads(p.read_text())["accuracy"] for p in sorted((out / "cells").glob("*.json"))]
+    assert len(accs) == 2
+    tidy = tmp_path / "tidy.csv"
+    capsys.readouterr()
+    assert cli.main(["report", "--results", str(out / "results.csv"),
+                     "--out", str(tidy)]) == cli.EXIT_OK
+    assert "uimc" in capsys.readouterr().out
+    assert tidy.read_text() == (
+        "mode,eta,n_cells,mean_accuracy,std_accuracy\n"
+        f"uimc,0.20000000000000001,2,{np.mean(accs):.17g},{np.std(accs):.17g}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "eta,seed,mode,accuracy\n0.2,0,uimc,0.5\n",
+    "eta,seed,mode,accuracy,mean_uncertainty,wall_time\n0.2,0,uimc,0.5,0.1\n",
+])
+def test_report_malformed_results_exits_config(text, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text(text)
+    tidy = tmp_path / "tidy.csv"
+    assert cli.main(["report", "--results", str(results), "--out", str(tidy)]) == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+    assert not tidy.exists()
+
+
+def test_sweep_rerun_runs_no_cell(finished_sweep, monkeypatch):
+    data_dir, config, out = finished_sweep
+    before = (out / "results.csv").read_text()
+    calls = []
+    monkeypatch.setattr(experiments, "run_cell", lambda *a, **k: calls.append(a))
+    assert run_sweep(data_dir, config, out) == cli.EXIT_OK
+    assert calls == []
+    assert (out / "results.csv").read_text() == before
+
+
+def test_parallel_sweep_matches_serial(finished_sweep, tmp_path):
+    data_dir, config, serial = finished_sweep
+    assert run_sweep(data_dir, config, tmp_path / "par", "--threads", "2") == cli.EXIT_OK
+
+    def rows(out):  # every column but the trailing wall_time
+        lines = (out / "results.csv").read_text().splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]
+
+    assert rows(tmp_path / "par") == rows(serial)
+    assert len(rows(serial)) == 3

@@ -271,6 +271,15 @@ class TestSampleCompletions:
                     gathered[v][pos], cs.completion(int(s))[v][r]
                 )
 
+    def test_gather_leaves_views_unchanged(self, blobs_incomplete):
+        cs = sample_completions(blobs_incomplete, k=4, n_samplings=3, seed=5)
+        before = [v.copy() for v in cs.views]
+        rows = np.array([0, 5, 5, 17])
+        for mat in cs.gather(rows, np.array([0, 1, 2, 0])):
+            mat[:] = -7.0
+        for v, ref in zip(cs.views, before):
+            np.testing.assert_array_equal(v, ref)
+
     def test_k_validation(self, blobs_incomplete):
         with pytest.raises(ValueError):
             sample_completions(blobs_incomplete, k=0, n_samplings=2)

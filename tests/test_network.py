@@ -63,6 +63,23 @@ class TestForward:
         assert sigmoid(np.array([800.0]))[0] == 1.0
         assert sigmoid(np.array([-800.0]))[0] == 0.0
 
+    def test_sigmoid_matches_two_branch_formula(self):
+        def two_branch(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array([800.0, -800.0, 0.0, -0.0, tiny, -tiny, 3 * tiny, -1e-310,
+                          np.inf, -np.inf, np.nan])
+        z = np.concatenate([edges, np.random.default_rng(8).normal(0.0, 20.0, 1000)])
+        np.testing.assert_array_equal(sigmoid(z), two_branch(z))
+        logits = np.random.default_rng(9).normal(size=(128, 10))
+        np.testing.assert_array_equal(sigmoid(logits), two_branch(logits))
+
 
 def loss_through_network(nets, xs, y, lam):
     alphas = [net.forward(x) + 1.0 for net, x in zip(nets, xs)]

@@ -1,10 +1,12 @@
 """Vote-based prediction, evaluation metrics, and the stability study."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from evifuse import predictor
-from evifuse.dataset import MultiViewDataset
+from evifuse.dataset import MultiViewDataset, ZScoreStats
 from evifuse.evidential import _opinion_arrays
 from evifuse.fusion import _fold_with_exclusions
 from evifuse.imputer import sample_completions
@@ -12,6 +14,7 @@ from evifuse.network import EvidenceNetwork
 from evifuse.predictor import (
     _sampling_opinions,
     _vote,
+    complete_test_data,
     evaluate,
     predict_sample,
     stability_experiment,
@@ -58,6 +61,21 @@ class TestVote:
         assert labels[0] == 0
         assert counts[0].sum() == 1
 
+    def test_counts_match_per_class_loop(self):
+        rng = np.random.default_rng(14)
+        # few distinct belief values, so rows tie often
+        b = rng.integers(0, 3, (9, 50, 4)) / 4.0
+        bad = rng.uniform(size=(9, 50)) < 0.3
+        bad[:, 0] = True  # a row excluded in every sampling
+        labels, counts = _vote(b, bad)
+        ref = np.stack([((b.argmax(axis=-1) == c) & ~bad).sum(axis=0) for c in range(4)],
+                       axis=1)
+        np.testing.assert_array_equal(counts, ref)
+        assert counts.dtype == np.int64 and counts[0].sum() == 0
+        summed = (b * ~bad[..., None]).sum(axis=0)
+        tie_scores = np.where(ref == ref.max(axis=1, keepdims=True), summed, -np.inf)
+        np.testing.assert_array_equal(labels, tie_scores.argmax(axis=1))
+
 
 class TestPredictSample:
     def test_complete_sample_unanimous(self, fitted):
@@ -88,7 +106,7 @@ class TestPredictSample:
         for i in range(8):
             res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
                                  n_samplings=1, seed=3)
-            assert res.label == int(np.argmax(res.sampling_opinions[0].beliefs))
+            assert res.label == int(np.argmax(res.sampling_opinions.beliefs[0]))
 
     def test_matches_batched_evaluation(self, fitted):
         """Per-sample prediction agrees with the batched evaluate path."""
@@ -98,6 +116,28 @@ class TestPredictSample:
             res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
                                  seed=5)
             assert res.label == metrics["predictions"][i]
+
+    def test_sampling_opinions_batch_the_valid_samplings(self, fitted):
+        """Row s of the batch is the s-th valid sampling's fused opinion."""
+        model, test = fitted
+        for i in range(6):
+            res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
+                                 n_samplings=5, seed=4)
+            completions = complete_test_data(model, test.subset(np.array([i])),
+                                             n_samplings=5, seed=4)
+            all_b, all_u, all_bad = _sampling_opinions(model, completions)
+            valid = np.nonzero(~all_bad[:, 0])[0]
+            batch = res.sampling_opinions
+            assert batch.beliefs.shape == (valid.size, test.class_count)
+            assert batch.uncertainty.shape == (valid.size,)
+            for s, sampling in enumerate(valid):
+                np.testing.assert_array_equal(batch.beliefs[s], all_b[sampling, 0])
+                assert batch.uncertainty[s] == all_u[sampling, 0]
+            np.testing.assert_array_equal(res.mean_opinion.beliefs, batch.beliefs.mean(axis=0))
+            assert res.mean_opinion.uncertainty == float(batch.uncertainty.mean())
+            np.testing.assert_array_equal(
+                res.vote_counts,
+                np.bincount(batch.beliefs.argmax(axis=1), minlength=test.class_count))
 
     def test_mean_opinion_normalized(self, fitted):
         model, test = fitted
@@ -243,6 +283,20 @@ class TestObservedOnce:
         if mode == "uimc":
             assert all_bad[:, 0].all() and not all_bad[:, 1:].any()
             assert counts[0].sum() == 0  # flagged in every sampling, out of the vote
+
+    def test_sample_in_total_conflict_gives_empty_batch(self):
+        data = conflict_completions()
+        identity = ZScoreStats([np.zeros(2)] * 2, [np.ones(2)] * 2)
+        model = replace(conflict_model("uimc"), stats=identity,
+                        train_pool=MultiViewDataset(data.views, data.labels,
+                                                    np.ones((40, 2), dtype=bool), 3))
+        res = predict_sample(model, [np.array([6.0, 0.0])] * 2, [True, True],
+                             n_samplings=5)
+        assert res.sampling_opinions.beliefs.shape == (0, 3)
+        assert res.sampling_opinions.uncertainty.shape == (0,)
+        assert res.excluded_samplings == 5 and res.vote_counts.tolist() == [0, 0, 0]
+        np.testing.assert_array_equal(res.mean_opinion.beliefs, np.zeros(3))
+        assert res.mean_opinion.uncertainty == 1.0
 
     def test_each_input_runs_once(self, monkeypatch):
         model, completions = conflict_model("uimc"), conflict_completions()
