@@ -192,12 +192,17 @@ def zscore_fit_transform(train: MultiViewDataset, test: MultiViewDataset | None 
 
 
 def zscore_apply(data: MultiViewDataset, stats: ZScoreStats) -> MultiViewDataset:
-    views = []
-    for i, (v, mean, scale) in enumerate(zip(data.views, stats.means, stats.scales())):
-        out = (v - mean) / scale
-        out[~data.mask[:, i]] = 0.0
-        views.append(out)
-    return MultiViewDataset(views, data.labels, data.mask, data.class_count)
+    return MultiViewDataset(_zscore_views(data.views, data.mask, stats),
+                            data.labels, data.mask, data.class_count)
+
+
+def _zscore_views(views: list, mask: np.ndarray, stats: ZScoreStats) -> list:
+    """Standardized copies of the views, 0 in the slots that ``mask`` marks missing.
+
+    The mask column broadcasts over a view's rows, so views whose row count
+    disagrees with the mask reach the dataset checks unchanged."""
+    return [np.where(mask[:, i, None], (v - mean) / scale, 0.0)
+            for i, (v, mean, scale) in enumerate(zip(views, stats.means, stats.scales()))]
 
 
 def generate_missing_mask(n: int, v: int, spec: MissingnessSpec) -> np.ndarray:

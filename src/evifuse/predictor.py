@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from evifuse.dataset import MultiViewDataset, zscore_apply
+from evifuse.dataset import MultiViewDataset, _zscore_views, zscore_apply
 from evifuse.evidential import SubjectiveOpinion, _opinion_arrays
 from evifuse.fusion import _fold_with_exclusions
 from evifuse.imputer import CompletionSet
@@ -146,13 +146,15 @@ def predict_sample(model: TrainedModel, views, mask_row,
     if overrides:
         cfg = replace(cfg, **overrides)
     tweaked = replace(model, config=cfg)
-    data = MultiViewDataset(
-        [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views],
-        np.zeros(1, dtype=np.int64),
-        np.asarray(mask_row, dtype=bool).reshape(1, -1),
-        model.class_count,
-    )
-    completions = complete_test_data(tweaked, data, n_samplings=n_samplings, seed=seed)
+    mask = np.asarray(mask_row, dtype=bool).reshape(1, -1)
+    raw = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views]
+    if mask.shape[1] != len(raw):
+        raise ValueError(f"mask shape {mask.shape} != (1, {len(raw)})")
+    # standardized before the one dataset is built, which then checks the row
+    std = MultiViewDataset(_zscore_views(raw, mask, model.stats),
+                           np.zeros(1, dtype=np.int64), mask, model.class_count)
+    completions = complete_test_data(tweaked, std, n_samplings=n_samplings, seed=seed,
+                                     pre_standardized=True)
     all_b, all_u, all_bad = _sampling_opinions(tweaked, completions)
     labels, counts = _vote(all_b, all_bad)
     valid = ~all_bad[:, 0]

@@ -9,8 +9,12 @@ from evifuse.imputer import (
     CompletionSet,
     GaussianImputation,
     NeighborQuery,
+    _moments,
     _neighbor_unions,
     _sample_content_key,
+    _seed_states,
+    _SeedState,
+    _slot_seeds,
     _stable_cholesky,
     distance_set,
     estimate_gaussian,
@@ -189,6 +193,99 @@ class TestEstimateGaussian:
     def test_asymmetric_sigma_rejected(self):
         with pytest.raises(ValueError):
             GaussianImputation([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]], 2)
+
+
+class TestStackedMoments:
+    """_moments over a (B, c, d) stack against np.cov and var per set, bit for bit."""
+
+    @pytest.mark.parametrize("count", [1, 2, 10, 20])
+    @pytest.mark.parametrize("dim", [1, 3, 40])
+    def test_matches_per_set_reference(self, count, dim):
+        sets = np.random.default_rng(count * 100 + dim).normal(0.0, 2.0, (5, count, dim))
+        mu, cov = _moments(sets, diag_only=False)
+        mu_diag, cov_diag = _moments(sets, diag_only=True)
+        assert mu.tobytes() == mu_diag.tobytes()
+        for rows, got_mu, got_cov, got_diag in zip(sets, mu, cov, cov_diag):
+            assert got_mu.tobytes() == rows.mean(axis=0).tobytes()
+            if count == 1:
+                full = diag = np.zeros((dim, dim))
+            else:
+                full = np.cov(rows, rowvar=False, ddof=1).reshape(dim, dim)
+                diag = np.diag(rows.var(axis=0, ddof=1))
+            assert got_cov.tobytes() == full.tobytes()
+            assert got_diag.tobytes() == diag.tobytes()
+
+    def test_infinite_variance_leaves_off_diagonal_zero(self):
+        sets = np.array([[[1e200, 0.0], [-1e200, 1.0]]])
+        with np.errstate(over="ignore"):
+            _, cov = _moments(sets, diag_only=True)
+        assert cov[0, 0, 0] == np.inf
+        assert cov[0, 0, 1] == cov[0, 1, 0] == 0.0
+
+
+class TestSeedStates:
+    """The vectorised SeedSequence hash against numpy's, key by key."""
+
+    EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed, m", [
+        (0, 0),          # one word each: the pool is padded with a zero word
+        (8, 2),
+        (2**32 - 1, 1),
+        (2**32, 0),      # two seed words: keys of 2**32 or more add a fifth word
+        (2**40 + 3, 1),
+        (2**70 + 9, 2),  # three seed words: every key mixes in past the pool
+    ])
+    def test_matches_seed_sequence(self, seed, m):
+        rng = np.random.default_rng(seed % 1000 + m)
+        keys = (self.EDGE_KEYS
+                + rng.integers(0, 2**64, 700, dtype=np.uint64).tolist()
+                + rng.integers(0, 2**32, 300, dtype=np.uint64).tolist())
+        got = _seed_states(seed, m, keys)
+        assert got.dtype == np.uint64 and got.shape == (len(keys), 4)
+        for key, state in zip(keys, got):
+            expect = np.random.SeedSequence([seed, m, key]).generate_state(4, np.uint64)
+            assert state.tobytes() == expect.tobytes(), key
+
+    def test_generators_draw_like_default_rng(self):
+        keys = self.EDGE_KEYS + [123456789, 2**50 + 7]
+        for seed in (0, 5, 2**33):
+            for key, state in zip(keys, _seed_states(seed, 1, keys)):
+                got = np.random.Generator(np.random.PCG64(_SeedState(state)))
+                expect = np.random.default_rng(np.random.SeedSequence([seed, 1, key]))
+                assert got.standard_normal((3, 4)).tobytes() == \
+                    expect.standard_normal((3, 4)).tobytes()
+                assert got.integers(0, 2**62, 5).tolist() == expect.integers(0, 2**62, 5).tolist()
+
+    def test_both_seed_paths_draw_alike(self):
+        keys = self.EDGE_KEYS * 3
+        assert len(keys) >= imputer._VECTOR_SEED_MIN
+        vectorised = _slot_seeds(9, 2, keys)
+        per_slot = _slot_seeds(9, 2, keys[:imputer._VECTOR_SEED_MIN - 1])
+        assert isinstance(vectorised[0], _SeedState)
+        assert isinstance(per_slot[0], np.random.SeedSequence)
+        for a, b in zip(vectorised, per_slot):
+            draw_a = np.random.Generator(np.random.PCG64(a)).standard_normal(6)
+            draw_b = np.random.Generator(np.random.PCG64(b)).standard_normal(6)
+            assert draw_a.tobytes() == draw_b.tobytes()
+
+    @pytest.mark.parametrize("slots", [1, imputer._VECTOR_SEED_MIN, 40])
+    def test_negative_seed_rejected(self, slots):
+        with pytest.raises(ValueError):
+            _slot_seeds(-1, 0, list(range(slots)))
+
+    def test_negative_seed_rejected_by_completion(self, monkeypatch):
+        data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                                  seed=4, mask_seed=104)
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(imputer, "_VECTOR_SEED_MIN", threshold)
+            with pytest.raises(ValueError):
+                sample_completions(data, k=3, n_samplings=2, seed=-1)
+
+    def test_state_serves_only_pcg64(self):
+        state = _SeedState(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ValueError):
+            state.generate_state(8, np.uint32)
 
 
 class TestSampleCompletions:
@@ -384,16 +481,23 @@ class TestBatchedDraws:
                                           np.nonzero(~got.mask[:, v])[0])
             assert got.draws[v].tobytes() == block.tobytes()
 
-    @pytest.mark.parametrize("options", [
-        dict(),
-        dict(use_labels=False),
-        dict(diag_cov=True),
-        dict(point_estimate=True),
+    # ids: options<i> with 4 slots a block, options<i>-block<b> with b slots
+    @pytest.mark.parametrize("options, block", [
+        pytest.param(options, block, id=f"options{i}" + ("" if block == 4 else f"-block{block}"))
+        for i, options in enumerate([
+            dict(),
+            dict(use_labels=False),
+            dict(diag_cov=True),
+            dict(point_estimate=True),
+        ])
+        for block in (1, 4, 128)
     ])
-    def test_matches_slot_by_slot_reference(self, options, monkeypatch):
+    def test_matches_slot_by_slot_reference(self, options, block, monkeypatch):
         data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
                                   seed=4, mask_seed=104)
-        monkeypatch.setattr(imputer, "_SLOT_BLOCK", 4)  # many blocks per view
+        # every view takes the vectorised seed path
+        assert (~data.mask).sum(axis=0).min() >= imputer._VECTOR_SEED_MIN
+        monkeypatch.setattr(imputer, "_SLOT_BLOCK", block)
         got = sample_completions(data, k=3, n_samplings=5, jitter=1e-3, seed=8, **options)
         self.assert_same_draws(got, reference_completions(data, 3, 5, 1e-3, 8, **options))
 

@@ -145,6 +145,45 @@ class TestPredictSample:
         total = res.mean_opinion.beliefs.sum() + res.mean_opinion.uncertainty
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_builds_one_dataset(self, fitted, monkeypatch):
+        model, test = fitted
+        built = []
+        check = MultiViewDataset.__post_init__
+        monkeypatch.setattr(MultiViewDataset, "__post_init__",
+                            lambda self: built.append(check(self)))
+        i = int(np.nonzero(~test.mask.all(axis=1))[0][0])
+        predict_sample(model, [v[i] for v in test.views], test.mask[i], seed=0)
+        assert len(built) == 1
+
+    def test_non_finite_observed_entry_rejected(self, fitted):
+        model, test = fitted
+        views = [v[0].copy() for v in test.views]
+        views[1][-1] = np.inf
+        with pytest.raises(ValueError, match="non-finite observed entries in view 1"):
+            predict_sample(model, views, [True, True], seed=0)
+        # a missing view's placeholder is never read
+        views[0][0] = np.nan
+        predict_sample(model, [views[0], test.views[1][0]], [False, True], seed=0)
+
+    def test_wrong_row_count_rejected(self, fitted):
+        model, test = fitted
+        views = [np.vstack([v[0], v[0]]) for v in test.views]
+        with pytest.raises(ValueError, match="labels length 1 != row count 2"):
+            predict_sample(model, views, [True, True], seed=0)
+        with pytest.raises(ValueError, match="view 1 has 1 rows, expected 2"):
+            predict_sample(model, [views[0], test.views[1][0]], [True, True], seed=0)
+
+    def test_row_without_observed_view_rejected(self, fitted):
+        model, test = fitted
+        with pytest.raises(ValueError, match="sample with zero observed views"):
+            predict_sample(model, [v[0] for v in test.views], [False, False], seed=0)
+
+    @pytest.mark.parametrize("mask_row", [[True], [True, True, True]])
+    def test_mask_of_wrong_length_rejected(self, fitted, mask_row):
+        model, test = fitted
+        with pytest.raises(ValueError, match=r"mask shape \(1, \d\) != \(1, 2\)"):
+            predict_sample(model, [v[0] for v in test.views], mask_row, seed=0)
+
 
 class TestEvaluate:
     def test_perfect_prediction_upper_bound(self, fitted):
