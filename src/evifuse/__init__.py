@@ -16,34 +16,9 @@ from evifuse.dataset import (
     split,
     zscore_fit_transform,
 )
-from evifuse.evidential import (
-    AnnealSchedule,
-    DirichletParams,
-    SubjectiveOpinion,
-    ace_loss,
-    anneal_lambda,
-    dirichlet_to_opinion,
-    evidence_to_dirichlet,
-    kl_regularizer,
-    view_loss,
-)
-from evifuse.fusion import (
-    FusionConflictError,
-    ds_combine_pair,
-    ds_fold,
-    fused_dirichlet,
-    total_loss,
-)
-from evifuse.imputer import (
-    CompletionSet,
-    GaussianImputation,
-    NeighborQuery,
-    distance_set,
-    estimate_gaussian,
-    neighbor_union,
-    sample_completions,
-    topk_indicator,
-)
+from evifuse.evidential import AnnealSchedule, SubjectiveOpinion, anneal_lambda
+from evifuse.fusion import FusionConflictError
+from evifuse.imputer import CompletionSet, sample_completions
 from evifuse.network import Adam, EvidenceNetwork
 from evifuse.predictor import evaluate, predict_sample, stability_experiment
 from evifuse.trainer import TrainConfig, TrainedModel, load_model, save_model, train
@@ -54,40 +29,24 @@ __all__ = [
     "AnnealSchedule",
     "Adam",
     "CompletionSet",
-    "DirichletParams",
     "EvidenceNetwork",
     "FusionConflictError",
-    "GaussianImputation",
     "MissingnessSpec",
     "MultiViewDataset",
-    "NeighborQuery",
     "SplitSpec",
     "SubjectiveOpinion",
     "TrainConfig",
     "TrainedModel",
-    "ace_loss",
     "anneal_lambda",
-    "dirichlet_to_opinion",
-    "distance_set",
-    "ds_combine_pair",
-    "ds_fold",
-    "estimate_gaussian",
     "evaluate",
-    "evidence_to_dirichlet",
-    "fused_dirichlet",
     "generate_missing_mask",
-    "kl_regularizer",
     "load_dataset",
     "load_model",
-    "neighbor_union",
     "predict_sample",
     "sample_completions",
     "save_model",
     "split",
     "stability_experiment",
-    "topk_indicator",
-    "total_loss",
     "train",
-    "view_loss",
     "zscore_fit_transform",
 ]

@@ -1,14 +1,18 @@
 """Dirichlet-based evidential classification primitives.
 
-Evidence vectors map to Dirichlet concentrations (alpha = evidence + 1),
-concentrations project to subjective opinions (belief masses plus an
-uncertainty mass), and the training objective per classifier head is an
-expected cross-entropy under the Dirichlet plus an annealed KL pull
-toward the uniform Dirichlet on the non-label classes.
+A head's evidence maps to Dirichlet concentrations alpha = evidence + 1;
+``_opinion_arrays`` projects them to a subjective opinion (belief masses
+b = (alpha - 1) / alpha0 plus an uncertainty mass u = K / alpha0). The
+training objective per head is an expected cross-entropy (ACE) under the
+Dirichlet plus an annealed KL pull toward the uniform Dirichlet on the
+non-label classes; ``_loss_parts`` computes both terms and their
+alpha-gradients for a stack of heads at once, and ``loss_and_grad``
+combines them under the annealing weight.
 
-All operations broadcast over leading axes: ``alpha`` may be ``(K,)`` or
-``(batch, K)``, losses come back as scalars or ``(batch,)`` arrays.
-Labels are one-hot (``one_hot``): the losses read the label class from them.
+All kernels broadcast over leading axes: ``alpha`` may be ``(K,)`` or
+``(heads, batch, K)``, losses come back as scalars or arrays without the
+class axis. Labels are one-hot (``one_hot``): the losses read the label
+class from them.
 """
 
 from __future__ import annotations
@@ -41,28 +45,6 @@ def _checked_alpha(alpha) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DirichletParams:
-    """Concentration vector(s) of a Dirichlet distribution, all entries >= 1."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        alpha = _checked_alpha(self.alpha)
-        if alpha.ndim < 1 or alpha.shape[-1] < 2:
-            raise ValueError("alpha needs at least 2 classes on the last axis")
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def alpha0(self) -> np.ndarray:
-        """Dirichlet strength: sum of concentrations along the class axis."""
-        return self.alpha.sum(axis=-1)
-
-    @property
-    def expected_probs(self) -> np.ndarray:
-        return self.alpha / self.alpha.sum(axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
 class SubjectiveOpinion:
     """Belief masses over K classes plus an overall uncertainty mass.
 
@@ -88,10 +70,6 @@ class SubjectiveOpinion:
         object.__setattr__(self, "beliefs", b)
         object.__setattr__(self, "uncertainty", u if u.ndim else float(u))
 
-    @property
-    def class_count(self) -> int:
-        return self.beliefs.shape[-1]
-
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -113,23 +91,10 @@ def anneal_lambda(epoch: int, schedule: AnnealSchedule) -> float:
     return min(schedule.final_value, epoch / schedule.decay_epochs)
 
 
-def evidence_to_dirichlet(evidence) -> DirichletParams:
-    """Nonnegative per-class evidence to concentrations via alpha = evidence + 1."""
-    e = np.asarray(evidence, dtype=np.float64)
-    if np.any(e < 0.0):
-        raise ValueError("evidence must be nonnegative")
-    return DirichletParams(e + 1.0)
-
-
 def _opinion_arrays(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Raw-array projection: b = (alpha - 1)/alpha0, u = K/alpha0."""
     strength = alpha.sum(axis=-1, keepdims=True)
     return (alpha - 1.0) / strength, alpha.shape[-1] / strength[..., 0]
-
-
-def dirichlet_to_opinion(d: DirichletParams) -> SubjectiveOpinion:
-    """Project concentrations to an opinion (belief masses and uncertainty)."""
-    return SubjectiveOpinion(*_opinion_arrays(d.alpha))
 
 
 def _loss_parts(alpha, label):
@@ -160,29 +125,11 @@ def loss_and_grad(alpha, label, lam: float):
     return ace + lam * kl, ace_grad + lam * kl_grad
 
 
-def ace_loss(d: DirichletParams, label) -> np.ndarray | float:
-    """Expected cross-entropy of the label under the Dirichlet: psi(alpha0) - psi(alpha_y)."""
-    return _loss_parts(d.alpha, label)[0]
-
-
-def kl_regularizer(d: DirichletParams, label) -> np.ndarray | float:
-    """KL divergence from the uniform Dirichlet after masking out the label class."""
-    return _loss_parts(d.alpha, label)[1]
-
-
-def view_loss(d: DirichletParams, label, lam: float) -> np.ndarray | float:
+# The program calls loss_and_grad; these two remain as the benchmark's loss
+# span names (hooked through fusion) until it is re-hooked on the kernels.
+def view_loss(alpha, label, lam: float) -> np.ndarray | float:
     """Per-head objective: expected cross-entropy plus lam times the KL pull."""
-    return loss_and_grad(d.alpha, label, lam)[0]
-
-
-def ace_loss_grad(alpha: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """d ace_loss / d alpha."""
-    return _loss_parts(alpha, label)[2]
-
-
-def kl_regularizer_grad(alpha: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """d kl_regularizer / d alpha."""
-    return _loss_parts(alpha, label)[3]
+    return loss_and_grad(alpha, label, lam)[0]
 
 
 def view_loss_grad(alpha: np.ndarray, label: np.ndarray, lam: float) -> np.ndarray:

@@ -12,23 +12,24 @@ as an error; prediction drops it from the vote. A fused opinion converts
 back to concentrations through the strength S = K / u via
 alpha_k = b_k * S + 1.
 
-Raw-array kernels (prefixed ``_``) carry caches and reverse-mode
-vector-Jacobian products so gradients can flow from the fused objective
-back into every per-view evidence head.
+Everything here works on raw arrays batched over leading axes.
+``_combine_pair`` is the pair rule and ``_fold_with_exclusions`` its
+left fold, shared by training and prediction; ``_fused_alpha`` is the
+conversion back to concentrations. Each has a reverse-mode
+vector-Jacobian product, and ``total_loss_alpha_grads`` chains them so
+that the gradient of the multi-task objective (fused-head loss plus
+every per-view loss) flows back into every per-view evidence head.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from evifuse.evidential import (
-    DirichletParams,
-    SubjectiveOpinion,
-    _opinion_arrays,
-    loss_and_grad,
-    view_loss,
-    view_loss_grad,  # noqa: F401 -- bench/spans.py hooks fusion.view_loss_grad
-)
+from evifuse.evidential import _opinion_arrays, loss_and_grad
+
+# Imported only so that the benchmark's span hooks on fusion.view_loss and
+# fusion.view_loss_grad resolve, until the bench is re-hooked on the kernels.
+from evifuse.evidential import view_loss, view_loss_grad  # noqa: F401
 
 _CONFLICT_EPS = 1e-12
 
@@ -164,51 +165,6 @@ def _fuse_alphas_vjp(cache, grad_fused: np.ndarray) -> list[np.ndarray]:
         _opinion_arrays_vjp(alpha, gbv, guv)
         for alpha, gbv, guv in zip(alphas, grads_b, grads_u)
     ]
-
-
-# -- public opinion-level API ------------------------------------------------
-
-
-def ds_combine_pair(s1: SubjectiveOpinion, s2: SubjectiveOpinion) -> SubjectiveOpinion:
-    """Combine two opinions over the same classes; raises on total conflict."""
-    if s1.class_count != s2.class_count:
-        raise ValueError("opinions must share the class count")
-    b, u, bad = _combine_pair(
-        s1.beliefs, np.asarray(s1.uncertainty), s2.beliefs, np.asarray(s2.uncertainty)
-    )
-    _raise_on_conflict(bad)
-    return SubjectiveOpinion(b, u if u.ndim else float(u))
-
-
-def ds_fold(opinions) -> SubjectiveOpinion:
-    """Left fold of the pair rule over a nonempty sequence of opinions."""
-    opinions = list(opinions)
-    if not opinions:
-        raise ValueError("need at least one opinion")
-    k = opinions[0].class_count
-    if any(s.class_count != k for s in opinions):
-        raise ValueError("opinions must share the class count")
-    b, u, invalid, _ = _fold_with_exclusions(
-        [s.beliefs for s in opinions], [np.asarray(s.uncertainty) for s in opinions]
-    )
-    _raise_on_conflict(invalid)
-    return SubjectiveOpinion(b, u if u.ndim else float(u))
-
-
-def fused_dirichlet(s: SubjectiveOpinion) -> DirichletParams:
-    """Rebuild concentrations from a fused opinion via strength K / u."""
-    u = np.asarray(s.uncertainty)
-    if np.any(u <= 0.0):
-        raise ValueError("fully certain fused opinion (u = 0) cannot be inverted")
-    return DirichletParams(_fused_alpha(s.beliefs, u))
-
-
-def total_loss(per_view, fused: DirichletParams, label, lam: float):
-    """Multi-task objective: fused-head loss plus the sum of per-view losses."""
-    out = view_loss(fused, label, lam)
-    for d in per_view:
-        out = out + view_loss(d, label, lam)
-    return out
 
 
 def total_loss_alpha_grads(view_alphas: list[np.ndarray], label, lam: float,

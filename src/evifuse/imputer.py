@@ -18,9 +18,11 @@ draws bit for bit. Smaller views, such as the one row of a prediction,
 seed each slot through ``SeedSequence``: the vectorised hash costs a fixed
 0.3 ms, about what a dozen ``SeedSequence`` calls cost.
 
-Slots are completed a block at a time: one GEMM neighbor search per
-(missing view, observed view, label group), moments stacked per union
-size, then stacked Cholesky factors and draws.
+Slots are completed a block at a time: one GEMM neighbor search
+(``_nearest``) per (missing view, observed view, label group), merged
+into per-slot unions (``_neighbor_unions``), moments stacked per union
+size (``_moments``), then stacked Cholesky factors and draws. A
+``CompletionSet`` holds the observed entries once and the draws per slot.
 """
 
 from __future__ import annotations
@@ -65,56 +67,14 @@ class NeighborQuery:
             raise ValueError("k must be >= 1")
 
 
-@dataclass(frozen=True)
-class GaussianImputation:
-    """Moments of one missing view's distribution.
-
-    ``sigma`` already includes the jitter on its diagonal, so drawing uses
-    it directly.
-    """
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    neighbor_count: int
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64).ravel()
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        if sigma.shape != (mu.size, mu.size):
-            raise ValueError("sigma must be square and match mu")
-        if not np.allclose(sigma, sigma.T, atol=1e-12):
-            raise ValueError("sigma must be symmetric")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-
-
-def distance_set(x_v: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Negated squared Euclidean distances from x_v to each candidate row."""
-    x_v = np.asarray(x_v, dtype=np.float64).ravel()
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    diff = candidates - x_v
-    return -np.einsum("ij,ij->i", diff, diff)
-
-
-def topk_indicator(distances: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries; ties resolve to the lowest index."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    distances = np.asarray(distances)
-    if distances.size == 0:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(-distances, kind="stable")
-    return np.sort(order[:k])
-
-
 def _nearest(queries: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     """Positions of each query row's k nearest candidate rows, ties to the lowest.
 
     One GEMM distance ||b||^2 - 2 a.b (||a||^2 is the same for all of a
     query's candidates) shortlists every candidate within its rounding
-    bound of the query's k-th smallest; the ``distance_set`` formula then
-    ranks the shortlist, so the result equals an exact ranking of all
-    candidates.
+    bound of the query's k-th smallest; the exact squared distance of the
+    row difference then ranks the shortlist, so the result equals an exact
+    ranking of all candidates.
     """
     count = candidates.shape[0]
     if count <= k:
@@ -177,11 +137,10 @@ def neighbor_union(
     data: MultiViewDataset,
     reference: MultiViewDataset | None = None,
 ) -> np.ndarray:
-    """Union of per-observed-view top-k candidate indices into the reference set.
+    """``_neighbor_unions`` of one slot (query.sample_index, query.missing_view).
 
-    Candidates for view v are reference samples observing both v and the
-    missing view (and matching the query's label when ``use_labels``).
-    An empty result signals that the caller must fall back.
+    No code path calls it; the benchmark's search span hooks this name
+    until it is re-hooked on ``_neighbor_unions``.
     """
     ref = reference if reference is not None else data
     n, m = query.sample_index, query.missing_view
@@ -210,19 +169,6 @@ def _moments(neighbors: np.ndarray, diag_only: bool):
         # written onto zeros: var * eye would turn an infinite variance into NaNs
         cov[:, np.arange(d), np.arange(d)] = neighbors.var(axis=1, ddof=1)
     return mu, cov
-
-
-def estimate_gaussian(neighbors: np.ndarray, jitter: float,
-                      diag_only: bool = False) -> GaussianImputation:
-    """Mean and (jittered) unbiased covariance of the neighbor rows.
-
-    A single neighbor degenerates to a point mass with sigma = jitter * I.
-    """
-    neighbors = np.atleast_2d(np.asarray(neighbors, dtype=np.float64))
-    if neighbors.shape[0] == 0:
-        raise ValueError("empty neighbor set")
-    mu, cov = _moments(neighbors[None], diag_only)
-    return GaussianImputation(mu[0], cov[0] + jitter * np.eye(mu.shape[1]), neighbors.shape[0])
 
 
 def _stable_cholesky(cov: np.ndarray, jitter: float):
@@ -360,15 +306,6 @@ class CompletionSet:
     def n_views(self) -> int:
         return len(self.views)
 
-    @property
-    def provenance(self) -> np.ndarray:
-        """(N, V) array: 0 where observed, 1 where imputed."""
-        return (~self.mask).astype(np.uint8)
-
-    @property
-    def incomplete_samples(self) -> np.ndarray:
-        return np.nonzero(~self.mask.all(axis=1))[0]
-
     def completion(self, s: int) -> list:
         """Materialize the s-th completed dataset as full view matrices."""
         if not 0 <= s < self.n_samplings:
@@ -430,7 +367,7 @@ def sample_completions(
     ref = reference if reference is not None else data
     keys = {n: _sample_content_key(data, n)
             for n in np.nonzero(~data.mask.all(axis=1))[0].tolist()}
-    imputed_rows, draws = [], []
+    draws = []
     for m in range(data.n_views):
         rows = np.nonzero(~data.mask[:, m])[0]
         out = np.empty((rows.size, n_samplings, data.view_dims[m]))
@@ -455,8 +392,22 @@ def sample_completions(
             ])
             np.matmul(z, chol.transpose(0, 2, 1), out=part)
             part += mu[:, None, :]
-        imputed_rows.append(rows)
         draws.append(out)
+    return _completion_set(data, n_samplings, draws)
+
+
+def mean_value_completions(
+    data: MultiViewDataset, reference: MultiViewDataset | None = None
+) -> CompletionSet:
+    """Single completion filling each missing view with its column means."""
+    col_means = _column_means(reference if reference is not None else data)
+    draws = [np.broadcast_to(mean, ((~data.mask[:, v]).sum(), 1, data.view_dims[v])).copy()
+             for v, mean in enumerate(col_means)]
+    return _completion_set(data, 1, draws)
+
+
+def _completion_set(data: MultiViewDataset, n_samplings: int, draws: list) -> CompletionSet:
+    """Completions of ``data`` whose view-v draws fill, in order, the rows missing view v."""
     base_views = []
     for v in range(data.n_views):
         mat = data.views[v].copy()
@@ -467,34 +418,7 @@ def sample_completions(
         views=base_views,
         mask=data.mask.copy(),
         labels=data.labels.copy(),
-        imputed_rows=imputed_rows,
-        draws=draws,
-    )
-
-
-def mean_value_completions(
-    data: MultiViewDataset, reference: MultiViewDataset | None = None
-) -> CompletionSet:
-    """Single completion filling each missing view with its column means."""
-    ref = reference if reference is not None else data
-    col_means = _column_means(ref)
-    imputed_rows, draws = [], []
-    for v in range(data.n_views):
-        rows = np.nonzero(~data.mask[:, v])[0]
-        imputed_rows.append(rows)
-        block = np.broadcast_to(col_means[v], (rows.size, 1, data.view_dims[v])).copy()
-        draws.append(block)
-    base_views = []
-    for v in range(data.n_views):
-        mat = data.views[v].copy()
-        mat[~data.mask[:, v]] = 0.0
-        base_views.append(mat)
-    return CompletionSet(
-        n_samplings=1,
-        views=base_views,
-        mask=data.mask.copy(),
-        labels=data.labels.copy(),
-        imputed_rows=imputed_rows,
+        imputed_rows=[np.nonzero(~data.mask[:, v])[0] for v in range(data.n_views)],
         draws=draws,
     )
 

@@ -43,10 +43,6 @@ class EvidenceNetwork:
         return self.layer_sizes[0]
 
     @property
-    def class_count(self) -> int:
-        return self.layer_sizes[-1]
-
-    @property
     def params(self) -> list:
         """Flat parameter list [W0, b0, W1, b1, ...]; arrays are live views."""
         out = []

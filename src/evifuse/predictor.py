@@ -119,11 +119,12 @@ def _vote(all_b: np.ndarray, all_bad: np.ndarray):
     return labels, counts
 
 
-def complete_test_data(model: TrainedModel, test: MultiViewDataset,
-                       n_samplings: int | None = None, seed: int = 0,
-                       pre_standardized: bool = False) -> CompletionSet:
-    """Standardize and complete a test set against the model's training pool."""
-    std = test if pre_standardized else zscore_apply(test, model.stats)
+def complete_test_data(model: TrainedModel, std: MultiViewDataset,
+                       n_samplings: int | None = None, seed: int = 0) -> CompletionSet:
+    """Complete a standardized test set against the model's training pool."""
+    if std.n_views != len(model.networks):
+        raise ValueError(f"test data has {std.n_views} views, the model "
+                         f"{len(model.networks)}")
     cfg = model.config
     if n_samplings is not None and cfg.mode in ("uimc", "naive_ce"):
         cfg = replace(cfg, n_samplings=int(n_samplings))
@@ -134,18 +135,8 @@ def complete_test_data(model: TrainedModel, test: MultiViewDataset,
 
 
 def predict_sample(model: TrainedModel, views, mask_row,
-                   k: int | None = None, n_samplings: int | None = None,
-                   jitter: float | None = None, seed: int = 0) -> PredictionResult:
+                   n_samplings: int | None = None, seed: int = 0) -> PredictionResult:
     """Classify a single (possibly incomplete) raw sample."""
-    cfg = model.config
-    overrides = {}
-    if k is not None:
-        overrides["k"] = int(k)
-    if jitter is not None:
-        overrides["jitter"] = float(jitter)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    tweaked = replace(model, config=cfg)
     mask = np.asarray(mask_row, dtype=bool).reshape(1, -1)
     raw = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views]
     if mask.shape[1] != len(raw):
@@ -153,9 +144,8 @@ def predict_sample(model: TrainedModel, views, mask_row,
     # standardized before the one dataset is built, which then checks the row
     std = MultiViewDataset(_zscore_views(raw, mask, model.stats),
                            np.zeros(1, dtype=np.int64), mask, model.class_count)
-    completions = complete_test_data(tweaked, std, n_samplings=n_samplings, seed=seed,
-                                     pre_standardized=True)
-    all_b, all_u, all_bad = _sampling_opinions(tweaked, completions)
+    completions = complete_test_data(model, std, n_samplings=n_samplings, seed=seed)
+    all_b, all_u, all_bad = _sampling_opinions(model, completions)
     labels, counts = _vote(all_b, all_bad)
     valid = ~all_bad[:, 0]
     if valid.any():
@@ -176,7 +166,8 @@ def predict_sample(model: TrainedModel, views, mask_row,
 def evaluate(model: TrainedModel, test: MultiViewDataset,
              n_samplings: int | None = None, seed: int = 0) -> dict:
     """Accuracy and uncertainty metrics of voted predictions on a test set."""
-    completions = complete_test_data(model, test, n_samplings=n_samplings, seed=seed)
+    completions = complete_test_data(model, zscore_apply(test, model.stats),
+                                     n_samplings=n_samplings, seed=seed)
     all_b, all_u, all_bad = _sampling_opinions(model, completions)
     labels, counts = _vote(all_b, all_bad)
     valid = ~all_bad
@@ -223,10 +214,8 @@ def stability_experiment(model: TrainedModel, test: MultiViewDataset,
     all_labels = np.empty((n_repeats, test.n_samples), dtype=np.int64)
     std = zscore_apply(test, model.stats)
     for r in range(n_repeats):
-        completions = complete_test_data(
-            model, std, n_samplings=n_samplings,
-            seed=_subseed(seed, r), pre_standardized=True,
-        )
+        completions = complete_test_data(model, std, n_samplings=n_samplings,
+                                         seed=_subseed(seed, r))
         all_b, _, all_bad = _sampling_opinions(model, completions)
         all_labels[r], _ = _vote(all_b, all_bad)
     consistent = (all_labels == all_labels[0]).all(axis=0)

@@ -124,10 +124,6 @@ class TrainedModel:
     epochs_run: int
 
     @property
-    def view_dims(self) -> list:
-        return [net.input_dim for net in self.networks]
-
-    @property
     def uses_evidence(self) -> bool:
         return self.config.mode in ("uimc", "single_imputation")
 

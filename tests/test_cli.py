@@ -52,6 +52,13 @@ def test_eval_version_1_checkpoint_exits_config(tmp_path, capsys):
     assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys)
 
 
+def test_eval_on_fewer_views_than_the_model_exits_config(tmp_path, capsys):
+    _, ckpt = train_tiny(tmp_path)
+    data = make_blobs_dataset(n=40, view_dims=(3,), seed=21)
+    assert_eval_exits_config(write_dataset_dir(tmp_path / "one_view", data), ckpt,
+                             tmp_path, capsys)
+
+
 def test_impute_output_loads_as_dataset(tmp_path):
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))

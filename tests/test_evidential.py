@@ -1,4 +1,4 @@
-"""Evidential classification math: conversions, losses, schedule, gradients."""
+"""Evidential classification kernels: opinion projection, losses, gradients, schedule."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,10 @@ from scipy import special as sp
 
 from evifuse.evidential import (
     AnnealSchedule,
-    DirichletParams,
     SubjectiveOpinion,
-    ace_loss,
-    ace_loss_grad,
+    _loss_parts,
+    _opinion_arrays,
     anneal_lambda,
-    dirichlet_to_opinion,
-    evidence_to_dirichlet,
-    kl_regularizer,
-    kl_regularizer_grad,
     loss_and_grad,
     one_hot,
     view_loss,
@@ -30,69 +25,80 @@ evidence_vectors = st.lists(
 )
 
 
+def ace(alpha, label):
+    """Expected cross-entropy of the label under the Dirichlet: psi(alpha0) - psi(alpha_y)."""
+    return _loss_parts(np.asarray(alpha, dtype=float), label)[0]
+
+
+def kl(alpha, label):
+    """KL divergence from the uniform Dirichlet after masking out the label class."""
+    return _loss_parts(np.asarray(alpha, dtype=float), label)[1]
+
+
 class TestConversions:
+    """Evidence e gives alpha = e + 1; _opinion_arrays projects alpha to (b, u)."""
+
     def test_zero_evidence_gives_uniform_prior(self):
-        d = evidence_to_dirichlet([0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(d.alpha, [1.0, 1.0, 1.0])
-        assert d.alpha0 == 3.0
+        b, u = _opinion_arrays(np.zeros(3) + 1.0)
+        np.testing.assert_array_equal(b, [0.0, 0.0, 0.0])
+        assert u == 3.0 / 3.0
 
     def test_unit_evidence(self):
-        d = evidence_to_dirichlet([1.0, 0.0])
-        np.testing.assert_array_equal(d.alpha, [2.0, 1.0])
-        assert d.alpha0 == 3.0
+        b, u = _opinion_arrays(np.array([1.0, 0.0]) + 1.0)
+        np.testing.assert_allclose(b, [1 / 3, 0.0])
+        assert u == pytest.approx(2 / 3)
 
     def test_expected_probs(self):
-        d = evidence_to_dirichlet([9.0, 0.0, 0.0])
-        np.testing.assert_array_equal(d.alpha, [10.0, 1.0, 1.0])
-        np.testing.assert_allclose(d.expected_probs, [10 / 12, 1 / 12, 1 / 12])
+        """b + u / K is the Dirichlet mean alpha / alpha0."""
+        b, u = _opinion_arrays(np.array([10.0, 1.0, 1.0]))
+        np.testing.assert_allclose(b + u / 3, [10 / 12, 1 / 12, 1 / 12])
 
     def test_negative_evidence_rejected(self):
         with pytest.raises(ValueError):
-            evidence_to_dirichlet([-0.1, 0.0])
+            loss_and_grad(np.array([-0.1, 0.0]) + 1.0, [1.0, 0.0], 0.5)
 
     def test_uniform_dirichlet_is_vacuous(self):
-        op = dirichlet_to_opinion(DirichletParams([1.0, 1.0, 1.0]))
-        np.testing.assert_array_equal(op.beliefs, [0.0, 0.0, 0.0])
-        assert op.uncertainty == 1.0
+        b, u = _opinion_arrays(np.array([1.0, 1.0, 1.0]))
+        np.testing.assert_array_equal(b, [0.0, 0.0, 0.0])
+        assert u == 1.0
 
     def test_opinion_example(self):
-        op = dirichlet_to_opinion(DirichletParams([2.0, 1.0, 1.0]))
-        np.testing.assert_allclose(op.beliefs, [0.25, 0.0, 0.0])
-        assert op.uncertainty == pytest.approx(0.75)
+        b, u = _opinion_arrays(np.array([2.0, 1.0, 1.0]))
+        np.testing.assert_allclose(b, [0.25, 0.0, 0.0])
+        assert u == pytest.approx(0.75)
 
     @given(evidence_vectors)
     def test_beliefs_and_uncertainty_sum_to_one(self, evidence):
-        op = dirichlet_to_opinion(evidence_to_dirichlet(evidence))
-        assert op.beliefs.sum() + op.uncertainty == pytest.approx(1.0, abs=1e-9)
+        b, u = _opinion_arrays(np.asarray(evidence) + 1.0)
+        assert b.sum() + u == pytest.approx(1.0, abs=1e-9)
+        SubjectiveOpinion(b, u)  # passes the opinion checks
 
     @given(evidence_vectors)
     def test_uncertainty_formula_roundtrip(self, evidence):
         """u = K / (sum(e) + K) for all nonnegative evidence vectors."""
-        op = dirichlet_to_opinion(evidence_to_dirichlet(evidence))
+        _, u = _opinion_arrays(np.asarray(evidence) + 1.0)
         k = len(evidence)
-        assert op.uncertainty == pytest.approx(k / (sum(evidence) + k), rel=1e-12)
+        assert u == pytest.approx(k / (sum(evidence) + k), rel=1e-12)
 
     def test_batched_conversion(self):
-        d = evidence_to_dirichlet(np.arange(6, dtype=float).reshape(2, 3))
-        op = dirichlet_to_opinion(d)
-        assert op.beliefs.shape == (2, 3)
-        np.testing.assert_allclose(op.beliefs.sum(axis=-1) + op.uncertainty, 1.0)
+        b, u = _opinion_arrays(np.arange(6, dtype=float).reshape(2, 3) + 1.0)
+        assert b.shape == (2, 3) and u.shape == (2,)
+        np.testing.assert_allclose(b.sum(axis=-1) + u, 1.0)
 
 
 class TestLosses:
+    """ACE and KL values of _loss_parts; view_loss combines them."""
+
     def test_ace_uniform_binary(self):
         # psi(2) - psi(1) = 1
-        assert ace_loss(DirichletParams([1.0, 1.0]), [1.0, 0.0]) == pytest.approx(1.0)
+        assert ace([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0)
 
     def test_ace_after_one_observation(self):
         # psi(3) - psi(2) = 1/2
-        assert ace_loss(DirichletParams([2.0, 1.0]), [1.0, 0.0]) == pytest.approx(0.5)
+        assert ace([2.0, 1.0], [1.0, 0.0]) == pytest.approx(0.5)
 
     def test_ace_decreases_monotonically_in_true_evidence(self):
-        values = [
-            ace_loss(DirichletParams([a, 1.0, 1.0]), [1.0, 0.0, 0.0])
-            for a in (10.0, 100.0, 1000.0)
-        ]
+        values = [ace([a, 1.0, 1.0], [1.0, 0.0, 0.0]) for a in (10.0, 100.0, 1000.0)]
         assert values[0] > values[1] > values[2] > 0.0
 
     def test_ace_matches_quadrature_binary(self):
@@ -107,45 +113,38 @@ class TestLosses:
 
             expected, err = integrate.quad(integrand, 0.0, 1.0)
             assert err < 1e-8
-            got = ace_loss(DirichletParams([a, b]), [1.0, 0.0])
-            assert got == pytest.approx(expected, abs=1e-4)
+            assert ace([a, b], [1.0, 0.0]) == pytest.approx(expected, abs=1e-4)
 
     def test_kl_zero_for_uniform(self):
-        assert kl_regularizer(DirichletParams([1.0, 1.0, 1.0]), [0.0, 1.0, 0.0]) == \
-            pytest.approx(0.0, abs=1e-12)
+        assert kl([1.0, 1.0, 1.0], [0.0, 1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_zero_when_nonlabel_slots_uniform(self):
-        assert kl_regularizer(DirichletParams([7.0, 1.0, 1.0]), [1.0, 0.0, 0.0]) == \
-            pytest.approx(0.0, abs=1e-12)
+        assert kl([7.0, 1.0, 1.0], [1.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_hand_value(self):
-        got = kl_regularizer(DirichletParams([1.0, 2.0]), [1.0, 0.0])
-        assert got == pytest.approx(np.log(2.0) - 0.5, abs=1e-9)
+        assert kl([1.0, 2.0], [1.0, 0.0]) == pytest.approx(np.log(2.0) - 0.5, abs=1e-9)
 
     def test_kl_nonnegative(self):
         rng = np.random.default_rng(5)
         alpha = 1.0 + rng.uniform(0, 30, (200, 4))
         y = one_hot(rng.integers(0, 4, 200), 4)
-        vals = kl_regularizer(DirichletParams(alpha), y)
-        assert np.all(vals >= -1e-12)
+        assert np.all(kl(alpha, y) >= -1e-12)
 
     def test_view_loss_zero_lambda_equals_ace(self):
-        d = DirichletParams([3.0, 2.0])
-        y = [0.0, 1.0]
-        assert view_loss(d, y, 0.0) == pytest.approx(ace_loss(d, y))
+        alpha, y = np.array([3.0, 2.0]), [0.0, 1.0]
+        assert view_loss(alpha, y, 0.0) == pytest.approx(ace(alpha, y))
 
     def test_view_loss_uniform_lambda_one(self):
-        assert view_loss(DirichletParams([1.0, 1.0]), [1.0, 0.0], 1.0) == pytest.approx(1.0)
+        assert view_loss(np.array([1.0, 1.0]), [1.0, 0.0], 1.0) == pytest.approx(1.0)
 
     def test_view_loss_is_exact_sum(self):
         rng = np.random.default_rng(11)
         alpha = 1.0 + rng.uniform(0, 10, (50, 3))
         y = one_hot(rng.integers(0, 3, 50), 3)
-        d = DirichletParams(alpha)
         lam = 0.37
-        np.testing.assert_array_equal(
-            view_loss(d, y, lam), ace_loss(d, y) + lam * kl_regularizer(d, y)
-        )
+        np.testing.assert_array_equal(view_loss(alpha, y, lam), ace(alpha, y) + lam * kl(alpha, y))
+        np.testing.assert_array_equal(loss_and_grad(alpha, y, lam)[0],
+                                      ace(alpha, y) + lam * kl(alpha, y))
 
 
 class TestGradients:
@@ -158,24 +157,22 @@ class TestGradients:
             k = int(rng.integers(2, 8))
             alpha = 1.0 + rng.uniform(0, 49, k)
             y = one_hot(int(rng.integers(0, k)), k)
-            for fn, grad_fn in [(ace_loss, ace_loss_grad),
-                                (kl_regularizer, kl_regularizer_grad)]:
-                grad = grad_fn(alpha, y)
+            _, _, ace_grad, kl_grad = _loss_parts(alpha, y)
+            for fn, grad in [(ace, ace_grad), (kl, kl_grad)]:
                 for j in range(k):
                     ap, am = alpha.copy(), alpha.copy()
                     ap[j] += h
                     am[j] -= h
-                    fd = (fn(DirichletParams(ap), y) - fn(DirichletParams(am), y)) / (2 * h)
+                    fd = (fn(ap, y) - fn(am, y)) / (2 * h)
                     assert abs(grad[j] - fd) <= 1e-8 + 1e-6 * abs(fd)
 
     def test_view_loss_grad_composes(self):
         rng = np.random.default_rng(23)
         alpha = 1.0 + rng.uniform(0, 5, (4, 3))
         y = one_hot(rng.integers(0, 3, 4), 3)
-        np.testing.assert_allclose(
-            view_loss_grad(alpha, y, 0.6),
-            ace_loss_grad(alpha, y) + 0.6 * kl_regularizer_grad(alpha, y),
-        )
+        _, _, ace_grad, kl_grad = _loss_parts(alpha, y)
+        np.testing.assert_allclose(loss_and_grad(alpha, y, 0.6)[1], ace_grad + 0.6 * kl_grad)
+        np.testing.assert_allclose(view_loss_grad(alpha, y, 0.6), ace_grad + 0.6 * kl_grad)
 
     def test_more_true_evidence_never_raises_ace(self):
         rng = np.random.default_rng(29)
@@ -184,10 +181,10 @@ class TestGradients:
             alpha = 1.0 + rng.uniform(0, 20, k)
             label = int(rng.integers(0, k))
             y = one_hot(label, k)
-            base = ace_loss(DirichletParams(alpha), y)
+            base = ace(alpha, y)
             bumped = alpha.copy()
             bumped[label] += rng.uniform(0.1, 10)
-            assert ace_loss(DirichletParams(bumped), y) <= base + 1e-12
+            assert ace(bumped, y) <= base + 1e-12
 
 
 def reference_head(alpha, y):
@@ -232,20 +229,21 @@ class TestStackedKernel:
             np.testing.assert_array_equal(grad[h], ace_grad + lam * kl_grad)
 
     def test_wrappers_match_reference_on_one_vector(self):
+        """One (K,) head: the kernel returns scalars, and the two loss wrappers agree."""
         rng = np.random.default_rng(7)
         for k in (2, 3, 10):
             alpha = random_heads(rng, (k,))
             y = one_hot(int(rng.integers(0, k)), k)
-            ace, kl, ace_grad, kl_grad = reference_head(alpha, y)
-            d = DirichletParams(alpha)
-            assert np.ndim(ace_loss(d, y)) == 0
-            np.testing.assert_array_equal(ace_loss(d, y), ace)
-            np.testing.assert_array_equal(kl_regularizer(d, y), kl)
-            np.testing.assert_array_equal(view_loss(d, y, 0.37), ace + 0.37 * kl)
-            np.testing.assert_array_equal(ace_loss_grad(alpha, y), ace_grad)
-            np.testing.assert_array_equal(kl_regularizer_grad(alpha, y), kl_grad)
-            np.testing.assert_array_equal(view_loss_grad(alpha, y, 0.37),
-                                          ace_grad + 0.37 * kl_grad)
+            expect = reference_head(alpha, y)
+            got = _loss_parts(alpha, y)
+            assert np.ndim(got[0]) == 0 and np.ndim(got[1]) == 0
+            for part, ref in zip(got, expect):
+                np.testing.assert_array_equal(part, ref)
+            loss, grad = loss_and_grad(alpha, y, 0.37)
+            np.testing.assert_array_equal(loss, expect[0] + 0.37 * expect[1])
+            np.testing.assert_array_equal(grad, expect[2] + 0.37 * expect[3])
+            np.testing.assert_array_equal(view_loss(alpha, y, 0.37), loss)
+            np.testing.assert_array_equal(view_loss_grad(alpha, y, 0.37), grad)
 
     def test_non_finite_alpha_is_a_numerical_error(self):
         y = one_hot([0, 1], 2)
@@ -278,7 +276,7 @@ class TestAnnealSchedule:
 class TestValidation:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
-            DirichletParams([0.5, 1.0])
+            _loss_parts(np.array([0.5, 1.0]), [1.0, 0.0])
 
     def test_opinion_must_normalize(self):
         with pytest.raises(ValueError):

@@ -1,58 +1,70 @@
 """Neighbor search, Gaussian estimation, and multi-sample completion."""
 
+import json
+
 import numpy as np
 import pytest
 
 from evifuse import imputer
 from evifuse.dataset import MultiViewDataset
+from evifuse.experiments import write_completion_directory
 from evifuse.imputer import (
-    CompletionSet,
-    GaussianImputation,
     NeighborQuery,
     _moments,
+    _nearest,
     _neighbor_unions,
     _sample_content_key,
     _seed_states,
     _SeedState,
     _slot_seeds,
     _stable_cholesky,
-    distance_set,
-    estimate_gaussian,
     mean_value_completions,
     neighbor_union,
     sample_completions,
-    topk_indicator,
 )
 from conftest import make_blobs_dataset
 
 
+def nearest(query, candidates, k):
+    """_nearest for one query row: candidate positions, nearest first."""
+    return _nearest(np.atleast_2d(np.asarray(query, dtype=float)),
+                    np.asarray(candidates, dtype=float), k)[0].tolist()
+
+
 class TestDistanceSet:
+    """_nearest ranks its shortlist by the exact squared distance."""
+
     def test_three_four_five(self):
-        out = distance_set([0.0, 0.0], [[3.0, 4.0]])
-        assert out[0] == pytest.approx(-25.0)
+        # (3, 4), (0, 5) and (4, 3) all lie at squared distance 25, (6, 0) at 36
+        assert nearest([0.0, 0.0], [[6.0, 0.0], [3.0, 4.0], [0.0, 5.0], [4.0, 3.0]], 2) == [1, 2]
 
     def test_zero_distance(self):
-        out = distance_set([1.5, -2.0], [[1.5, -2.0]])
-        assert out[0] == 0.0
+        assert nearest([1.5, -2.0], [[1.6, -2.0], [1.5, -2.0], [1.5, -2.1]], 1) == [1]
 
     def test_two_candidates(self):
-        out = distance_set([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_allclose(out, [-1.0, -4.0])
+        assert nearest([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]], 1) == [0]
+        assert nearest([0.0, 0.0], [[0.0, 2.0], [1.0, 0.0]], 1) == [1]
 
 
 class TestTopK:
+    """_nearest's k nearest, ties resolved to the lowest candidate position."""
+
     def test_orders_by_negated_distance(self):
-        assert topk_indicator(np.array([-1.0, -4.0, -9.0]), 2).tolist() == [0, 1]
+        assert nearest([0.0], [[1.0], [2.0], [3.0]], 2) == [0, 1]
+        assert nearest([0.0], [[3.0], [2.0], [1.0]], 2) == [2, 1]
 
     def test_saturates(self):
-        assert topk_indicator(np.array([-1.0, -4.0, -9.0]), 10).tolist() == [0, 1, 2]
+        # k >= candidate count returns every candidate, in position order
+        assert nearest([0.0], [[3.0], [1.0], [2.0]], 3) == [0, 1, 2]
+        assert nearest([0.0], [[3.0], [1.0], [2.0]], 10) == [0, 1, 2]
 
     def test_tie_breaks_to_lowest_index(self):
-        assert topk_indicator(np.array([-4.0, -4.0]), 1).tolist() == [0]
+        assert nearest([0.0], [[2.0], [-2.0], [5.0]], 1) == [0]
+        assert nearest([0.0], [[5.0], [-2.0], [2.0]], 2) == [1, 2]
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            topk_indicator(np.array([-1.0]), 0)
+            NeighborQuery(0, 1, k=0)
 
 
 def tiny_dataset():
@@ -163,36 +175,31 @@ def exhaustive_union(data, ref, n, m, k, use_labels):
 
 
 class TestEstimateGaussian:
+    """_moments of one neighbor set: mean and unbiased covariance."""
+
     def test_two_neighbors(self):
-        g = estimate_gaussian(np.array([[0.0, 0.0], [2.0, 2.0]]), jitter=0.0)
-        np.testing.assert_array_equal(g.mu, [1.0, 1.0])
-        np.testing.assert_array_equal(g.sigma, [[2.0, 2.0], [2.0, 2.0]])
-        assert g.neighbor_count == 2
+        mu, cov = _moments(np.array([[[0.0, 0.0], [2.0, 2.0]]]), diag_only=False)
+        np.testing.assert_array_equal(mu, [[1.0, 1.0]])
+        np.testing.assert_array_equal(cov, [[[2.0, 2.0], [2.0, 2.0]]])
 
     def test_single_neighbor_point_mass(self):
-        g = estimate_gaussian(np.array([[5.0]]), jitter=1e-3)
-        np.testing.assert_array_equal(g.mu, [5.0])
-        np.testing.assert_allclose(g.sigma, [[1e-3]])
+        for diag_only in (False, True):
+            mu, cov = _moments(np.array([[[5.0]]]), diag_only)
+            np.testing.assert_array_equal(mu, [[5.0]])
+            np.testing.assert_array_equal(cov, [[[0.0]]])
 
     def test_identical_neighbors(self):
-        g = estimate_gaussian(np.array([[1.0], [1.0], [1.0]]), jitter=1e-3)
-        np.testing.assert_array_equal(g.mu, [1.0])
-        np.testing.assert_allclose(g.sigma, [[1e-3]])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_gaussian(np.empty((0, 2)), jitter=0.0)
+        mu, cov = _moments(np.array([[[1.0], [1.0], [1.0]]]), diag_only=False)
+        np.testing.assert_array_equal(mu, [[1.0]])
+        np.testing.assert_array_equal(cov, [[[0.0]]])
 
     def test_diagonal_switch(self):
         rng = np.random.default_rng(0)
-        pts = rng.normal(size=(20, 3))
-        g = estimate_gaussian(pts, jitter=0.0, diag_only=True)
-        off = g.sigma - np.diag(np.diag(g.sigma))
+        pts = rng.normal(size=(1, 20, 3))
+        _, cov = _moments(pts, diag_only=True)
+        off = cov[0] - np.diag(np.diag(cov[0]))
         np.testing.assert_array_equal(off, 0.0)
-
-    def test_asymmetric_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            GaussianImputation([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]], 2)
+        np.testing.assert_array_equal(np.diag(cov[0]), pts[0].var(axis=0, ddof=1))
 
 
 class TestStackedMoments:
@@ -291,7 +298,7 @@ class TestSeedStates:
 class TestSampleCompletions:
     def test_complete_data_noop(self, blobs):
         cs = sample_completions(blobs, k=3, n_samplings=4, seed=0)
-        assert cs.incomplete_samples.size == 0
+        assert all(rows.size == 0 for rows in cs.imputed_rows)
         for s in range(4):
             for v, mat in enumerate(cs.completion(s)):
                 np.testing.assert_array_equal(mat, blobs.views[v])
@@ -343,19 +350,18 @@ class TestSampleCompletions:
         cs = sample_completions(data, k=10, n_samplings=draws, seed=7, jitter=jitter)
         sample = cs.draws[1][0]  # (draws, d)
 
-        idx = neighbor_union(NeighborQuery(0, 1, k=10), data)
-        g = estimate_gaussian(data.views[1][idx], jitter=jitter)
+        idx = _neighbor_unions(data, data, np.array([0]), 1, 10, True)[0]
+        mu, cov = _moments(data.views[1][idx][None], diag_only=False)
+        mu, sigma = mu[0], cov[0] + jitter * np.eye(d)
         # mean within 3 standard errors per coordinate
-        se_mean = np.sqrt(np.diag(g.sigma) / draws)
-        assert np.all(np.abs(sample.mean(axis=0) - g.mu) < 3 * se_mean)
+        se_mean = np.sqrt(np.diag(sigma) / draws)
+        assert np.all(np.abs(sample.mean(axis=0) - mu) < 3 * se_mean)
         # covariance entries within 3 standard errors of a Gaussian cov estimate
         emp_cov = np.cov(sample, rowvar=False)
         for i in range(d):
             for j in range(d):
-                se = np.sqrt(
-                    (g.sigma[i, i] * g.sigma[j, j] + g.sigma[i, j] ** 2) / (draws - 1)
-                )
-                assert abs(emp_cov[i, j] - g.sigma[i, j]) < 3 * se
+                se = np.sqrt((sigma[i, i] * sigma[j, j] + sigma[i, j] ** 2) / (draws - 1))
+                assert abs(emp_cov[i, j] - sigma[i, j]) < 3 * se
 
     def test_gather_matches_completion(self, blobs_incomplete):
         cs = sample_completions(blobs_incomplete, k=4, n_samplings=3, seed=5)
@@ -381,9 +387,12 @@ class TestSampleCompletions:
         with pytest.raises(ValueError):
             sample_completions(blobs_incomplete, k=0, n_samplings=2)
 
-    def test_provenance_tracks_mask(self, blobs_incomplete):
+    def test_provenance_tracks_mask(self, blobs_incomplete, tmp_path):
         cs = sample_completions(blobs_incomplete, k=4, n_samplings=2, seed=5)
-        np.testing.assert_array_equal(cs.provenance, (~blobs_incomplete.mask).astype(np.uint8))
+        write_completion_directory(cs, tmp_path)
+        slots = json.loads((tmp_path / "provenance.json").read_text())["imputed_slots"]
+        expect = np.argwhere(~blobs_incomplete.mask)
+        assert [[s["sample"], s["view"]] for s in slots] == expect.tolist()
 
     def test_column_mean_fallback(self):
         """No candidate observes both views: falls back to column means."""
@@ -405,8 +414,7 @@ class TestSampleCompletions:
             test, k=5, n_samplings=2, seed=0, reference=train, use_labels=False
         )
         assert cs.draws[1].shape == (10, 2, 2)
-        idx = neighbor_union(NeighborQuery(0, 1, k=5, use_labels=False), test,
-                             reference=train)
+        idx = _neighbor_unions(test, train, np.array([0]), 1, 5, False)[0]
         assert idx.size > 0
         assert idx.max() < train.n_samples
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from evifuse.evidential import one_hot, view_loss, view_loss_grad, DirichletParams
-from evifuse.fusion import total_loss_alpha_grads
+from evifuse.evidential import loss_and_grad, one_hot
+from evifuse.fusion import _fuse_alphas, total_loss_alpha_grads
 from evifuse.network import Adam, EvidenceNetwork, sigmoid, softplus
 
 
@@ -83,12 +83,10 @@ class TestForward:
 
 def loss_through_network(nets, xs, y, lam):
     alphas = [net.forward(x) + 1.0 for net, x in zip(nets, xs)]
-    from evifuse.fusion import _fuse_alphas
-
     fused, _ = _fuse_alphas([np.atleast_2d(a) for a in alphas])
-    total = view_loss(DirichletParams(fused), y, lam)
+    total = loss_and_grad(fused, y, lam)[0]
     for a in alphas:
-        total = total + view_loss(DirichletParams(np.atleast_2d(a)), y, lam)
+        total = total + loss_and_grad(np.atleast_2d(a), y, lam)[0]
     return float(np.sum(total))
 
 
@@ -100,7 +98,7 @@ class TestBackward:
         y = one_hot(rng.integers(0, 2, 6), 2)
         lam = 0.3
         evidence, cache = net.forward(x, return_cache=True)
-        grads = net.backward(cache, view_loss_grad(evidence + 1.0, y, lam))
+        grads = net.backward(cache, loss_and_grad(evidence + 1.0, y, lam)[1])
         flat_grad = np.concatenate([g.ravel() for g in grads])
 
         base = flat_params(net)
@@ -110,9 +108,9 @@ class TestBackward:
             up[j] += h
             down[j] -= h
             set_flat_params(net, up)
-            lp = float(np.sum(view_loss(DirichletParams(net.forward(x) + 1.0), y, lam)))
+            lp = float(np.sum(loss_and_grad(net.forward(x) + 1.0, y, lam)[0]))
             set_flat_params(net, down)
-            lm = float(np.sum(view_loss(DirichletParams(net.forward(x) + 1.0), y, lam)))
+            lm = float(np.sum(loss_and_grad(net.forward(x) + 1.0, y, lam)[0]))
             set_flat_params(net, base)
             fd = (lp - lm) / (2 * h)
             assert abs(flat_grad[j] - fd) <= 1e-7 + 1e-5 * abs(fd)
@@ -156,7 +154,7 @@ class TestBackward:
         for _ in range(20):
             alpha = 1.0 + rng.uniform(0, 10, (1, 4))
             y = one_hot([2], 4)
-            grad = view_loss_grad(alpha, y, 0.0)
+            grad = loss_and_grad(alpha, y, 0.0)[1]
             assert grad[0, 2] <= 0.0
 
     def test_duplicate_inputs_duplicate_gradients(self):
@@ -166,7 +164,7 @@ class TestBackward:
         outs = []
         for _ in range(2):
             e, cache = net.forward(x, return_cache=True)
-            grads = net.backward(cache, view_loss_grad(e + 1.0, y, 0.5))
+            grads = net.backward(cache, loss_and_grad(e + 1.0, y, 0.5)[1])
             outs.append(np.concatenate([g.ravel() for g in grads]))
         np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -208,7 +206,7 @@ class TestAdam:
             y = one_hot(rng.integers(0, 2, 20), 2)
             for _ in range(5):
                 e, cache = net.forward(x, return_cache=True)
-                opt.step(net.params, net.backward(cache, view_loss_grad(e + 1.0, y, 0.1)))
+                opt.step(net.params, net.backward(cache, loss_and_grad(e + 1.0, y, 0.1)[1]))
             return flat_params(net)
 
         np.testing.assert_array_equal(run(), run())

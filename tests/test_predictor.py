@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evifuse import predictor
-from evifuse.dataset import MultiViewDataset, ZScoreStats
+from evifuse.dataset import MultiViewDataset, ZScoreStats, zscore_apply
 from evifuse.evidential import _opinion_arrays
 from evifuse.fusion import _fold_with_exclusions
 from evifuse.imputer import sample_completions
@@ -123,8 +123,8 @@ class TestPredictSample:
         for i in range(6):
             res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
                                  n_samplings=5, seed=4)
-            completions = complete_test_data(model, test.subset(np.array([i])),
-                                             n_samplings=5, seed=4)
+            std = zscore_apply(test.subset(np.array([i])), model.stats)
+            completions = complete_test_data(model, std, n_samplings=5, seed=4)
             all_b, all_u, all_bad = _sampling_opinions(model, completions)
             valid = np.nonzero(~all_bad[:, 0])[0]
             batch = res.sampling_opinions
@@ -184,8 +184,24 @@ class TestPredictSample:
         with pytest.raises(ValueError, match=r"mask shape \(1, \d\) != \(1, 2\)"):
             predict_sample(model, [v[0] for v in test.views], mask_row, seed=0)
 
+    def test_fewer_views_than_model_rejected(self, fitted):
+        model, test = fitted
+        with pytest.raises(ValueError, match="test data has 1 views, the model 2"):
+            predict_sample(model, [test.views[0][0]], [True], seed=0)
+
+
+def first_view_only(data):
+    """The data's first view alone, every row observing it."""
+    return MultiViewDataset([data.views[0]], data.labels,
+                            np.ones((data.n_samples, 1), dtype=bool), data.class_count)
+
 
 class TestEvaluate:
+    def test_fewer_views_than_model_rejected(self, fitted):
+        model, test = fitted
+        with pytest.raises(ValueError, match="test data has 1 views, the model 2"):
+            evaluate(model, first_view_only(test), seed=0)
+
     def test_perfect_prediction_upper_bound(self, fitted):
         model, _ = fitted
         easy = make_blobs_dataset(n=30, eta=0.0, seed=61)
@@ -230,6 +246,11 @@ class TestEvaluate:
 
 
 class TestStability:
+    def test_fewer_views_than_model_rejected(self, fitted):
+        model, test = fitted
+        with pytest.raises(ValueError, match="test data has 1 views, the model 2"):
+            stability_experiment(model, first_view_only(test), n_repeats=2, seed=0)
+
     def test_complete_data_fully_consistent(self, fitted):
         model, _ = fitted
         easy = make_blobs_dataset(n=25, eta=0.0, seed=61)
