@@ -36,14 +36,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _common_flags() -> argparse.ArgumentParser:
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for the subcommands that read it."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=int, default=None,
-                        help="seed override (defaults to 0 or the config file)")
-    parent.add_argument("--config", type=Path, default=None,
-                        help="training config JSON (schema 1)")
-    parent.add_argument("--threads", type=int, default=1,
-                        help="worker processes for sweep cells")
+    parent.add_argument(*args, **kwargs)
     return parent
 
 
@@ -53,14 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="incomplete multi-view classification experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parent = _common_flags()
+    seed = _flag("--seed", type=int, default=None,
+                 help="seed override (defaults to 0 or the config file)")
+    config = _flag("--config", type=Path, default=None,
+                   help="training config JSON (schema 1)")
 
-    p = sub.add_parser("mask", parents=[parent], help="generate a missingness mask")
+    p = sub.add_parser("mask", parents=[seed], help="generate a missingness mask")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("impute", parents=[parent],
+    p = sub.add_parser("impute", parents=[seed],
                        help="write sampled completions of a dataset")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--mask", type=Path, default=None)
@@ -70,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diag-cov", action="store_true")
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("train", parents=[parent], help="train a model")
+    p = sub.add_parser("train", parents=[seed, config], help="train a model")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--mask", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True, help="checkpoint path")
@@ -78,14 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default=None, choices=MODES,
                    help="objective/imputation variant (overrides the config)")
 
-    p = sub.add_parser("eval", parents=[parent], help="evaluate a trained model")
+    p = sub.add_parser("eval", parents=[seed], help="evaluate a trained model")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--mask", type=Path, default=None)
     p.add_argument("--ns", type=int, default=None, help="test-time samplings")
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("stability", parents=[parent],
+    p = sub.add_parser("stability", parents=[seed],
                        help="repeat prediction under fresh completion draws")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
@@ -94,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=int, default=None)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("sweep", parents=[parent],
+    p = sub.add_parser("sweep", parents=[seed, config],
                        help="missing-rate sweep over seeds and modes")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--etas", default="0,0.1,0.2,0.3,0.4,0.5")
@@ -102,9 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", default="uimc")
     p.add_argument("--train-fraction", type=float,
                    default=experiments.DEFAULT_TRAIN_FRACTION)
+    p.add_argument("--threads", type=int, default=1, help="worker processes for sweep cells")
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("report", parents=[parent], help="summarize sweep results")
+    p = sub.add_parser("report", help="summarize sweep results")
     p.add_argument("--results", type=Path, required=True, help="results.csv from sweep")
     p.add_argument("--out", type=Path, default=None, help="tidy CSV path")
     return parser

@@ -101,7 +101,6 @@ class MissingnessSpec:
 class SplitSpec:
     train_fraction: float
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -171,12 +170,12 @@ class ZScoreStats:
         return [np.where(s < _DEGENERATE_STD, 1.0, s) for s in self.stds]
 
 
-def zscore_fit_transform(train: MultiViewDataset, test: MultiViewDataset | None = None):
+def zscore_fit_transform(train: MultiViewDataset):
     """Standardize per view using statistics of the observed training entries.
 
     Features whose (population) standard deviation falls below 1e-8 are
-    only centered. Returns the transformed train set, transformed test
-    set (or None), and the fitted statistics.
+    only centered. Returns the transformed train set and the fitted
+    statistics; ``zscore_apply`` standardizes other data with them.
     """
     means, stds = [], []
     for i, v in enumerate(train.views):
@@ -188,7 +187,7 @@ def zscore_fit_transform(train: MultiViewDataset, test: MultiViewDataset | None 
             means.append(observed.mean(axis=0))
             stds.append(observed.std(axis=0))
     stats = ZScoreStats(means, stds)
-    return zscore_apply(train, stats), (None if test is None else zscore_apply(test, stats)), stats
+    return zscore_apply(train, stats), stats
 
 
 def zscore_apply(data: MultiViewDataset, stats: ZScoreStats) -> MultiViewDataset:
@@ -233,26 +232,20 @@ def generate_missing_mask(n: int, v: int, spec: MissingnessSpec) -> np.ndarray:
 
 
 def split(data: MultiViewDataset, spec: SplitSpec):
-    """Disjoint train/test partition, stratified by label when requested."""
-    n = data.n_samples
+    """Disjoint train/test partition, stratified by label."""
     rng = np.random.default_rng(spec.seed)
-    if spec.stratified:
-        train_idx = []
-        for c in range(data.class_count):
-            members = np.nonzero(data.labels == c)[0]
-            if members.size == 0:
-                continue
-            if members.size < 2:
-                raise ValueError(
-                    f"class {c} has {members.size} sample(s); stratified split needs >= 2"
-                )
-            take = int(round(spec.train_fraction * members.size))
-            take = min(max(take, 1), members.size - 1)
-            train_idx.append(rng.permutation(members)[:take])
-        train_idx = np.sort(np.concatenate(train_idx))
-    else:
-        take = int(round(spec.train_fraction * n))
-        take = min(max(take, 1), n - 1)
-        train_idx = np.sort(rng.permutation(n)[:take])
-    test_idx = np.setdiff1d(np.arange(n), train_idx)
+    train_idx = []
+    for c in range(data.class_count):
+        members = np.nonzero(data.labels == c)[0]
+        if members.size == 0:
+            continue
+        if members.size < 2:
+            raise ValueError(
+                f"class {c} has {members.size} sample(s); stratified split needs >= 2"
+            )
+        take = int(round(spec.train_fraction * members.size))
+        take = min(max(take, 1), members.size - 1)
+        train_idx.append(rng.permutation(members)[:take])
+    train_idx = np.sort(np.concatenate(train_idx))
+    test_idx = np.setdiff1d(np.arange(data.n_samples), train_idx)
     return data.subset(train_idx), data.subset(test_idx)

@@ -47,7 +47,7 @@ def prepare_cell_data(data: MultiViewDataset, eta: float, seed: int,
                       train_fraction: float = DEFAULT_TRAIN_FRACTION):
     """Split, then corrupt each split independently at the same missing rate."""
     train_set, test_set = split(
-        data, SplitSpec(train_fraction, seed=_subseed(seed, _TAG_SPLIT), stratified=True)
+        data, SplitSpec(train_fraction, seed=_subseed(seed, _TAG_SPLIT))
     )
     ek = _eta_key(eta)
     train_mask = generate_missing_mask(

@@ -37,7 +37,7 @@ _CONFLICT_EPS = 1e-12
 class FusionConflictError(RuntimeError):
     """Raised when two opinions are in (near-)total conflict: 1 - C <= 1e-12."""
 
-    def __init__(self, message: str, rows: np.ndarray | None = None):
+    def __init__(self, message: str, rows: np.ndarray):
         super().__init__(message)
         self.rows = rows
 

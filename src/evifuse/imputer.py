@@ -7,16 +7,17 @@ of proposals indexes view-m rows whose mean and covariance define a
 multivariate Gaussian; multiple draws from it produce multiple completed
 copies of the sample.
 
-Randomness is keyed on (seed, missing view, content hash of the sample's
-observed data), so completions are reproducible, independent of sample
-order, and safe to compute concurrently. A slot draws from
-``np.random.default_rng(np.random.SeedSequence([seed, m, key]))``. For a
-view with at least ``_VECTOR_SEED_MIN`` missing slots, ``_seed_states``
-runs numpy's documented SeedSequence hash on all its keys at once and
-each slot's PCG64 starts from its precomputed state, which gives the same
-draws bit for bit. Smaller views, such as the one row of a prediction,
-seed each slot through ``SeedSequence``: the vectorised hash costs a fixed
-0.3 ms, about what a dozen ``SeedSequence`` calls cost.
+Randomness is keyed on (seed, missing view, sample content): a slot's
+draws do not depend on sample order or on the rows completed with it, and
+can be computed concurrently. Slot (n, m) draws from ``PCG64(seq)``, where
+``seq.generate_state(4, np.uint64)`` returns the four little-endian uint64
+words of one ``hashlib.blake2b(digest_size=32)`` digest over:
+
+- the byte length of ``seed`` as 8 bytes, then ``seed`` (non-negative; no
+  bytes for 0), then ``m`` as 8 bytes, all little-endian;
+- the sample's mask row, one byte (0 or 1) per view;
+- each observed view's row of the sample, in view order, as little-endian
+  float64.
 
 Slots are completed a block at a time: one GEMM neighbor search
 (``_nearest``) per (missing view, observed view, label group), merged
@@ -38,15 +39,6 @@ _MAX_JITTER = 1.0
 # Slots searched, factored and drawn together: bounds the distance block
 # (slots x candidates) and the covariance, factor and draw stacks.
 _SLOT_BLOCK = 128
-# Missing slots of a view from which its seed states are hashed as one array.
-_VECTOR_SEED_MIN = 16
-
-# numpy's SeedSequence hash: its pool size and 32-bit constants.
-_POOL_WORDS = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 class CholeskyEscalationError(RuntimeError):
@@ -186,65 +178,6 @@ def _stable_cholesky(cov: np.ndarray, jitter: float):
             eps = min(eps * 10.0 if eps > 0.0 else 1e-6, _MAX_JITTER)
 
 
-def _uint32_words(n: int) -> list:
-    """A non-negative integer as SeedSequence reads it: 32-bit words, low first."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _seed_states(seed: int, m: int, keys) -> np.ndarray:
-    """(slots, 4) uint64 PCG64 seed states of the slots (seed, m, key) of ``keys``.
-
-    Row i equals ``SeedSequence([seed, m, keys[i]]).generate_state(4,
-    np.uint64)``: numpy's hash run over a (slots, words) uint32 array.
-    Entropy is the words of seed, m and key; a key below 2**32 has no high
-    word, which inside the pool of 4 equals the zero padding and past it
-    skips that word's mixing round. uint32 arithmetic wraps as the hash's
-    does.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    high = (keys >> np.uint64(32)).astype(np.uint32)
-    lead = _uint32_words(seed) + _uint32_words(m)
-    entropy = [np.full(keys.size, w, dtype=np.uint32) for w in lead]
-    entropy += [keys.astype(np.uint32), high]
-    length = len(entropy) - (high == 0)
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value *= np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_WORDS, len(entropy)):
-        live = length > src
-        for dst in range(_POOL_WORDS):
-            pool[dst] = np.where(live, mix(pool[dst], hashmix(entropy[src])), pool[dst])
-    hash_const = _INIT_B
-    state = np.empty((keys.size, 2 * _POOL_WORDS), dtype=np.uint32)
-    for i in range(2 * _POOL_WORDS):
-        value = pool[i % _POOL_WORDS] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
 class _SeedState(np.random.bit_generator.ISeedSequence):
     """One slot's precomputed PCG64 seed state behind the seed-sequence interface."""
 
@@ -257,20 +190,26 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
         return self.state
 
 
-def _slot_seeds(seed: int, m: int, keys: list) -> list:
-    """Seed sequence of each slot (seed, m, key); both paths give the same draws."""
-    if len(keys) < _VECTOR_SEED_MIN:
-        return [np.random.SeedSequence([seed, m, key]) for key in keys]
-    return [_SeedState(state) for state in _seed_states(seed, m, keys)]
-
-
-def _sample_content_key(data: MultiViewDataset, n: int) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    h.update(data.mask[n].tobytes())
-    for v in range(data.n_views):
-        if data.mask[n, v]:
-            h.update(np.ascontiguousarray(data.views[v][n]).tobytes())
-    return int.from_bytes(h.digest(), "little")
+def _slot_states(seed: int, m: int, data: MultiViewDataset, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), 4) uint64 PCG64 seed states of the slots (rows[i], m): see the module doc."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed_bytes = seed.to_bytes((seed.bit_length() + 7) // 8, "little")
+    keyed = hashlib.blake2b(digest_size=32)
+    keyed.update(len(seed_bytes).to_bytes(8, "little"))
+    keyed.update(seed_bytes)
+    keyed.update(int(m).to_bytes(8, "little"))
+    views = [np.ascontiguousarray(v, dtype="<f8") for v in data.views]
+    digests = []
+    for n, seen in zip(rows.tolist(), data.mask[rows].tolist()):
+        h = keyed.copy()
+        h.update(bytes(seen))
+        for view, observed in zip(views, seen):
+            if observed:
+                h.update(view[n])
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64).reshape(-1, 4)
 
 
 @dataclass
@@ -365,14 +304,11 @@ def sample_completions(
     if k < 1:
         raise ValueError("k must be >= 1")
     ref = reference if reference is not None else data
-    keys = {n: _sample_content_key(data, n)
-            for n in np.nonzero(~data.mask.all(axis=1))[0].tolist()}
     draws = []
     for m in range(data.n_views):
         rows = np.nonzero(~data.mask[:, m])[0]
         out = np.empty((rows.size, n_samplings, data.view_dims[m]))
-        seeds = None if point_estimate else _slot_seeds(
-            int(seed), m, [keys[n] for n in rows.tolist()])
+        states = None if point_estimate else _slot_states(seed, m, data, rows)
         for start in range(0, rows.size, _SLOT_BLOCK):
             block = rows[start:start + _SLOT_BLOCK]
             part = out[start:start + block.size]
@@ -385,11 +321,9 @@ def sample_completions(
             except np.linalg.LinAlgError:
                 # escalate the jitter only for the slots that need it
                 chol = np.stack([_stable_cholesky(c, jitter)[0] for c in cov])
-            z = np.stack([
-                np.random.Generator(np.random.PCG64(slot_seed))
-                .standard_normal((n_samplings, mu.shape[1]))
-                for slot_seed in seeds[start:start + block.size]
-            ])
+            z = np.stack([np.random.Generator(np.random.PCG64(_SeedState(state)))
+                          .standard_normal((n_samplings, mu.shape[1]))
+                          for state in states[start:start + block.size]])
             np.matmul(z, chol.transpose(0, 2, 1), out=part)
             part += mu[:, None, :]
         draws.append(out)

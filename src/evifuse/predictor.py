@@ -134,8 +134,7 @@ def complete_test_data(model: TrainedModel, std: MultiViewDataset,
     )
 
 
-def predict_sample(model: TrainedModel, views, mask_row,
-                   n_samplings: int | None = None, seed: int = 0) -> PredictionResult:
+def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> PredictionResult:
     """Classify a single (possibly incomplete) raw sample."""
     mask = np.asarray(mask_row, dtype=bool).reshape(1, -1)
     raw = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views]
@@ -144,7 +143,7 @@ def predict_sample(model: TrainedModel, views, mask_row,
     # standardized before the one dataset is built, which then checks the row
     std = MultiViewDataset(_zscore_views(raw, mask, model.stats),
                            np.zeros(1, dtype=np.int64), mask, model.class_count)
-    completions = complete_test_data(model, std, n_samplings=n_samplings, seed=seed)
+    completions = complete_test_data(model, std, seed=seed)
     all_b, all_u, all_bad = _sampling_opinions(model, completions)
     labels, counts = _vote(all_b, all_bad)
     valid = ~all_bad[:, 0]
@@ -177,22 +176,20 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
         (all_u * valid).sum(axis=0)[any_valid] / valid.sum(axis=0)[any_valid]
     )
     correct = labels == test.labels
-    per_class = []
-    for c in range(test.class_count):
-        members = test.labels == c
-        per_class.append(float(correct[members].mean()) if members.any() else float("nan"))
 
-    def _mean_u(mask):
-        return float(np.nanmean(mean_u[mask])) if mask.any() else float("nan")
+    def _mean(values):
+        """Mean of the non-NaN values; None (JSON null) for an empty group."""
+        return None if np.isnan(values).all() else float(np.nanmean(values))
 
     return {
         "accuracy": float(correct.mean()),
-        "per_class_accuracy": per_class,
+        "per_class_accuracy": [_mean(correct[test.labels == c].astype(float))
+                               for c in range(test.class_count)],
         "n_test": int(test.n_samples),
         "n_correct": int(correct.sum()),
         "mean_uncertainty": float(np.nanmean(mean_u)),
-        "mean_uncertainty_correct": _mean_u(correct),
-        "mean_uncertainty_incorrect": _mean_u(~correct),
+        "mean_uncertainty_correct": _mean(mean_u[correct]),
+        "mean_uncertainty_incorrect": _mean(mean_u[~correct]),
         "excluded_samplings": int(all_bad.sum()),
         "predictions": labels.tolist(),
         "vote_counts": counts.tolist(),

@@ -178,7 +178,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
     """Run the full training procedure on an incomplete dataset."""
-    std_train, _, stats = zscore_fit_transform(data)
+    std_train, stats = zscore_fit_transform(data)
     completions = build_completions(std_train, cfg, seed=_subseed(cfg.seed, _SEED_IMPUTE))
     pair_rows, pair_slots = _flatten_pairs(completions)
     n_pairs = pair_rows.size
@@ -267,7 +267,7 @@ def _evidential_step(networks, optimizers, xs, y, lam, detach_fusion,
             alphas, y, lam, detach_fusion=detach_fusion
         )
     except FusionConflictError as exc:
-        rows = batch_rows[exc.rows] if exc.rows is not None else batch_rows
+        rows = batch_rows[exc.rows]
         raise FusionConflictError(
             f"fusion conflict at epoch {epoch}, samples {rows[:8].tolist()}: {exc}",
             rows=rows,

@@ -221,3 +221,15 @@ def test_parallel_sweep_matches_serial(finished_sweep, tmp_path):
 
     assert rows(tmp_path / "par") == rows(serial)
     assert len(rows(serial)) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "m.ckpt", "--data", "d", "--out", "e.json", "--config", "c.json"],
+    ["train", "--data", "d", "--out", "m.ckpt", "--threads", "2"],
+    ["report", "--results", "r.csv", "--seed", "1"],
+])
+def test_flag_a_subcommand_does_not_read_exits_config(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err

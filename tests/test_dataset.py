@@ -79,19 +79,20 @@ class TestLoadDataset:
 class TestZScore:
     def test_two_point_column(self):
         train = MultiViewDataset([np.array([[1.0], [3.0]])], [0, 1], np.ones((2, 1), bool), 2)
-        out, _, _ = zscore_fit_transform(train)
+        out, _ = zscore_fit_transform(train)
         np.testing.assert_allclose(out.views[0].ravel(), [-1.0, 1.0])
 
     def test_constant_column_centered_only(self):
         train = MultiViewDataset([np.array([[5.0], [5.0], [5.0]])], [0, 1, 0],
                                  np.ones((3, 1), bool), 2)
-        out, _, _ = zscore_fit_transform(train)
+        out, _ = zscore_fit_transform(train)
         np.testing.assert_array_equal(out.views[0].ravel(), [0.0, 0.0, 0.0])
 
     def test_test_value_at_train_mean_is_zero(self):
         train = MultiViewDataset([np.array([[1.0], [3.0]])], [0, 1], np.ones((2, 1), bool), 2)
         test = MultiViewDataset([np.array([[2.0]])], [0], np.ones((1, 1), bool), 2)
-        _, test_out, _ = zscore_fit_transform(train, test)
+        _, stats = zscore_fit_transform(train)
+        test_out = zscore_apply(test, stats)
         assert test_out.views[0][0, 0] == 0.0
 
     def test_statistics_use_observed_entries_only(self):
@@ -100,14 +101,14 @@ class TestZScore:
         # the masked row still needs one observed view somewhere: add a second view
         data = MultiViewDataset([views[0], np.zeros((3, 1))], [0, 1, 0],
                                 np.hstack([mask, np.ones((3, 1), bool)]), 2)
-        out, _, stats = zscore_fit_transform(data)
+        out, stats = zscore_fit_transform(data)
         assert stats.means[0][0] == pytest.approx(2.0)
         np.testing.assert_allclose(out.views[0][:2].ravel(), [-1.0, 1.0])
         assert out.views[0][2, 0] == 0.0  # missing slot zeroed, never read
 
     def test_apply_matches_fit_transform(self):
         data = make_blobs_dataset(n=25, eta=0.2, seed=10)
-        out, _, stats = zscore_fit_transform(data)
+        out, stats = zscore_fit_transform(data)
         again = zscore_apply(data, stats)
         for v, w in zip(out.views, again.views):
             np.testing.assert_array_equal(v, w)
@@ -156,7 +157,7 @@ class TestMissingMask:
 class TestSplit:
     def test_exact_fraction(self):
         data = make_blobs_dataset(n=10, class_count=2, seed=2)
-        train, test = split(data, SplitSpec(0.8, seed=0, stratified=False))
+        train, test = split(data, SplitSpec(0.8, seed=0))
         assert train.n_samples == 8
         assert test.n_samples == 2
 
@@ -164,7 +165,7 @@ class TestSplit:
         labels = np.array([0] * 6 + [1] * 4)
         views = [np.arange(10.0)[:, None]]
         data = MultiViewDataset(views, labels, np.ones((10, 1), bool), 2)
-        train, test = split(data, SplitSpec(0.5, seed=1, stratified=True))
+        train, test = split(data, SplitSpec(0.5, seed=1))
         assert (train.labels == 0).sum() == 3
         assert (train.labels == 1).sum() == 2
         assert (test.labels == 0).sum() == 3
@@ -187,11 +188,11 @@ class TestSplit:
     def test_singleton_class_rejected(self):
         data = MultiViewDataset([np.zeros((3, 1))], [0, 0, 1], np.ones((3, 1), bool), 2)
         with pytest.raises(ValueError, match="stratified"):
-            split(data, SplitSpec(0.5, seed=0, stratified=True))
+            split(data, SplitSpec(0.5, seed=0))
 
     def test_every_class_in_both_partitions(self):
         data = make_blobs_dataset(n=40, class_count=5, seed=7)
-        train, test = split(data, SplitSpec(0.8, seed=8, stratified=True))
+        train, test = split(data, SplitSpec(0.8, seed=8))
         assert set(train.labels) == set(range(5))
         assert set(test.labels) == set(range(5))
 

@@ -1,5 +1,6 @@
 """Neighbor search, Gaussian estimation, and multi-sample completion."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -13,10 +14,8 @@ from evifuse.imputer import (
     _moments,
     _nearest,
     _neighbor_unions,
-    _sample_content_key,
-    _seed_states,
     _SeedState,
-    _slot_seeds,
+    _slot_states,
     _stable_cholesky,
     mean_value_completions,
     neighbor_union,
@@ -230,64 +229,105 @@ class TestStackedMoments:
         assert cov[0, 0, 1] == cov[0, 1, 0] == 0.0
 
 
-class TestSeedStates:
-    """The vectorised SeedSequence hash against numpy's, key by key."""
+def documented_state(seed, m, data, n):
+    """Slot (n, m)'s PCG64 state as the imputer docstring derives it, with hashlib alone."""
+    seed_bytes = seed.to_bytes((seed.bit_length() + 7) // 8, "little")
+    h = hashlib.blake2b(digest_size=32)
+    h.update(len(seed_bytes).to_bytes(8, "little") + seed_bytes + m.to_bytes(8, "little"))
+    h.update(bytes(data.mask[n].astype(np.uint8)))
+    for v in range(data.n_views):
+        if data.mask[n, v]:
+            h.update(data.views[v][n].astype("<f8").tobytes())
+    return np.frombuffer(h.digest(), dtype="<u8").astype(np.uint64)
 
-    EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+def slot_rng(seed, m, data, n):
+    """Generator of slot (n, m), built the way sample_completions builds it."""
+    return np.random.Generator(np.random.PCG64(_SeedState(
+        _slot_states(seed, m, data, np.array([n]))[0])))
+
+
+def first_draws(seed, m, data, n):
+    return slot_rng(seed, m, data, n).standard_normal(8).tobytes()
+
+
+class TestSeedStates:
+    """Keyed slot streams: a slot's draws depend on (seed, view, sample content) only."""
+
+    DATA = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                              seed=4, mask_seed=104)
 
     @pytest.mark.parametrize("seed, m", [
-        (0, 0),          # one word each: the pool is padded with a zero word
+        (0, 0),          # an empty seed encoding
         (8, 2),
         (2**32 - 1, 1),
-        (2**32, 0),      # two seed words: keys of 2**32 or more add a fifth word
+        (2**32, 0),
         (2**40 + 3, 1),
-        (2**70 + 9, 2),  # three seed words: every key mixes in past the pool
+        (2**70 + 9, 2),  # a seed wider than 64 bits
     ])
-    def test_matches_seed_sequence(self, seed, m):
-        rng = np.random.default_rng(seed % 1000 + m)
-        keys = (self.EDGE_KEYS
-                + rng.integers(0, 2**64, 700, dtype=np.uint64).tolist()
-                + rng.integers(0, 2**32, 300, dtype=np.uint64).tolist())
-        got = _seed_states(seed, m, keys)
-        assert got.dtype == np.uint64 and got.shape == (len(keys), 4)
-        for key, state in zip(keys, got):
-            expect = np.random.SeedSequence([seed, m, key]).generate_state(4, np.uint64)
-            assert state.tobytes() == expect.tobytes(), key
+    def test_matches_documented_derivation(self, seed, m):
+        data = self.DATA
+        rows = np.nonzero(~data.mask[:, m])[0]
+        got = _slot_states(seed, m, data, rows)
+        assert got.dtype == np.uint64 and got.shape == (rows.size, 4)
+        for n, state in zip(rows.tolist(), got):
+            assert state.tobytes() == documented_state(seed, m, data, n).tobytes(), n
 
-    def test_generators_draw_like_default_rng(self):
-        keys = self.EDGE_KEYS + [123456789, 2**50 + 7]
-        for seed in (0, 5, 2**33):
-            for key, state in zip(keys, _seed_states(seed, 1, keys)):
-                got = np.random.Generator(np.random.PCG64(_SeedState(state)))
-                expect = np.random.default_rng(np.random.SeedSequence([seed, 1, key]))
-                assert got.standard_normal((3, 4)).tobytes() == \
-                    expect.standard_normal((3, 4)).tobytes()
-                assert got.integers(0, 2**62, 5).tolist() == expect.integers(0, 2**62, 5).tolist()
+    def test_slot_draws_ignore_the_rows_completed_with_it(self):
+        train = make_blobs_dataset(n=60, class_count=3, view_dims=(2, 3, 2), eta=0.3,
+                                   seed=4, mask_seed=105)
+        test = self.DATA
 
-    def test_both_seed_paths_draw_alike(self):
-        keys = self.EDGE_KEYS * 3
-        assert len(keys) >= imputer._VECTOR_SEED_MIN
-        vectorised = _slot_seeds(9, 2, keys)
-        per_slot = _slot_seeds(9, 2, keys[:imputer._VECTOR_SEED_MIN - 1])
-        assert isinstance(vectorised[0], _SeedState)
-        assert isinstance(per_slot[0], np.random.SeedSequence)
-        for a, b in zip(vectorised, per_slot):
-            draw_a = np.random.Generator(np.random.PCG64(a)).standard_normal(6)
-            draw_b = np.random.Generator(np.random.PCG64(b)).standard_normal(6)
-            assert draw_a.tobytes() == draw_b.tobytes()
+        def draws_by_row(rows):
+            cs = sample_completions(test.subset(rows), k=4, n_samplings=3, seed=5,
+                                    reference=train, use_labels=False)
+            return {(int(rows[i]), v): cs.draws[v][j].tobytes()
+                    for v in range(cs.n_views)
+                    for j, i in enumerate(cs.imputed_rows[v])}
 
-    @pytest.mark.parametrize("slots", [1, imputer._VECTOR_SEED_MIN, 40])
+        block = draws_by_row(np.arange(test.n_samples))
+        shuffled = draws_by_row(np.random.default_rng(0).permutation(test.n_samples))
+        subset = draws_by_row(np.arange(3, test.n_samples, 4))
+        assert shuffled == block
+        assert subset == {slot: block[slot] for slot in subset}
+        incomplete = np.nonzero(~test.mask.all(axis=1))[0]
+        for n in incomplete[:12]:
+            # one row at a time, the way predict_sample completes its row
+            alone = draws_by_row(np.array([n]))
+            assert alone and alone == {slot: block[slot] for slot in alone}
+
+    def test_draws_change_with_seed_view_and_content(self):
+        data = self.DATA
+        n = int(np.nonzero(~data.mask[:, 1] & data.mask[:, 0])[0][0])
+        base = first_draws(3, 1, data, n)
+        assert first_draws(4, 1, data, n) != base
+        assert first_draws(3, 2, data, n) != base
+        view_0 = data.views[0].copy()
+        view_0[n, 0] = np.nextafter(view_0[n, 0], np.inf)
+        nudged = MultiViewDataset([view_0, *data.views[1:]], data.labels, data.mask,
+                                  data.class_count)
+        assert first_draws(3, 1, nudged, n) != base
+        # an unobserved entry is no part of the content
+        view_1 = data.views[1].copy()
+        view_1[n] += 1.0
+        hidden = MultiViewDataset([view_0, view_1, data.views[2]], data.labels, data.mask,
+                                  data.class_count)
+        assert first_draws(3, 1, hidden, n) == first_draws(3, 1, nudged, n)
+
+    def test_seed_encodings_do_not_run_together(self):
+        n = int(np.nonzero(~self.DATA.mask[:, 0])[0][0])
+        seeds = [0, 1, 256, 65536, 2**64 + 1, 2**70 + 9]
+        streams = {first_draws(s, 0, self.DATA, n) for s in seeds}
+        assert len(streams) == len(seeds)
+
+    @pytest.mark.parametrize("slots", [1, 16, 40])
     def test_negative_seed_rejected(self, slots):
         with pytest.raises(ValueError):
-            _slot_seeds(-1, 0, list(range(slots)))
+            _slot_states(-1, 0, self.DATA, np.arange(slots))
 
-    def test_negative_seed_rejected_by_completion(self, monkeypatch):
-        data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
-                                  seed=4, mask_seed=104)
-        for threshold in (0, 10**9):
-            monkeypatch.setattr(imputer, "_VECTOR_SEED_MIN", threshold)
-            with pytest.raises(ValueError):
-                sample_completions(data, k=3, n_samplings=2, seed=-1)
+    def test_negative_seed_rejected_by_completion(self):
+        with pytest.raises(ValueError):
+            sample_completions(self.DATA, k=3, n_samplings=2, seed=-1)
 
     def test_state_serves_only_pcg64(self):
         state = _SeedState(np.zeros(4, dtype=np.uint64))
@@ -425,7 +465,6 @@ def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labe
     ref = data if ref is None else ref
     draws = [[] for _ in range(data.n_views)]
     for n in range(data.n_samples):
-        key = _sample_content_key(data, n)
         for m in np.nonzero(~data.mask[n])[0].tolist():
             idx = exhaustive_union(data, ref, n, m, k, use_labels)
             if not idx and use_labels:
@@ -446,7 +485,7 @@ def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labe
                 draws[m].append(np.broadcast_to(mu, (n_samplings, d)).copy())
                 continue
             chol, _ = _stable_cholesky(cov, jitter)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, m, key]))
+            rng = slot_rng(seed, m, data, n)
             draws[m].append(mu + rng.standard_normal((n_samplings, d)) @ chol.T)
     return [np.stack(blocks) if blocks else np.empty((0, n_samplings, d))
             for blocks, d in zip(draws, data.view_dims)]
@@ -503,8 +542,6 @@ class TestBatchedDraws:
     def test_matches_slot_by_slot_reference(self, options, block, monkeypatch):
         data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
                                   seed=4, mask_seed=104)
-        # every view takes the vectorised seed path
-        assert (~data.mask).sum(axis=0).min() >= imputer._VECTOR_SEED_MIN
         monkeypatch.setattr(imputer, "_SLOT_BLOCK", block)
         got = sample_completions(data, k=3, n_samplings=5, jitter=1e-3, seed=8, **options)
         self.assert_same_draws(got, reference_completions(data, 3, 5, 1e-3, 8, **options))

@@ -1,5 +1,6 @@
 """Vote-based prediction, evaluation metrics, and the stability study."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,11 @@ from conftest import make_blobs_dataset
 
 FAST = dict(epochs=12, batch_size=32, n_samplings=4, hidden=(12,), anneal_epochs=5,
             early_stop=False)
+
+
+def with_samplings(model, n):
+    """The model with n test-time samplings, as evaluate's n_samplings override gives."""
+    return replace(model, config=replace(model.config, n_samplings=n))
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +87,8 @@ class TestPredictSample:
     def test_complete_sample_unanimous(self, fitted):
         model, test = fitted
         i = int(np.nonzero(test.mask.all(axis=1))[0][0])
-        res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
-                             n_samplings=6, seed=0)
+        res = predict_sample(with_samplings(model, 6), [v[i] for v in test.views],
+                             test.mask[i], seed=0)
         assert res.vote_counts.sum() == 6
         assert res.vote_counts.max() == 6  # all samplings identical
         assert res.excluded_samplings == 0
@@ -90,22 +96,22 @@ class TestPredictSample:
     def test_vote_counts_sum_to_samplings(self, fitted):
         model, test = fitted
         i = int(np.nonzero(~test.mask.all(axis=1))[0][0])
-        res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
-                             n_samplings=7, seed=1)
+        res = predict_sample(with_samplings(model, 7), [v[i] for v in test.views],
+                             test.mask[i], seed=1)
         assert res.vote_counts.sum() + res.excluded_samplings == 7
 
     def test_label_among_sampling_votes(self, fitted):
         model, test = fitted
         for i in range(10):
-            res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
-                                 n_samplings=5, seed=2)
+            res = predict_sample(with_samplings(model, 5), [v[i] for v in test.views],
+                                 test.mask[i], seed=2)
             assert res.vote_counts[res.label] > 0
 
     def test_single_sampling_equals_argmax(self, fitted):
         model, test = fitted
         for i in range(8):
-            res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
-                                 n_samplings=1, seed=3)
+            res = predict_sample(with_samplings(model, 1), [v[i] for v in test.views],
+                                 test.mask[i], seed=3)
             assert res.label == int(np.argmax(res.sampling_opinions.beliefs[0]))
 
     def test_matches_batched_evaluation(self, fitted):
@@ -121,8 +127,8 @@ class TestPredictSample:
         """Row s of the batch is the s-th valid sampling's fused opinion."""
         model, test = fitted
         for i in range(6):
-            res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
-                                 n_samplings=5, seed=4)
+            res = predict_sample(with_samplings(model, 5), [v[i] for v in test.views],
+                                 test.mask[i], seed=4)
             std = zscore_apply(test.subset(np.array([i])), model.stats)
             completions = complete_test_data(model, std, n_samplings=5, seed=4)
             all_b, all_u, all_bad = _sampling_opinions(model, completions)
@@ -207,6 +213,18 @@ class TestEvaluate:
         easy = make_blobs_dataset(n=30, eta=0.0, seed=61)
         metrics = evaluate(model, easy, seed=0)
         assert metrics["accuracy"] == 1.0
+
+    def test_empty_groups_report_null(self, fitted):
+        """No wrong prediction and an absent class: their entries are JSON null."""
+        model, _ = fitted
+        easy = make_blobs_dataset(n=30, eta=0.0, seed=61)
+        easy = easy.subset(np.nonzero(easy.labels != 2)[0])
+        metrics = evaluate(model, easy, seed=0)
+        assert metrics["accuracy"] == 1.0
+        assert metrics["mean_uncertainty_incorrect"] is None
+        assert metrics["per_class_accuracy"][2] is None
+        assert metrics["mean_uncertainty_correct"] is not None
+        json.dumps(metrics, allow_nan=False)
 
     def test_deterministic(self, fitted):
         model, test = fitted
@@ -350,8 +368,8 @@ class TestObservedOnce:
         model = replace(conflict_model("uimc"), stats=identity,
                         train_pool=MultiViewDataset(data.views, data.labels,
                                                     np.ones((40, 2), dtype=bool), 3))
-        res = predict_sample(model, [np.array([6.0, 0.0])] * 2, [True, True],
-                             n_samplings=5)
+        res = predict_sample(with_samplings(model, 5), [np.array([6.0, 0.0])] * 2,
+                             [True, True])
         assert res.sampling_opinions.beliefs.shape == (0, 3)
         assert res.sampling_opinions.uncertainty.shape == (0,)
         assert res.excluded_samplings == 5 and res.vote_counts.tolist() == [0, 0, 0]

@@ -88,7 +88,7 @@ class TestTrainBasics:
 
     def test_incomplete_samples_expand_by_n_samplings(self, blobs_incomplete):
         cfg = TrainConfig(seed=0, **FAST)
-        std, _, _ = zscore_fit_transform(blobs_incomplete)
+        std, _ = zscore_fit_transform(blobs_incomplete)
         completions = build_completions(std, cfg)
         rows, _ = _flatten_pairs(completions)
         n_incomplete = int((~blobs_incomplete.mask.all(axis=1)).sum())
@@ -106,7 +106,7 @@ class TestModes:
             assert 0.0 <= metrics["accuracy"] <= 1.0
 
     def test_single_imputation_uses_neighbor_mean(self, blobs_incomplete):
-        std, _, _ = zscore_fit_transform(blobs_incomplete)
+        std, _ = zscore_fit_transform(blobs_incomplete)
         cfg_multi = TrainConfig(seed=2, mode="uimc", **FAST)
         cfg_point = TrainConfig(seed=2, mode="single_imputation", **FAST)
         multi = build_completions(std, cfg_multi, seed=0)
@@ -147,7 +147,7 @@ class TestAccounting:
         reported = model.loss_history[0]
 
         # recompute with identically re-initialized networks on the same completions
-        std, _, _ = zscore_fit_transform(data)
+        std, _ = zscore_fit_transform(data)
         completions = build_completions(std, cfg, seed=_subseed(cfg.seed, _SEED_IMPUTE))
         rows, slots = _flatten_pairs(completions)
         nets = [EvidenceNetwork([d, *cfg.hidden, data.class_count],
