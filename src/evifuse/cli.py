@@ -19,7 +19,7 @@ import numpy as np
 from evifuse import experiments
 from evifuse.dataset import MissingnessSpec, generate_missing_mask, load_dataset
 from evifuse.fusion import FusionConflictError
-from evifuse.imputer import CholeskyEscalationError, sample_completions
+from evifuse.imputer import sample_completions
 from evifuse.predictor import evaluate, stability_experiment
 from evifuse.trainer import (
     MODES,
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seed = _flag("--seed", type=int, default=None,
                  help="seed override (defaults to 0 or the config file)")
     config = _flag("--config", type=Path, default=None,
-                   help="training config JSON (schema 1)")
+                   help="training config JSON (schema 2)")
 
     p = sub.add_parser("mask", parents=[seed], help="generate a missingness mask")
     p.add_argument("--data", type=Path, required=True)
@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--ns", type=int, default=30)
     p.add_argument("--jitter", type=float, default=1e-3)
-    p.add_argument("--diag-cov", action="store_true")
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("train", parents=[seed, config], help="train a model")
@@ -145,7 +144,6 @@ def _cmd_impute(args) -> int:
     completions = sample_completions(
         _load_data(args.data, args.mask), k=args.k, n_samplings=args.ns,
         jitter=args.jitter, seed=args.seed if args.seed is not None else 0,
-        diag_cov=args.diag_cov,
     )
     experiments.write_completion_directory(completions, args.out)
     print(f"wrote {completions.n_samplings} samplings to {args.out}")
@@ -242,8 +240,7 @@ def main(argv=None) -> int:
     except (ValueError, CheckpointError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FusionConflictError, NonFiniteLossError, CholeskyEscalationError,
-            FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FusionConflictError, NonFiniteLossError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -167,21 +167,17 @@ def _fuse_alphas_vjp(cache, grad_fused: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def total_loss_alpha_grads(view_alphas: list[np.ndarray], label, lam: float,
-                           detach_fusion: bool = False):
+def total_loss_alpha_grads(view_alphas: list[np.ndarray], label, lam: float):
     """Losses and d(total)/d(alpha^v) for every view, fusing internally.
 
     Returns (fused_term, view_terms, grads) where fused_term is the fused
     head's loss, view_terms is a list of per-view losses, and grads[v] is
     the gradient of the summed objective with respect to view v's
-    concentrations. With ``detach_fusion`` the fused head still
-    contributes to the loss value but not to the gradients of the
-    per-view evidence.
+    concentrations.
     """
     fused, cache = _fuse_alphas(view_alphas)
     losses, grads = loss_and_grad(np.stack([fused, *view_alphas]), label, lam)
     view_grads = list(grads[1:])
-    if not detach_fusion:
-        for g, extra in zip(view_grads, _fuse_alphas_vjp(cache, grads[0])):
-            g += extra
+    for g, extra in zip(view_grads, _fuse_alphas_vjp(cache, grads[0])):
+        g += extra
     return losses[0], list(losses[1:]), view_grads

@@ -19,10 +19,22 @@ words of one ``hashlib.blake2b(digest_size=32)`` digest over:
 - each observed view's row of the sample, in view order, as little-endian
   float64.
 
+A slot whose union holds c view-m rows X (c x d) has mean mu = X.mean(0)
+and factor F = (X - mu) / sqrt(c - 1), all zeros for c = 1, so that
+F.T @ F is the unbiased sample covariance S. A slot with no candidate
+takes the column means of view m as mu and an empty factor (c = 0). The
+slot draws one ``standard_normal((n_samplings, c + d))`` array z from its
+generator, and its draws are
+
+    x = mu + z[:, :c] @ F + sqrt(jitter) * z[:, c:]
+
+(added in that order), an exact sample of N(mu, S + jitter * I): no d x d
+matrix is formed or factored.
+
 Slots are completed a block at a time: one GEMM neighbor search
 (``_nearest``) per (missing view, observed view, label group), merged
-into per-slot unions (``_neighbor_unions``), moments stacked per union
-size (``_moments``), then stacked Cholesky factors and draws. A
+into per-slot unions (``_neighbor_unions``), then means and factors
+stacked per union size (``_moments``) and draws per union size. A
 ``CompletionSet`` holds the observed entries once and the draws per slot.
 """
 
@@ -35,14 +47,9 @@ import numpy as np
 
 from evifuse.dataset import MultiViewDataset
 
-_MAX_JITTER = 1.0
-# Slots searched, factored and drawn together: bounds the distance block
-# (slots x candidates) and the covariance, factor and draw stacks.
+# Slots searched and drawn together: bounds the distance block
+# (slots x candidates) and the factor and normal stacks.
 _SLOT_BLOCK = 128
-
-
-class CholeskyEscalationError(RuntimeError):
-    """Covariance stayed non-factorizable after jitter escalation up to 1.0."""
 
 
 @dataclass(frozen=True)
@@ -141,41 +148,27 @@ def neighbor_union(
     return _neighbor_unions(data, ref, np.array([n]), m, query.k, query.use_labels)[0]
 
 
-def _moments(neighbors: np.ndarray, diag_only: bool):
-    """Means (B, d) and unbiased covariances (B, d, d) of B row sets of equal size.
+def _moments(neighbors: np.ndarray):
+    """Means (B, d) and covariance factors (B, c, d) of B row sets of c rows each.
 
-    ``neighbors`` is (B, c, d); one row (c = 1) gives zero covariance. Per
-    set, ``centred.T @ centred / (c - 1)`` is what ``np.cov`` computes, bit
-    for bit, and the diagonal variances are ``var(ddof=1)``.
+    A set's factor is its centred rows over sqrt(c - 1), so factor.T @
+    factor is its unbiased covariance; one row (c = 1) gives a zero factor.
     """
     count = neighbors.shape[1]
     mu = neighbors.mean(axis=1)
-    if count > 1 and not diag_only:
-        centred = neighbors - mu[:, None, :]
-        cov = np.matmul(centred.transpose(0, 2, 1), centred)
-        cov *= 1.0 / (count - 1)
-        return mu, cov
-    d = mu.shape[1]
-    cov = np.zeros((mu.shape[0], d, d))
+    factor = neighbors - mu[:, None, :]
     if count > 1:
-        # written onto zeros: var * eye would turn an infinite variance into NaNs
-        cov[:, np.arange(d), np.arange(d)] = neighbors.var(axis=1, ddof=1)
-    return mu, cov
+        factor /= np.sqrt(count - 1)
+    return mu, factor
 
 
 def _stable_cholesky(cov: np.ndarray, jitter: float):
-    """Cholesky of cov + eps*I, escalating eps tenfold up to 1.0 on failure."""
-    d = cov.shape[0]
-    eps = jitter
-    while True:
-        try:
-            return np.linalg.cholesky(cov + eps * np.eye(d)), eps
-        except np.linalg.LinAlgError:
-            if eps >= _MAX_JITTER:
-                raise CholeskyEscalationError(
-                    f"covariance not factorizable even with jitter {eps:g}"
-                ) from None
-            eps = min(eps * 10.0 if eps > 0.0 else 1e-6, _MAX_JITTER)
+    """Cholesky factor of cov + jitter * I, and the jitter used.
+
+    No code path calls it; the benchmark's Cholesky span hooks this name
+    until it is re-hooked on the low-rank draw.
+    """
+    return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0])), jitter
 
 
 class _SeedState(np.random.bit_generator.ISeedSequence):
@@ -285,7 +278,6 @@ def sample_completions(
     *,
     reference: MultiViewDataset | None = None,
     use_labels: bool = True,
-    diag_cov: bool = False,
     point_estimate: bool = False,
 ) -> CompletionSet:
     """Draw ``n_samplings`` completions for every missing view of every sample.
@@ -293,7 +285,8 @@ def sample_completions(
     ``reference`` supplies the candidate pool (defaults to ``data`` itself,
     the train-time setting); pass the training set when completing test
     data. ``point_estimate`` replaces draws by the neighbor mean, the
-    single-imputation baseline.
+    single-imputation baseline. ``jitter`` is the variance added to every
+    feature of a draw (see the module doc).
 
     Fallbacks when no candidate satisfies the eligibility predicate:
     first drop the label restriction, then fall back to the column means
@@ -303,29 +296,32 @@ def sample_completions(
         raise ValueError("n_samplings must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (np.isfinite(jitter) and jitter >= 0.0):
+        raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
     ref = reference if reference is not None else data
+    scale = np.sqrt(jitter)
     draws = []
     for m in range(data.n_views):
         rows = np.nonzero(~data.mask[:, m])[0]
-        out = np.empty((rows.size, n_samplings, data.view_dims[m]))
+        d = data.view_dims[m]
+        out = np.empty((rows.size, n_samplings, d))
         states = None if point_estimate else _slot_states(seed, m, data, rows)
         for start in range(0, rows.size, _SLOT_BLOCK):
             block = rows[start:start + _SLOT_BLOCK]
             part = out[start:start + block.size]
-            mu, cov = _slot_distribution(data, ref, block, m, k, use_labels, diag_cov)
+            mu, groups = _slot_distribution(data, ref, block, m, k, use_labels)
             if point_estimate:
                 part[:] = mu[:, None, :]
                 continue
-            try:
-                chol = np.linalg.cholesky(cov + jitter * np.eye(mu.shape[1]))
-            except np.linalg.LinAlgError:
-                # escalate the jitter only for the slots that need it
-                chol = np.stack([_stable_cholesky(c, jitter)[0] for c in cov])
-            z = np.stack([np.random.Generator(np.random.PCG64(_SeedState(state)))
-                          .standard_normal((n_samplings, mu.shape[1]))
-                          for state in states[start:start + block.size]])
-            np.matmul(z, chol.transpose(0, 2, 1), out=part)
-            part += mu[:, None, :]
+            for slots, factor in groups:
+                count = factor.shape[1]
+                z = np.stack([np.random.Generator(np.random.PCG64(_SeedState(state)))
+                              .standard_normal((n_samplings, count + d))
+                              for state in states[start + slots]])
+                x = np.matmul(z[:, :, :count], factor)
+                x += mu[slots, None, :]
+                x += scale * z[:, :, count:]
+                part[slots] = x
         draws.append(out)
     return _completion_set(data, n_samplings, draws)
 
@@ -367,22 +363,30 @@ def _column_means(ref: MultiViewDataset) -> list:
     return means
 
 
-def _slot_distribution(data, ref, rows, m, k, use_labels, diag_cov):
-    """Stacked (mu, raw covariance) of the slots (rows, m), applying the fallback chain."""
+def _slot_distribution(data, ref, rows, m, k, use_labels):
+    """Means of the slots (rows, m) and their factors per union size, applying the fallback chain.
+
+    Returns mu (len(rows), d) and one (slot positions, factors (G, c, d))
+    pair per union size c; column-mean slots have c = 0.
+    """
     unions = _neighbor_unions(data, ref, rows, m, k, use_labels)
     retry = [i for i, idx in enumerate(unions) if idx.size == 0]
     if use_labels and retry:
         for i, idx in zip(retry, _neighbor_unions(data, ref, rows[retry], m, k, False)):
             unions[i] = idx
     d = ref.view_dims[m]
-    mu, cov = np.empty((rows.size, d)), np.zeros((rows.size, d, d))
+    mu = np.empty((rows.size, d))
     by_size = {}
     for i, idx in enumerate(unions):
         by_size.setdefault(idx.size, []).append(i)
-    empty = by_size.pop(0, None)
-    if empty:
-        mu[empty] = _column_means(ref)[m]
+    groups = []
     for size, slots in by_size.items():
-        index = np.concatenate([unions[i] for i in slots]).reshape(len(slots), size)
-        mu[slots], cov[slots] = _moments(ref.views[m][index], diag_cov)
-    return mu, cov
+        slots = np.array(slots)
+        if size == 0:
+            mu[slots] = _column_means(ref)[m]
+            factor = np.empty((slots.size, 0, d))
+        else:
+            index = np.concatenate([unions[i] for i in slots]).reshape(slots.size, size)
+            mu[slots], factor = _moments(ref.views[m][index])
+        groups.append((slots, factor))
+    return mu, groups

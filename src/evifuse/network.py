@@ -66,9 +66,12 @@ class EvidenceNetwork:
             )
         hiddens = [h]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
             hiddens.append(h)
-        logits = h @ self.weights[-1] + self.biases[-1]
+        logits = h @ self.weights[-1]
+        logits += self.biases[-1]
         return logits, {"hiddens": hiddens, "logits": logits, "single": single}
 
     def forward_logits(self, x: np.ndarray, return_cache: bool = False):

@@ -33,7 +33,7 @@ from evifuse.network import Adam, EvidenceNetwork
 MODES = ("uimc", "single_imputation", "naive_ce", "mean_imputation")
 
 CHECKPOINT_VERSION = 2
-CONFIG_SCHEMA = 1
+CONFIG_SCHEMA = 2
 
 # fixed subkeys carving independent RNG streams out of the config seed
 _SEED_INIT, _SEED_IMPUTE, _SEED_SHUFFLE = 101, 102, 103
@@ -64,8 +64,6 @@ class TrainConfig:
     seed: int = 0
     mode: str = "uimc"
     hidden: tuple = (128,)
-    detach_fusion: bool = False
-    diag_cov: bool = False
     early_stop: bool = True
     patience: int = 20
     plateau_tol: float = 1e-3
@@ -77,6 +75,8 @@ class TrainConfig:
             raise ValueError("n_samplings must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -97,7 +97,7 @@ class TrainConfig:
         data = dict(raw)
         schema = data.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
-            raise ValueError(f"unsupported config schema {schema}")
+            raise ValueError(f"config schema {schema} unsupported (expected {CONFIG_SCHEMA})")
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -148,12 +148,11 @@ def build_completions(data: MultiViewDataset, cfg: TrainConfig,
     if cfg.mode == "single_imputation":
         return sample_completions(
             data, k=cfg.k, n_samplings=1, jitter=cfg.jitter, seed=seed_val,
-            reference=reference, use_labels=use_labels, diag_cov=cfg.diag_cov,
-            point_estimate=True,
+            reference=reference, use_labels=use_labels, point_estimate=True,
         )
     return sample_completions(
         data, k=cfg.k, n_samplings=cfg.n_samplings, jitter=cfg.jitter, seed=seed_val,
-        reference=reference, use_labels=use_labels, diag_cov=cfg.diag_cov,
+        reference=reference, use_labels=use_labels,
     )
 
 
@@ -219,8 +218,7 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
             with np.errstate(over="ignore", invalid="ignore"):
                 if cfg.mode in ("uimc", "single_imputation"):
                     fused_sum, view_sums = _evidential_step(
-                        networks, optimizers, xs, y, lam, cfg.detach_fusion,
-                        epoch=epoch, batch_rows=rows,
+                        networks, optimizers, xs, y, lam, epoch=epoch, batch_rows=rows,
                     )
                 else:
                     fused_sum, view_sums = _cross_entropy_step(networks, optimizers, xs, y)
@@ -254,8 +252,7 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
     )
 
 
-def _evidential_step(networks, optimizers, xs, y, lam, detach_fusion,
-                     epoch, batch_rows):
+def _evidential_step(networks, optimizers, xs, y, lam, epoch, batch_rows):
     batch_size = y.shape[0]
     alphas, caches = [], []
     for net, x in zip(networks, xs):
@@ -263,9 +260,7 @@ def _evidential_step(networks, optimizers, xs, y, lam, detach_fusion,
         alphas.append(evidence + 1.0)
         caches.append(cache)
     try:
-        fused_term, view_terms, grads = total_loss_alpha_grads(
-            alphas, y, lam, detach_fusion=detach_fusion
-        )
+        fused_term, view_terms, grads = total_loss_alpha_grads(alphas, y, lam)
     except FusionConflictError as exc:
         rows = batch_rows[exc.rows]
         raise FusionConflictError(
@@ -348,7 +343,10 @@ def load_model(path) -> TrainedModel:
                 f"checkpoint version {meta['ckpt_version']} unsupported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
-        cfg = TrainConfig.from_dict(meta["config"])
+        try:
+            cfg = TrainConfig.from_dict(meta["config"])
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint {path} holds an unusable config: {exc}") from exc
         networks = []
         for v, sizes in enumerate(meta["layer_sizes"]):
             net = EvidenceNetwork(sizes, seed=0)

@@ -39,10 +39,15 @@ def write_dataset_dir(path, data: MultiViewDataset, include_mask=True):
 
 def write_checkpoint_version(path, version):
     """Rewrite a checkpoint so its meta names another format version."""
+    rewrite_checkpoint_meta(path, lambda meta: meta.update(ckpt_version=version))
+
+
+def rewrite_checkpoint_meta(path, edit):
+    """Rewrite a checkpoint after ``edit`` has changed its meta dict in place."""
     with np.load(path) as payload:
         arrays = {key: payload[key] for key in payload.files}
     meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-    meta["ckpt_version"] = version
+    edit(meta)
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)

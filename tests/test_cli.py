@@ -59,6 +59,19 @@ def test_eval_on_fewer_views_than_the_model_exits_config(tmp_path, capsys):
                              tmp_path, capsys)
 
 
+def test_negative_jitter_exits_config(tmp_path, capsys):
+    data_dir = write_dataset_dir(tmp_path / "data",
+                                 make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, "jitter": -1}))
+    assert cli.main(["impute", "--data", str(data_dir), "--jitter", "-1",
+                     "--out", str(tmp_path / "imputed")]) == cli.EXIT_CONFIG
+    assert cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.ckpt"),
+                     "--config", str(config)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.count("jitter must be") == 2
+    assert not (tmp_path / "imputed").exists() and not (tmp_path / "m.ckpt").exists()
+
+
 def test_impute_output_loads_as_dataset(tmp_path):
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))

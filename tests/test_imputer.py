@@ -16,7 +16,6 @@ from evifuse.imputer import (
     _neighbor_unions,
     _SeedState,
     _slot_states,
-    _stable_cholesky,
     mean_value_completions,
     neighbor_union,
     sample_completions,
@@ -174,59 +173,44 @@ def exhaustive_union(data, ref, n, m, k, use_labels):
 
 
 class TestEstimateGaussian:
-    """_moments of one neighbor set: mean and unbiased covariance."""
+    """_moments of one neighbor set: mean and covariance factor."""
 
     def test_two_neighbors(self):
-        mu, cov = _moments(np.array([[[0.0, 0.0], [2.0, 2.0]]]), diag_only=False)
+        mu, factor = _moments(np.array([[[0.0, 0.0], [2.0, 2.0]]]))
         np.testing.assert_array_equal(mu, [[1.0, 1.0]])
-        np.testing.assert_array_equal(cov, [[[2.0, 2.0], [2.0, 2.0]]])
+        np.testing.assert_array_equal(factor, [[[-1.0, -1.0], [1.0, 1.0]]])
+        np.testing.assert_array_equal(factor[0].T @ factor[0], [[2.0, 2.0], [2.0, 2.0]])
 
     def test_single_neighbor_point_mass(self):
-        for diag_only in (False, True):
-            mu, cov = _moments(np.array([[[5.0]]]), diag_only)
-            np.testing.assert_array_equal(mu, [[5.0]])
-            np.testing.assert_array_equal(cov, [[[0.0]]])
+        mu, factor = _moments(np.array([[[5.0]]]))
+        np.testing.assert_array_equal(mu, [[5.0]])
+        np.testing.assert_array_equal(factor, [[[0.0]]])
 
     def test_identical_neighbors(self):
-        mu, cov = _moments(np.array([[[1.0], [1.0], [1.0]]]), diag_only=False)
+        mu, factor = _moments(np.array([[[1.0], [1.0], [1.0]]]))
         np.testing.assert_array_equal(mu, [[1.0]])
-        np.testing.assert_array_equal(cov, [[[0.0]]])
-
-    def test_diagonal_switch(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(1, 20, 3))
-        _, cov = _moments(pts, diag_only=True)
-        off = cov[0] - np.diag(np.diag(cov[0]))
-        np.testing.assert_array_equal(off, 0.0)
-        np.testing.assert_array_equal(np.diag(cov[0]), pts[0].var(axis=0, ddof=1))
+        np.testing.assert_array_equal(factor, np.zeros((1, 3, 1)))
 
 
 class TestStackedMoments:
-    """_moments over a (B, c, d) stack against np.cov and var per set, bit for bit."""
+    """_moments over a (B, c, d) stack against each set's mean and centred rows, bit for bit."""
 
     @pytest.mark.parametrize("count", [1, 2, 10, 20])
     @pytest.mark.parametrize("dim", [1, 3, 40])
     def test_matches_per_set_reference(self, count, dim):
         sets = np.random.default_rng(count * 100 + dim).normal(0.0, 2.0, (5, count, dim))
-        mu, cov = _moments(sets, diag_only=False)
-        mu_diag, cov_diag = _moments(sets, diag_only=True)
-        assert mu.tobytes() == mu_diag.tobytes()
-        for rows, got_mu, got_cov, got_diag in zip(sets, mu, cov, cov_diag):
+        mu, factor = _moments(sets)
+        assert factor.shape == sets.shape
+        for rows, got_mu, got_factor in zip(sets, mu, factor):
             assert got_mu.tobytes() == rows.mean(axis=0).tobytes()
             if count == 1:
-                full = diag = np.zeros((dim, dim))
-            else:
-                full = np.cov(rows, rowvar=False, ddof=1).reshape(dim, dim)
-                diag = np.diag(rows.var(axis=0, ddof=1))
-            assert got_cov.tobytes() == full.tobytes()
-            assert got_diag.tobytes() == diag.tobytes()
-
-    def test_infinite_variance_leaves_off_diagonal_zero(self):
-        sets = np.array([[[1e200, 0.0], [-1e200, 1.0]]])
-        with np.errstate(over="ignore"):
-            _, cov = _moments(sets, diag_only=True)
-        assert cov[0, 0, 0] == np.inf
-        assert cov[0, 0, 1] == cov[0, 1, 0] == 0.0
+                np.testing.assert_array_equal(got_factor, np.zeros((1, dim)))
+                continue
+            centred = (rows - rows.mean(axis=0)) / np.sqrt(count - 1)
+            assert got_factor.tobytes() == centred.tobytes()
+            np.testing.assert_allclose(got_factor.T @ got_factor,
+                                       np.cov(rows, rowvar=False).reshape(dim, dim),
+                                       rtol=1e-12, atol=1e-12)
 
 
 def documented_state(seed, m, data, n):
@@ -391,8 +375,9 @@ class TestSampleCompletions:
         sample = cs.draws[1][0]  # (draws, d)
 
         idx = _neighbor_unions(data, data, np.array([0]), 1, 10, True)[0]
-        mu, cov = _moments(data.views[1][idx][None], diag_only=False)
-        mu, sigma = mu[0], cov[0] + jitter * np.eye(d)
+        neighbors = data.views[1][idx]
+        mu = neighbors.mean(axis=0)
+        sigma = np.cov(neighbors, rowvar=False) + jitter * np.eye(d)
         # mean within 3 standard errors per coordinate
         se_mean = np.sqrt(np.diag(sigma) / draws)
         assert np.all(np.abs(sample.mean(axis=0) - mu) < 3 * se_mean)
@@ -427,6 +412,11 @@ class TestSampleCompletions:
         with pytest.raises(ValueError):
             sample_completions(blobs_incomplete, k=0, n_samplings=2)
 
+    @pytest.mark.parametrize("jitter", [-0.5, -1e-300, np.inf, np.nan])
+    def test_jitter_validation(self, blobs_incomplete, jitter):
+        with pytest.raises(ValueError, match="jitter"):
+            sample_completions(blobs_incomplete, k=3, n_samplings=2, jitter=jitter)
+
     def test_provenance_tracks_mask(self, blobs_incomplete, tmp_path):
         cs = sample_completions(blobs_incomplete, k=4, n_samplings=2, seed=5)
         write_completion_directory(cs, tmp_path)
@@ -460,8 +450,8 @@ class TestSampleCompletions:
 
 
 def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labels=True,
-                          diag_cov=False, point_estimate=False):
-    """Draws slot by slot: full-scan search, np.cov, _stable_cholesky, keyed RNG."""
+                          point_estimate=False):
+    """Draws slot by slot: full-scan search, keyed RNG, the imputer docstring's low-rank draw."""
     ref = data if ref is None else ref
     draws = [[] for _ in range(data.n_views)]
     for n in range(data.n_samples):
@@ -469,24 +459,19 @@ def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labe
             idx = exhaustive_union(data, ref, n, m, k, use_labels)
             if not idx and use_labels:
                 idx = exhaustive_union(data, ref, n, m, k, False)
-            d = ref.view_dims[m]
+            c, d = len(idx), ref.view_dims[m]
             if not idx:
-                mu, cov = ref.views[m][ref.mask[:, m]].mean(axis=0), np.zeros((d, d))
+                mu = ref.views[m][ref.mask[:, m]].mean(axis=0)
+                factor = np.zeros((0, d))
             else:
                 rows = ref.views[m][idx]
                 mu = rows.mean(axis=0)
-                if len(idx) == 1:
-                    cov = np.zeros((d, d))
-                elif diag_cov:
-                    cov = np.diag(rows.var(axis=0, ddof=1))
-                else:
-                    cov = np.cov(rows, rowvar=False, ddof=1).reshape(d, d)
+                factor = (rows - mu) / np.sqrt(c - 1) if c > 1 else np.zeros((1, d))
             if point_estimate:
                 draws[m].append(np.broadcast_to(mu, (n_samplings, d)).copy())
                 continue
-            chol, _ = _stable_cholesky(cov, jitter)
-            rng = slot_rng(seed, m, data, n)
-            draws[m].append(mu + rng.standard_normal((n_samplings, d)) @ chol.T)
+            z = slot_rng(seed, m, data, n).standard_normal((n_samplings, c + d))
+            draws[m].append(mu + z[:, :c] @ factor + np.sqrt(jitter) * z[:, c:])
     return [np.stack(blocks) if blocks else np.empty((0, n_samplings, d))
             for blocks, d in zip(draws, data.view_dims)]
 
@@ -499,24 +484,31 @@ def fallback_dataset():
     means. Rows 30-31 observe only view 2: no candidate shares a view with
     them, labelled or not. Row 32 is the only one of class 3, so its view-1
     slot drops the label. Rows 33-36 have one and the same view-1 row next
-    to row 37's view 0, so row 37's view-1 covariance is zero: with jitter
-    0 it needs escalation, inside the block of the other view-1 slots.
+    to row 37's view 0, so row 37's view-1 covariance is zero. Rows 38-39
+    are the only ones of class 4 and only row 38 observes view 1, so with
+    labels row 39's view-1 union is that one row. All view-1 slots fall in
+    one block, with union sizes 0 (rows 30-31), 1 (row 39, with labels)
+    and 4.
     """
     base = make_blobs_dataset(n=30, class_count=3, view_dims=(2, 3, 2), seed=9)
-    labels = np.concatenate([base.labels, [0, 1, 3, 0, 0, 0, 0, 0]])
+    labels = np.concatenate([base.labels, [0, 1, 3, 0, 0, 0, 0, 0, 4, 4]])
     rng = np.random.default_rng(10)
     v0 = np.vstack([base.views[0], np.zeros((2, 2)), [[0.5, 0.5]],
-                    [50.0, 50.0] + rng.normal(0.0, 0.1, (4, 2)), [[50.0, 50.0]]])
-    v1 = np.vstack([base.views[1], np.zeros((3, 3)), np.full((4, 3), 5.0), np.zeros((1, 3))])
-    v2 = np.vstack([base.views[2], rng.normal(0.0, 1.0, (8, 2))])
-    mask = np.zeros((38, 3), dtype=bool)
+                    [50.0, 50.0] + rng.normal(0.0, 0.1, (4, 2)), [[50.0, 50.0]],
+                    np.full((2, 2), -50.0)])
+    v1 = np.vstack([base.views[1], np.zeros((3, 3)), np.full((4, 3), 5.0), np.zeros((1, 3)),
+                    np.full((2, 3), -5.0)])
+    v2 = np.vstack([base.views[2], rng.normal(0.0, 1.0, (10, 2))])
+    mask = np.zeros((40, 3), dtype=bool)
     mask[:30, :2] = True
     mask[0:30:5, 1] = False
     mask[30:32, 2] = True
     mask[32, 0] = True
     mask[33:37, :2] = True
     mask[37, 0] = True
-    return MultiViewDataset([v0, v1, v2], labels, mask, 4)
+    mask[38, :2] = True
+    mask[39, 0] = True
+    return MultiViewDataset([v0, v1, v2], labels, mask, 5)
 
 
 class TestBatchedDraws:
@@ -531,12 +523,11 @@ class TestBatchedDraws:
     # ids: options<i> with 4 slots a block, options<i>-block<b> with b slots
     @pytest.mark.parametrize("options, block", [
         pytest.param(options, block, id=f"options{i}" + ("" if block == 4 else f"-block{block}"))
-        for i, options in enumerate([
-            dict(),
-            dict(use_labels=False),
-            dict(diag_cov=True),
-            dict(point_estimate=True),
-        ])
+        for i, options in [
+            (0, dict()),
+            (1, dict(use_labels=False)),
+            (3, dict(point_estimate=True)),
+        ]
         for block in (1, 4, 128)
     ])
     def test_matches_slot_by_slot_reference(self, options, block, monkeypatch):
@@ -563,8 +554,11 @@ class TestBatchedDraws:
                                  use_labels=use_labels)
         self.assert_same_draws(
             got, reference_completions(data, 4, 5, 0.0, 3, use_labels=use_labels))
+        sizes = [len(exhaustive_union(data, data, n, 1, 4, use_labels)) for n in (30, 39, 37)]
+        assert sizes == ([0, 1, 4] if use_labels else [0, 4, 4])
         row_37 = int(np.searchsorted(got.imputed_rows[1], 37))
-        assert np.ptp(got.draws[1][row_37], axis=0).max() > 0.0  # drawn with escalated jitter
+        # a zero covariance at jitter 0 draws the mean itself
+        np.testing.assert_array_equal(got.draws[1][row_37], np.full((5, 3), 5.0))
         column_mean = data.views[2][30:32].mean(axis=0)  # the rows observing view 2
         np.testing.assert_allclose(got.draws[2][0], np.tile(column_mean, (5, 1)), atol=1e-2)
 

@@ -14,6 +14,7 @@ from evifuse.fusion import _fuse_alphas
 from evifuse.network import EvidenceNetwork
 from evifuse.predictor import evaluate
 from evifuse.trainer import (
+    CONFIG_SCHEMA,
     CheckpointError,
     NonFiniteLossError,
     TrainConfig,
@@ -25,7 +26,7 @@ from evifuse.trainer import (
     save_model,
     train,
 )
-from conftest import make_blobs_dataset, write_checkpoint_version
+from conftest import make_blobs_dataset, rewrite_checkpoint_meta, write_checkpoint_version
 
 FAST = dict(epochs=12, batch_size=32, n_samplings=4, hidden=(12,), anneal_epochs=5,
             early_stop=False)
@@ -134,6 +135,14 @@ class TestModes:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(mode="bogus")
+
+    @pytest.mark.parametrize("jitter", [-0.5, np.inf, np.nan])
+    def test_invalid_jitter_rejected(self, jitter):
+        with pytest.raises(ValueError, match="jitter"):
+            TrainConfig(jitter=jitter)
+
+    def test_zero_jitter_accepted(self):
+        assert TrainConfig(jitter=0.0).jitter == 0.0
 
 
 class TestAccounting:
@@ -274,11 +283,26 @@ class TestCheckpoint:
 
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
-            TrainConfig.from_dict({"schema": 1, "epoch": 5})
+            TrainConfig.from_dict({"schema": CONFIG_SCHEMA, "epoch": 5})
 
     def test_config_rejects_wrong_schema(self):
         with pytest.raises(ValueError, match="schema"):
-            TrainConfig.from_dict({"schema": 2})
+            TrainConfig.from_dict({"schema": CONFIG_SCHEMA + 1})
+
+    def test_schema_1_config_rejected(self):
+        old = {**TrainConfig().to_dict(), "schema": 1, "detach_fusion": False,
+               "diag_cov": False}
+        with pytest.raises(ValueError, match="schema 1"):
+            TrainConfig.from_dict(old)
+
+    def test_schema_1_checkpoint_rejected(self, toy_model, tmp_path):
+        _, _, model = toy_model
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        rewrite_checkpoint_meta(path, lambda meta: meta["config"].update(
+            schema=1, detach_fusion=False, diag_cov=False))
+        with pytest.raises(CheckpointError, match="schema 1"):
+            load_model(path)
 
 
 class TestEarlyStop:
