@@ -16,7 +16,7 @@ from evifuse.dataset import (
     split,
     zscore_fit_transform,
 )
-from evifuse.evidential import AnnealSchedule, SubjectiveOpinion, anneal_lambda
+from evifuse.evidential import SubjectiveOpinion, anneal_lambda
 from evifuse.fusion import FusionConflictError
 from evifuse.imputer import CompletionSet, sample_completions
 from evifuse.network import Adam, EvidenceNetwork
@@ -26,7 +26,6 @@ from evifuse.trainer import TrainConfig, TrainedModel, load_model, save_model, t
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnealSchedule",
     "Adam",
     "CompletionSet",
     "EvidenceNetwork",

@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seed = _flag("--seed", type=int, default=None,
                  help="seed override (defaults to 0 or the config file)")
     config = _flag("--config", type=Path, default=None,
-                   help="training config JSON (schema 2)")
+                   help="training config JSON (schema 3)")
 
     p = sub.add_parser("mask", parents=[seed], help="generate a missingness mask")
     p.add_argument("--data", type=Path, required=True)

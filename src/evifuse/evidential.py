@@ -71,24 +71,11 @@ class SubjectiveOpinion:
         object.__setattr__(self, "uncertainty", u if u.ndim else float(u))
 
 
-@dataclass(frozen=True)
-class AnnealSchedule:
-    """Linear ramp of the regularizer weight: min(final_value, epoch / decay_epochs)."""
-
-    final_value: float = 1.0
-    decay_epochs: int = 50
-
-    def __post_init__(self):
-        if not 0.0 < self.final_value <= 1.0:
-            raise ValueError("final_value must lie in (0, 1]")
-        if self.decay_epochs < 1:
-            raise ValueError("decay_epochs must be >= 1")
-
-
-def anneal_lambda(epoch: int, schedule: AnnealSchedule) -> float:
+def anneal_lambda(epoch: int, decay_epochs: int) -> float:
+    """KL weight of an epoch: a linear ramp min(1, epoch / decay_epochs)."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return min(schedule.final_value, epoch / schedule.decay_epochs)
+    return min(1.0, epoch / decay_epochs)
 
 
 def _opinion_arrays(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

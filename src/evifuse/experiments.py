@@ -148,6 +148,8 @@ def _run_cell_guarded(data, eta, seed, mode, cfg, cells_dir: Path,
     with os.fdopen(fd, "w") as fh:
         fh.write(f"{os.getpid()} {socket.gethostname()}")
     try:
+        if result_path.exists():  # written by a worker that let go of the lock meanwhile
+            return
         try:
             row = run_cell(data, eta, seed, mode, cfg, train_fraction)
         except Exception as exc:  # record the failure, keep sweeping

@@ -1,16 +1,18 @@
 """Per-view evidence classifier: a small MLP with exact reverse-mode gradients.
 
 Hidden layers use the rectifier; the output head applies softplus so the
-network emits a nonnegative per-class evidence vector. Forward passes can
-cache activations for a subsequent backward call, which accepts an
-arbitrary upstream gradient on the evidence (or on the raw logits, for
-cross-entropy baselines). Optimization is an adaptive-moment update with
-bias correction and decoupled weight decay.
+network emits nonnegative per-class evidence for each (rows, features)
+input row. Forward passes can cache activations for a backward call, which
+accepts an upstream gradient on the evidence (or on the raw logits, for
+cross-entropy baselines). One adaptive-moment update with bias correction
+and decoupled weight decay steps the arrays of all heads (Kingma & Ba, 2015).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 1e-5
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -58,11 +60,10 @@ class EvidenceNetwork:
 
     def _forward_linear(self, x: np.ndarray):
         """Runs all layers, rectifying between them; returns final logits + cache."""
-        single = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if h.shape[1] != self.input_dim:
+        h = np.asarray(x, dtype=np.float64)
+        if h.ndim != 2 or h.shape[1] != self.input_dim:
             raise ValueError(
-                f"input has {h.shape[1]} features, network expects {self.input_dim}"
+                f"input of shape {h.shape}, network expects (rows, {self.input_dim})"
             )
         hiddens = [h]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -72,23 +73,20 @@ class EvidenceNetwork:
             hiddens.append(h)
         logits = h @ self.weights[-1]
         logits += self.biases[-1]
-        return logits, {"hiddens": hiddens, "logits": logits, "single": single}
+        return logits, {"hiddens": hiddens, "logits": logits}
 
     def forward_logits(self, x: np.ndarray, return_cache: bool = False):
         logits, cache = self._forward_linear(x)
-        out = logits[0] if cache["single"] else logits
-        return (out, cache) if return_cache else out
+        return (logits, cache) if return_cache else logits
 
     def forward(self, x: np.ndarray, return_cache: bool = False):
-        """Evidence vector(s) for input row(s); always elementwise >= 0."""
+        """Evidence rows for input rows; always elementwise >= 0."""
         logits, cache = self._forward_linear(x)
         evidence = softplus(logits)
-        out = evidence[0] if cache["single"] else evidence
-        return (out, cache) if return_cache else out
+        return (evidence, cache) if return_cache else evidence
 
-    def backward_logits(self, cache: dict, grad_logits: np.ndarray) -> list:
-        """Parameter gradients given an upstream gradient on the logits."""
-        delta = np.atleast_2d(grad_logits)
+    def backward_logits(self, cache: dict, delta: np.ndarray) -> list:
+        """Parameter gradients given an upstream gradient ``delta`` on the logits."""
         hiddens = cache["hiddens"]
         grads = [None] * (2 * len(self.weights))
         for layer in range(len(self.weights) - 1, -1, -1):
@@ -101,28 +99,25 @@ class EvidenceNetwork:
 
     def backward(self, cache: dict, grad_evidence: np.ndarray) -> list:
         """Parameter gradients given an upstream gradient on the evidence."""
-        grad_logits = np.atleast_2d(grad_evidence) * sigmoid(cache["logits"])
+        grad_logits = grad_evidence * sigmoid(cache["logits"])
         return self.backward_logits(cache, grad_logits)
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction and decoupled weight decay."""
+    """Adaptive-moment optimizer with decoupled weight decay over the arrays it was built on."""
 
-    def __init__(self, params, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 1e-5):
+    def __init__(self, params, learning_rate: float = 1e-3):
+        self.params = list(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
 
-    def step(self, params, grads) -> None:
-        """Update params in place from grads; raises on non-finite gradients."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
-            raise ValueError("params/grads length does not match optimizer state")
+    def step(self, grads) -> None:
+        """Update the params in place; a non-finite gradient raises, naming its
+        layer by (weight, bias) pairs counted through all the arrays in order."""
+        if len(grads) != len(self.params):
+            raise ValueError("grads length does not match optimizer state")
         for i, g in enumerate(grads):
             if not np.all(np.isfinite(g)):
                 kind = "weights" if i % 2 == 0 else "biases"
@@ -130,13 +125,12 @@ class Adam:
                     f"non-finite gradient at layer {i // 2} {kind}"
                 )
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                p -= self.learning_rate * self.weight_decay * p
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            p -= self.learning_rate * WEIGHT_DECAY * p

@@ -2,9 +2,10 @@
 
 Completions are drawn before the epoch loop. Each epoch flattens the
 data into (sample, sampling) pairs (complete samples contribute a single
-pair), shuffles them, and for every minibatch runs all per-view heads,
-fuses their opinions, and backpropagates the summed objective: fused-head
-loss plus every per-view loss, each annealed by the same lambda.
+pair), shuffles them, and for every minibatch runs each per-view head on
+its (rows, features) input, fuses their opinions, and takes one Adam step
+over all heads on the summed objective: fused-head loss plus every
+per-view loss, each annealed by lambda = min(1, epoch / anneal_epochs).
 
 Modes
 -----
@@ -25,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from evifuse.dataset import MultiViewDataset, ZScoreStats, zscore_fit_transform
-from evifuse.evidential import AnnealSchedule, anneal_lambda, one_hot
+from evifuse.evidential import anneal_lambda, one_hot
 from evifuse.fusion import FusionConflictError, total_loss_alpha_grads
 from evifuse.imputer import CompletionSet, mean_value_completions, sample_completions
 from evifuse.network import Adam, EvidenceNetwork
@@ -33,7 +34,7 @@ from evifuse.network import Adam, EvidenceNetwork
 MODES = ("uimc", "single_imputation", "naive_ce", "mean_imputation")
 
 CHECKPOINT_VERSION = 2
-CONFIG_SCHEMA = 2
+CONFIG_SCHEMA = 3
 
 # fixed subkeys carving independent RNG streams out of the config seed
 _SEED_INIT, _SEED_IMPUTE, _SEED_SHUFFLE = 101, 102, 103
@@ -54,13 +55,8 @@ class TrainConfig:
     k: int = 10
     n_samplings: int = 30
     jitter: float = 1e-3
-    anneal_final: float = 1.0
     anneal_epochs: int = 50
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-5
     seed: int = 0
     mode: str = "uimc"
     hidden: tuple = (128,)
@@ -75,16 +71,13 @@ class TrainConfig:
             raise ValueError("n_samplings must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.anneal_epochs < 1:
+            raise ValueError("anneal_epochs must be >= 1")
         if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        AnnealSchedule(self.anneal_final, self.anneal_epochs)  # validates F, E
-
-    @property
-    def schedule(self) -> AnnealSchedule:
-        return AnnealSchedule(self.anneal_final, self.anneal_epochs)
 
     def to_dict(self) -> dict:
         out = {"schema": CONFIG_SCHEMA}
@@ -102,9 +95,20 @@ class TrainConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "hidden" in data:
-            data["hidden"] = tuple(data["hidden"])
+        for key, value in data.items():
+            kind = cls.__dataclass_fields__[key].type
+            if not _fits(value, kind):
+                expected = "list of int" if kind == "tuple" else kind
+                raise ValueError(f"config key {key!r} must be {expected}, got {value!r}")
         return cls(**data)
+
+
+def _fits(value, kind: str) -> bool:
+    """Whether a config file value fits a field annotated ``kind``; a bool is no number."""
+    if kind == "tuple":
+        return isinstance(value, list) and all(_fits(h, "int") for h in value)
+    types = {"int": int, "float": (int, float), "str": str, "bool": bool}[kind]
+    return isinstance(value, types) and isinstance(value, bool) == (kind == "bool")
 
 
 @dataclass
@@ -188,23 +192,17 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
                         seed=_subseed(cfg.seed, _SEED_INIT, v))
         for v, dim in enumerate(std_train.view_dims)
     ]
-    optimizers = [
-        Adam(net.params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps,
-             cfg.weight_decay)
-        for net in networks
-    ]
+    optimizer = Adam([p for net in networks for p in net.params], cfg.learning_rate)
     labels_hot = one_hot(std_train.labels, k_classes)
 
-    schedule = cfg.schedule
     history = []
-    monitor_start = int(np.ceil(cfg.anneal_final * cfg.anneal_epochs))
     best = np.inf
     stale = 0
     shuffle_rng = _seeded(cfg.seed, _SEED_SHUFFLE)
     epochs_run = 0
 
     for epoch in range(cfg.epochs):
-        lam = anneal_lambda(epoch, schedule)
+        lam = anneal_lambda(epoch, cfg.anneal_epochs)
         order = shuffle_rng.permutation(n_pairs)
         fused_total = 0.0
         view_totals = np.zeros(data.n_views)
@@ -218,10 +216,10 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
             with np.errstate(over="ignore", invalid="ignore"):
                 if cfg.mode in ("uimc", "single_imputation"):
                     fused_sum, view_sums = _evidential_step(
-                        networks, optimizers, xs, y, lam, epoch=epoch, batch_rows=rows,
+                        networks, optimizer, xs, y, lam, epoch=epoch, batch_rows=rows,
                     )
                 else:
-                    fused_sum, view_sums = _cross_entropy_step(networks, optimizers, xs, y)
+                    fused_sum, view_sums = _cross_entropy_step(networks, optimizer, xs, y)
             fused_total += fused_sum
             view_totals += view_sums
         total = fused_total + view_totals.sum()
@@ -232,7 +230,7 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
              "views": view_totals.tolist(), "lambda": float(lam)}
         )
         epochs_run = epoch + 1
-        if cfg.early_stop and epoch >= monitor_start:
+        if cfg.early_stop and epoch >= cfg.anneal_epochs:
             if total < best * (1.0 - cfg.plateau_tol):
                 best = total
                 stale = 0
@@ -252,7 +250,7 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
     )
 
 
-def _evidential_step(networks, optimizers, xs, y, lam, epoch, batch_rows):
+def _evidential_step(networks, optimizer, xs, y, lam, epoch, batch_rows):
     batch_size = y.shape[0]
     alphas, caches = [], []
     for net, x in zip(networks, xs):
@@ -269,27 +267,28 @@ def _evidential_step(networks, optimizers, xs, y, lam, epoch, batch_rows):
         ) from exc
     except FloatingPointError as exc:
         raise NonFiniteLossError(f"training diverged at epoch {epoch}: {exc}") from exc
-    for net, opt, cache, grad in zip(networks, optimizers, caches, grads):
-        opt.step(net.params, net.backward(cache, grad / batch_size))
+    optimizer.step([g for net, cache, grad in zip(networks, caches, grads)
+                    for g in net.backward(cache, grad / batch_size)])
     return float(np.sum(fused_term)), np.array([float(np.sum(t)) for t in view_terms])
 
 
-def _cross_entropy_step(networks, optimizers, xs, y):
+def _cross_entropy_step(networks, optimizer, xs, y):
     batch_size, v_count = y.shape[0], len(networks)
     probs, caches = [], []
     for net, x in zip(networks, xs):
         logits, cache = net.forward_logits(x, return_cache=True)
-        probs.append(_softmax(np.atleast_2d(logits)))
+        probs.append(_softmax(logits))
         caches.append(cache)
     avg = np.mean(probs, axis=0)
     fused_sum = float(-(y * np.log(np.maximum(avg, 1e-12))).sum())
     grad_avg = -(y / np.maximum(avg, 1e-12)) / (v_count * batch_size)
     view_sums = np.zeros(v_count)
-    for i, (net, opt, p, cache) in enumerate(zip(networks, optimizers, probs, caches)):
+    grads = []
+    for i, (net, p, cache) in enumerate(zip(networks, probs, caches)):
         view_sums[i] = float(-(y * np.log(np.maximum(p, 1e-12))).sum())
         fused_part = p * (grad_avg - (grad_avg * p).sum(axis=-1, keepdims=True))
-        grad_logits = (p - y) / batch_size + fused_part
-        opt.step(net.params, net.backward_logits(cache, grad_logits))
+        grads.extend(net.backward_logits(cache, (p - y) / batch_size + fused_part))
+    optimizer.step(grads)
     return fused_sum, view_sums
 
 

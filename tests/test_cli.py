@@ -12,7 +12,9 @@ import pytest
 
 from evifuse import cli, experiments
 from evifuse.dataset import load_dataset
-from conftest import make_blobs_dataset, write_checkpoint_version, write_dataset_dir
+from evifuse.trainer import TrainConfig
+from conftest import (make_blobs_dataset, rewrite_checkpoint_meta, write_checkpoint_version,
+                      write_dataset_dir)
 
 TINY = {"epochs": 1, "batch_size": 32, "n_samplings": 2, "hidden": [8], "anneal_epochs": 1}
 
@@ -52,6 +54,13 @@ def test_eval_version_1_checkpoint_exits_config(tmp_path, capsys):
     assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys)
 
 
+def test_eval_schema_2_checkpoint_exits_config(tmp_path, capsys):
+    data_dir, ckpt = train_tiny(tmp_path)
+    rewrite_checkpoint_meta(ckpt, lambda meta: meta["config"].update(
+        schema=2, anneal_final=1.0, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-5))
+    assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys)
+
+
 def test_eval_on_fewer_views_than_the_model_exits_config(tmp_path, capsys):
     _, ckpt = train_tiny(tmp_path)
     data = make_blobs_dataset(n=40, view_dims=(3,), seed=21)
@@ -70,6 +79,29 @@ def test_negative_jitter_exits_config(tmp_path, capsys):
                      "--config", str(config)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.count("jitter must be") == 2
     assert not (tmp_path / "imputed").exists() and not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "2"),
+    ("epochs", True),
+    ("epochs", 2.0),
+    ("hidden", 8),
+    ("hidden", [8.0]),
+    ("learning_rate", "x"),
+    ("learning_rate", False),
+    ("mode", ["uimc"]),
+    ("early_stop", 1),
+])
+def test_wrongly_typed_config_value_exits_config(key, value, tmp_path, capsys):
+    data_dir = write_dataset_dir(tmp_path / "data",
+                                 make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, key: value}))
+    ckpt = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--data", str(data_dir), "--out", str(ckpt),
+                     "--config", str(config)]) == cli.EXIT_CONFIG
+    assert f"error: config key {key!r} must be" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_impute_output_loads_as_dataset(tmp_path):
@@ -167,6 +199,24 @@ def test_sweep_lock_names_its_owner(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "run_cell", run_cell)
     sweep_two_cells(tmp_path, "")
     assert seen == [f"{os.getpid()} {socket.gethostname()}"]
+
+
+def test_sweep_skips_cell_finished_while_its_lock_was_taken(tmp_path, monkeypatch):
+    key = experiments._cell_key(0.2, 0, "uimc")
+    result = tmp_path / f"{key}.json"
+
+    def finish_elsewhere(lock_path):
+        # another worker writes the result and lets go of the lock in between
+        result.write_text('{"status": "ok"}')
+        return False
+
+    calls = []
+    monkeypatch.setattr(experiments, "_lock_is_stale", finish_elsewhere)
+    monkeypatch.setattr(experiments, "run_cell", lambda *a, **k: calls.append(a))
+    experiments._run_cell_guarded(None, 0.2, 0, "uimc", TrainConfig(), tmp_path, 0.5)
+    assert calls == []
+    assert result.read_text() == '{"status": "ok"}'
+    assert not (tmp_path / f"{key}.lock").exists()
 
 
 def run_sweep(data_dir, config, out, *extra):

@@ -8,7 +8,6 @@ from scipy import integrate
 from scipy import special as sp
 
 from evifuse.evidential import (
-    AnnealSchedule,
     SubjectiveOpinion,
     _loss_parts,
     _opinion_arrays,
@@ -19,6 +18,7 @@ from evifuse.evidential import (
     view_loss_grad,
 )
 from evifuse.special import digamma, gammaln, trigamma
+from evifuse.trainer import TrainConfig
 
 evidence_vectors = st.lists(
     st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=2, max_size=8
@@ -255,22 +255,20 @@ class TestStackedKernel:
 
 class TestAnnealSchedule:
     def test_midpoint(self):
-        assert anneal_lambda(25, AnnealSchedule(1.0, 50)) == pytest.approx(0.5)
+        assert anneal_lambda(25, 50) == 0.5
 
     def test_start_is_zero(self):
-        assert anneal_lambda(0, AnnealSchedule(1.0, 50)) == 0.0
+        assert anneal_lambda(0, 50) == 0.0
 
     def test_cap(self):
-        sched = AnnealSchedule(0.7, 40)
-        assert anneal_lambda(10 * 40, sched) == pytest.approx(0.7)
+        assert anneal_lambda(40, 40) == 1.0
+        assert anneal_lambda(10 * 40, 40) == 1.0
 
     def test_invalid_schedule(self):
-        with pytest.raises(ValueError):
-            AnnealSchedule(0.0, 50)
-        with pytest.raises(ValueError):
-            AnnealSchedule(1.0, 0)
-        with pytest.raises(ValueError):
-            anneal_lambda(-1, AnnealSchedule(1.0, 50))
+        with pytest.raises(ValueError, match="epoch"):
+            anneal_lambda(-1, 50)
+        with pytest.raises(ValueError, match="anneal_epochs"):
+            TrainConfig(anneal_epochs=0)
 
 
 class TestValidation:

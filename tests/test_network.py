@@ -5,7 +5,7 @@ import pytest
 
 from evifuse.evidential import loss_and_grad, one_hot
 from evifuse.fusion import _fuse_alphas, total_loss_alpha_grads
-from evifuse.network import Adam, EvidenceNetwork, sigmoid, softplus
+from evifuse.network import WEIGHT_DECAY, Adam, EvidenceNetwork, sigmoid, softplus
 
 
 def flat_params(net):
@@ -25,14 +25,15 @@ class TestForward:
     def test_zero_parameters_give_log2(self):
         net = EvidenceNetwork([3, 4, 2], seed=0)
         net.set_params([np.zeros_like(p) for p in net.params])
-        out = net.forward(np.array([1.0, -2.0, 0.5]))
+        out = net.forward(np.array([[1.0, -2.0, 0.5]]))
+        assert out.shape == (1, 2)
         np.testing.assert_allclose(out, np.log(2.0))
 
     def test_identity_single_layer(self):
         net = EvidenceNetwork([1, 1], seed=0)
         net.set_params([np.array([[1.0]]), np.array([0.0])])
-        out = net.forward(np.array([1.0]))
-        assert out[0] == pytest.approx(np.log1p(np.e), rel=1e-12)  # softplus(1)
+        out = net.forward(np.array([[1.0]]))
+        assert out[0, 0] == pytest.approx(np.log1p(np.e), rel=1e-12)  # softplus(1)
 
     def test_output_never_negative(self):
         rng = np.random.default_rng(1)
@@ -44,16 +45,22 @@ class TestForward:
     def test_dimension_mismatch(self):
         net = EvidenceNetwork([3, 2], seed=0)
         with pytest.raises(ValueError):
-            net.forward(np.ones(4))
+            net.forward(np.ones((1, 4)))
+
+    def test_one_dimensional_input_rejected(self):
+        net = EvidenceNetwork([3, 2], seed=0)
+        for head in (net.forward, net.forward_logits):
+            with pytest.raises(ValueError, match=r"\(rows, 3\)"):
+                head(np.ones(3))
 
     def test_batch_matches_single(self):
-        # batched and single-row paths may use different BLAS kernels,
+        # batched and one-row inputs may use different BLAS kernels,
         # so agreement is to rounding, not bit-exact
         net = EvidenceNetwork([4, 6, 3], seed=2)
         x = np.random.default_rng(3).normal(size=(5, 4))
         batch = net.forward(x)
         for i in range(5):
-            np.testing.assert_allclose(net.forward(x[i]), batch[i], rtol=1e-13)
+            np.testing.assert_allclose(net.forward(x[i:i + 1])[0], batch[i], rtol=1e-13)
 
     def test_softplus_stability(self):
         z = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
@@ -172,30 +179,55 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_only_decays(self):
         net = EvidenceNetwork([2, 2], seed=0)
-        opt = Adam(net.params, learning_rate=0.1, weight_decay=1e-2)
+        opt = Adam(net.params, learning_rate=0.1)
         before = [p.copy() for p in net.params]
-        opt.step(net.params, [np.zeros_like(p) for p in net.params])
+        opt.step([np.zeros_like(p) for p in net.params])
         for b, p in zip(before, net.params):
-            np.testing.assert_allclose(p, b * (1 - 0.1 * 1e-2), rtol=1e-12)
+            np.testing.assert_allclose(p, b * (1 - 0.1 * WEIGHT_DECAY), rtol=1e-12)
 
     def test_constant_gradient_step_magnitude(self):
-        """With constant gradient the bias-corrected step approaches lr."""
+        """With constant gradient the bias-corrected step approaches lr
+        (the weight decay moves |p| <= 0.5 by at most 5e-9 a step)."""
         p = [np.array([0.0])]
-        opt = Adam(p, learning_rate=1e-3, weight_decay=0.0)
+        opt = Adam(p, learning_rate=1e-3)
         g = [np.array([0.123])]
         prev = p[0].copy()
         for _ in range(500):
             prev = p[0].copy()
-            opt.step(p, g)
+            opt.step(g)
         assert abs(prev[0] - p[0][0]) == pytest.approx(1e-3, rel=1e-3)
 
     def test_nan_gradient_raises_with_path(self):
-        net = EvidenceNetwork([2, 3, 2], seed=0)
-        opt = Adam(net.params)
-        grads = [np.zeros_like(g) for g in net.params]
-        grads[2][0, 0] = np.nan
-        with pytest.raises(FloatingPointError, match="layer 1 weights"):
-            opt.step(net.params, grads)
+        # layers count on through the heads: the second head's first layer is layer 2
+        nets = [EvidenceNetwork([2, 3, 2], seed=0), EvidenceNetwork([4, 3, 2], seed=1)]
+        params = [p for net in nets for p in net.params]
+        for index, path in ((2, "layer 1 weights"), (5, "layer 2 biases")):
+            grads = [np.zeros_like(p) for p in params]
+            grads[index][0] = np.nan
+            with pytest.raises(FloatingPointError, match=path):
+                Adam(params).step(grads)
+
+    def test_one_optimizer_over_two_networks_matches_one_each(self):
+        rng = np.random.default_rng(5)
+        xs = [rng.normal(size=(10, 3)), rng.normal(size=(10, 2))]
+        y = one_hot(rng.integers(0, 2, 10), 2)
+
+        def grads(net, x):
+            e, cache = net.forward(x, return_cache=True)
+            return net.backward(cache, loss_and_grad(e + 1.0, y, 0.1)[1])
+
+        def heads():
+            return [EvidenceNetwork([3, 4, 2], seed=1), EvidenceNetwork([2, 5, 2], seed=2)]
+
+        shared, alone = heads(), heads()
+        joint = Adam([p for net in shared for p in net.params], learning_rate=0.01)
+        each = [Adam(net.params, learning_rate=0.01) for net in alone]
+        for _ in range(6):
+            joint.step([g for net, x in zip(shared, xs) for g in grads(net, x)])
+            for opt, net, x in zip(each, alone, xs):
+                opt.step(grads(net, x))
+        for a, b in zip(shared, alone):
+            np.testing.assert_array_equal(flat_params(a), flat_params(b))
 
     def test_deterministic_training_bit_identical(self):
         def run():
@@ -206,7 +238,7 @@ class TestAdam:
             y = one_hot(rng.integers(0, 2, 20), 2)
             for _ in range(5):
                 e, cache = net.forward(x, return_cache=True)
-                opt.step(net.params, net.backward(cache, loss_and_grad(e + 1.0, y, 0.1)[1]))
+                opt.step(net.backward(cache, loss_and_grad(e + 1.0, y, 0.1)[1]))
             return flat_params(net)
 
         np.testing.assert_array_equal(run(), run())
@@ -222,7 +254,7 @@ class TestTrainingProgress:
         x2 = np.where(labels[:, None] == 0, 2.0, -2.0) + rng.normal(0, 0.3, (n, 3))
         y = one_hot(labels, 2)
         nets = [EvidenceNetwork([2, 8, 2], seed=1), EvidenceNetwork([3, 8, 2], seed=2)]
-        opts = [Adam(net.params, learning_rate=1e-2) for net in nets]
+        opt = Adam([p for net in nets for p in net.params], learning_rate=1e-2)
         losses = []
         for step in range(20):
             caches, alphas = [], []
@@ -232,6 +264,6 @@ class TestTrainingProgress:
                 caches.append(cache)
             fused_term, view_terms, grads = total_loss_alpha_grads(alphas, y, 0.0)
             losses.append(float(np.sum(fused_term) + sum(np.sum(t) for t in view_terms)))
-            for net, opt, cache, g in zip(nets, opts, caches, grads):
-                opt.step(net.params, net.backward(cache, g / n))
+            opt.step([p for net, cache, g in zip(nets, caches, grads)
+                      for p in net.backward(cache, g / n)])
         assert losses[-1] < losses[0]

@@ -28,6 +28,12 @@ from evifuse.trainer import (
 )
 from conftest import make_blobs_dataset, rewrite_checkpoint_meta, write_checkpoint_version
 
+# fields each older config schema held that the current one no longer has
+SCHEMA_2_FIELDS = {"anneal_final": 1.0, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                   "weight_decay": 1e-5}
+OLD_SCHEMA_FIELDS = {1: {**SCHEMA_2_FIELDS, "detach_fusion": False, "diag_cov": False},
+                     2: SCHEMA_2_FIELDS}
+
 FAST = dict(epochs=12, batch_size=32, n_samplings=4, hidden=(12,), anneal_epochs=5,
             early_stop=False)
 
@@ -54,7 +60,7 @@ class TestTrainBasics:
         hist = model.loss_history
         # The total includes lambda * KL, and lambda ramps from 0 while the KL
         # term is annealed in, so only totals recorded at one lambda compare.
-        first_full = next(h for h in hist if h["lambda"] == cfg.anneal_final)
+        first_full = next(h for h in hist if h["lambda"] == 1.0)
         assert hist[-1]["total"] < first_full["total"]
 
     def test_lambda_schedule_recorded_monotone(self, toy_model):
@@ -62,7 +68,7 @@ class TestTrainBasics:
         lams = [h["lambda"] for h in model.loss_history]
         assert lams[0] == 0.0
         assert all(b >= a for a, b in zip(lams, lams[1:]))
-        assert max(lams) <= cfg.anneal_final
+        assert max(lams) <= 1.0
 
     def test_deterministic_loss_history(self):
         data = make_blobs_dataset(n=60, eta=0.2, seed=31, mask_seed=32)
@@ -290,19 +296,25 @@ class TestCheckpoint:
             TrainConfig.from_dict({"schema": CONFIG_SCHEMA + 1})
 
     def test_schema_1_config_rejected(self):
-        old = {**TrainConfig().to_dict(), "schema": 1, "detach_fusion": False,
-               "diag_cov": False}
-        with pytest.raises(ValueError, match="schema 1"):
-            TrainConfig.from_dict(old)
+        for schema, removed in OLD_SCHEMA_FIELDS.items():
+            old = {**TrainConfig().to_dict(), "schema": schema, **removed}
+            expected = rf"config schema {schema} unsupported \(expected {CONFIG_SCHEMA}\)"
+            with pytest.raises(ValueError, match=expected):
+                TrainConfig.from_dict(old)
 
     def test_schema_1_checkpoint_rejected(self, toy_model, tmp_path):
         _, _, model = toy_model
         path = tmp_path / "model.ckpt"
-        save_model(model, path)
-        rewrite_checkpoint_meta(path, lambda meta: meta["config"].update(
-            schema=1, detach_fusion=False, diag_cov=False))
-        with pytest.raises(CheckpointError, match="schema 1"):
-            load_model(path)
+        for schema, removed in OLD_SCHEMA_FIELDS.items():
+            save_model(model, path)
+            rewrite_checkpoint_meta(path, lambda meta: meta["config"].update(
+                schema=schema, **removed))
+            with pytest.raises(CheckpointError, match=f"schema {schema}"):
+                load_model(path)
+
+    def test_config_accepts_int_for_float_fields(self):
+        cfg = TrainConfig.from_dict({"jitter": 0, "learning_rate": 1, "plateau_tol": 0})
+        assert (cfg.jitter, cfg.learning_rate, cfg.plateau_tol) == (0, 1, 0)
 
 
 class TestEarlyStop:
