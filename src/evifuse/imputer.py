@@ -31,11 +31,17 @@ generator, and its draws are
 (added in that order), an exact sample of N(mu, S + jitter * I): no d x d
 matrix is formed or factored.
 
-Slots are completed a block at a time: one GEMM neighbor search
-(``_nearest``) per (missing view, observed view, label group), merged
-into per-slot unions (``_neighbor_unions``), then means and factors
-stacked per union size (``_moments``) and draws per union size. A
-``CompletionSet`` holds the observed entries once and the draws per slot.
+``view_draws`` completes every slot missing one view, a block of slots at
+a time: one GEMM neighbor search (``_nearest``) per (missing view,
+observed view, label group), merged into per-slot unions
+(``_neighbor_unions``), then means and factors stacked per union size
+(``_moments``) and draws per union size, each slot's normals filled in
+place in one (slots, n_samplings, c + d) array per union size. It is the
+one per-view step of both completion paths. At train time
+``sample_completions`` runs it for every view and keeps the result in a
+``CompletionSet``, which holds the observed entries once and the draws
+per slot. At test time the predictor asks for one view's draws at a time
+and drops them once its head has run on them.
 """
 
 from __future__ import annotations
@@ -269,8 +275,12 @@ class CompletionSet:
         return out
 
 
-def sample_completions(
+_FILLS = ("draws", "neighbor_mean", "column_mean")
+
+
+def view_draws(
     data: MultiViewDataset,
+    m: int,
     k: int = 10,
     n_samplings: int = 30,
     jitter: float = 1e-3,
@@ -278,15 +288,18 @@ def sample_completions(
     *,
     reference: MultiViewDataset | None = None,
     use_labels: bool = True,
-    point_estimate: bool = False,
-) -> CompletionSet:
-    """Draw ``n_samplings`` completions for every missing view of every sample.
+    fill: str = "draws",
+) -> np.ndarray:
+    """(rows missing view m, n_samplings, d_m) completions of every slot missing view m.
 
-    ``reference`` supplies the candidate pool (defaults to ``data`` itself,
-    the train-time setting); pass the training set when completing test
-    data. ``point_estimate`` replaces draws by the neighbor mean, the
-    single-imputation baseline. ``jitter`` is the variance added to every
-    feature of a draw (see the module doc).
+    Rows follow ``data``'s order. ``reference`` supplies the candidate pool
+    (defaults to ``data`` itself, the train-time setting); pass the
+    training set when completing test data. ``fill`` picks what a slot
+    takes: ``"draws"`` from its neighbor Gaussian (see the module doc),
+    ``"neighbor_mean"`` the Gaussian's mean, the single-imputation
+    baseline, or ``"column_mean"`` the column means of view m over the
+    reference rows observing it, with no neighbor search. ``jitter`` is the
+    variance added to every feature of a draw.
 
     Fallbacks when no candidate satisfies the eligibility predicate:
     first drop the label restriction, then fall back to the column means
@@ -298,46 +311,51 @@ def sample_completions(
         raise ValueError("k must be >= 1")
     if not (np.isfinite(jitter) and jitter >= 0.0):
         raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
+    if fill not in _FILLS:
+        raise ValueError(f"fill must be one of {_FILLS}, got {fill!r}")
     ref = reference if reference is not None else data
+    rows = np.nonzero(~data.mask[:, m])[0]
+    d = data.view_dims[m]
+    if fill == "column_mean":
+        return np.broadcast_to(_column_means(ref, m), (rows.size, n_samplings, d)).copy()
+    out = np.empty((rows.size, n_samplings, d))
+    states = _slot_states(seed, m, data, rows) if fill == "draws" else None
     scale = np.sqrt(jitter)
-    draws = []
-    for m in range(data.n_views):
-        rows = np.nonzero(~data.mask[:, m])[0]
-        d = data.view_dims[m]
-        out = np.empty((rows.size, n_samplings, d))
-        states = None if point_estimate else _slot_states(seed, m, data, rows)
-        for start in range(0, rows.size, _SLOT_BLOCK):
-            block = rows[start:start + _SLOT_BLOCK]
-            part = out[start:start + block.size]
-            mu, groups = _slot_distribution(data, ref, block, m, k, use_labels)
-            if point_estimate:
-                part[:] = mu[:, None, :]
-                continue
-            for slots, factor in groups:
-                count = factor.shape[1]
-                z = np.stack([np.random.Generator(np.random.PCG64(_SeedState(state)))
-                              .standard_normal((n_samplings, count + d))
-                              for state in states[start + slots]])
-                x = np.matmul(z[:, :, :count], factor)
-                x += mu[slots, None, :]
-                x += scale * z[:, :, count:]
-                part[slots] = x
-        draws.append(out)
-    return _completion_set(data, n_samplings, draws)
+    for start in range(0, rows.size, _SLOT_BLOCK):
+        block = rows[start:start + _SLOT_BLOCK]
+        part = out[start:start + block.size]
+        mu, groups = _slot_distribution(data, ref, block, m, k, use_labels)
+        if states is None:
+            part[:] = mu[:, None, :]
+            continue
+        for slots, factor in groups:
+            count = factor.shape[1]
+            z = np.empty((slots.size, n_samplings, count + d))
+            for normals, state in zip(z, states[start + slots]):
+                np.random.Generator(np.random.PCG64(_SeedState(state))).standard_normal(
+                    out=normals)
+            x = np.matmul(z[:, :, :count], factor)
+            x += mu[slots, None, :]
+            x += scale * z[:, :, count:]
+            part[slots] = x
+    return out
 
 
-def mean_value_completions(
-    data: MultiViewDataset, reference: MultiViewDataset | None = None
+def sample_completions(
+    data: MultiViewDataset,
+    k: int = 10,
+    n_samplings: int = 30,
+    jitter: float = 1e-3,
+    seed: int = 0,
+    *,
+    reference: MultiViewDataset | None = None,
+    use_labels: bool = True,
+    fill: str = "draws",
 ) -> CompletionSet:
-    """Single completion filling each missing view with its column means."""
-    col_means = _column_means(reference if reference is not None else data)
-    draws = [np.broadcast_to(mean, ((~data.mask[:, v]).sum(), 1, data.view_dims[v])).copy()
-             for v, mean in enumerate(col_means)]
-    return _completion_set(data, 1, draws)
-
-
-def _completion_set(data: MultiViewDataset, n_samplings: int, draws: list) -> CompletionSet:
-    """Completions of ``data`` whose view-v draws fill, in order, the rows missing view v."""
+    """Every view's ``view_draws`` (same arguments) in one ``CompletionSet``."""
+    draws = [view_draws(data, m, k, n_samplings, jitter, seed, reference=reference,
+                        use_labels=use_labels, fill=fill)
+             for m in range(data.n_views)]
     base_views = []
     for v in range(data.n_views):
         mat = data.views[v].copy()
@@ -353,14 +371,12 @@ def _completion_set(data: MultiViewDataset, n_samplings: int, draws: list) -> Co
     )
 
 
-def _column_means(ref: MultiViewDataset) -> list:
-    means = []
-    for v in range(ref.n_views):
-        observed = ref.views[v][ref.mask[:, v]]
-        if observed.shape[0] == 0:
-            raise ValueError(f"view {v} has no observed rows in the reference pool")
-        means.append(observed.mean(axis=0))
-    return means
+def _column_means(ref: MultiViewDataset, m: int) -> np.ndarray:
+    """Column means of view m over the reference rows observing it."""
+    observed = ref.views[m][ref.mask[:, m]]
+    if observed.shape[0] == 0:
+        raise ValueError(f"view {m} has no observed rows in the reference pool")
+    return observed.mean(axis=0)
 
 
 def _slot_distribution(data, ref, rows, m, k, use_labels):
@@ -383,7 +399,7 @@ def _slot_distribution(data, ref, rows, m, k, use_labels):
     for size, slots in by_size.items():
         slots = np.array(slots)
         if size == 0:
-            mu[slots] = _column_means(ref)[m]
+            mu[slots] = _column_means(ref, m)
             factor = np.empty((slots.size, 0, d))
         else:
             index = np.concatenate([unions[i] for i in slots]).reshape(slots.size, size)

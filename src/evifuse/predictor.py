@@ -8,19 +8,25 @@ belief mass summed over completions, then toward the lower class index.
 Reported uncertainty is the fused uncertainty mass averaged over
 completions. Samplings whose fusion collapses in total conflict are
 excluded from the vote and counted separately.
+
+Test-time completion is a stream, one missing view at a time:
+``_test_draws`` yields view m's draws for every slot missing it, and
+``_sampling_opinions`` runs head m on them and keeps only their
+(samplings, rows, classes) head outputs before it asks for view m + 1.
+So memory holds one view's draws at a time, never every view's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from evifuse.dataset import MultiViewDataset, _zscore_views, zscore_apply
 from evifuse.evidential import SubjectiveOpinion, _opinion_arrays
 from evifuse.fusion import _fold_with_exclusions
-from evifuse.imputer import CompletionSet
-from evifuse.trainer import TrainedModel, _softmax, _subseed, build_completions
+from evifuse.imputer import view_draws
+from evifuse.trainer import TrainedModel, _completion_options, _softmax, _subseed
 
 _SEED_TEST_IMPUTE = 201
 # Rows per forward call on the draws and per fold: bounds the activations
@@ -53,47 +59,77 @@ class PredictionResult:
     excluded_samplings: int
 
 
-def _sampling_opinions(model: TrainedModel, completions: CompletionSet):
+def _test_draws(model: TrainedModel, std: MultiViewDataset,
+                n_samplings: int | None = None, seed: int = 0):
+    """Completions of a standardized test set against the model's training pool, per view.
+
+    A generator: view m's ``view_draws`` are made only when asked for, so
+    a consumer that drops them before asking for the next holds one
+    view's draws at a time.
+    """
+    options = _completion_options(model.config, n_samplings)
+    seed = _subseed(seed, _SEED_TEST_IMPUTE)
+    for m in range(std.n_views):
+        yield view_draws(std, m, seed=seed, reference=model.train_pool, use_labels=False,
+                         **options)
+
+
+def _sampling_opinions(model: TrainedModel, std: MultiViewDataset, draws):
     """Fused (beliefs, uncertainty, invalid) per sampling: (S, N, K), (S, N), (S, N).
 
-    Observed inputs are the same in every sampling, so each view's network
-    runs once on all rows and then only on the imputed draws, a chunk of
-    whole samplings at a time. A chunk's opinions are folded a few
-    samplings at a time, so neither step holds more than about
-    ``_FORWARD_ROWS`` rows.
+    ``draws`` gives, in view order, each view's (rows missing it,
+    samplings, features) completions of ``std``'s missing rows, such as
+    ``_test_draws`` or a ``CompletionSet``'s ``draws``. Observed inputs are
+    the same in every sampling, so each view's network runs once on all
+    rows and then only on the view's draws, a chunk of whole samplings at
+    a time; only its outputs are kept, and a view's draws are let go
+    before the next view's are asked for. The samplings are then folded a
+    few at a time, so neither step holds more than about ``_FORWARD_ROWS``
+    rows.
     """
-    s_count = completions.n_samplings
-    n = completions.n_samples
+    if std.n_views != len(model.networks):
+        raise ValueError(f"test data has {std.n_views} views, the model "
+                         f"{len(model.networks)}")
+    n = std.n_samples
     k = model.class_count
     heads = [net.forward if model.uses_evidence else net.forward_logits
              for net in model.networks]
-    shared = [head(x) for head, x in zip(heads, completions.views)]
-    widest = max(rows.size for rows in completions.imputed_rows)
-    per_forward = max(1, _FORWARD_ROWS // max(widest, 1))
+    missing = ~std.mask.T
+    shared = [head(np.where(miss[:, None], 0.0, x))
+              for head, miss, x in zip(heads, missing, std.views)]
+    per_forward = max(1, _FORWARD_ROWS // max(int(missing.sum(axis=1).max()), 1))
+    imputed = []
+    # A plain loop that deletes its variable: zip or enumerate over
+    # ``draws`` would keep view m's draws in their result tuple, and the
+    # loop variable would keep them, while view m + 1's are made.
+    for view in draws:
+        head, s_count = heads[len(imputed)], view.shape[1]
+        out = np.empty((s_count, view.shape[0], k))
+        if view.shape[0]:
+            for first in range(0, s_count, per_forward):
+                last = min(first + per_forward, s_count)
+                out[first:last] = head(
+                    view[:, first:last].transpose(1, 0, 2).reshape(-1, view.shape[-1])
+                ).reshape(last - first, view.shape[0], k)
+        imputed.append(out)
+        del view
     per_fold = max(1, _FORWARD_ROWS // max(n, 1))
     all_b = np.empty((s_count, n, k))
     all_u = np.zeros((s_count, n))
     all_bad = np.zeros((s_count, n), dtype=bool)
-    for first in range(0, s_count, per_forward):
-        last = min(first + per_forward, s_count)
-        drawn = [head(draws[:, first:last].transpose(1, 0, 2).reshape(-1, draws.shape[-1]))
-                 .reshape(last - first, rows.size, k) if rows.size else None
-                 for head, rows, draws in zip(heads, completions.imputed_rows,
-                                              completions.draws)]
-        for start in range(first, last, per_fold):
-            part = slice(start, min(start + per_fold, last))
-            outs = []
-            for out, rows, new in zip(shared, completions.imputed_rows, drawn):
-                full = np.broadcast_to(out, (part.stop - start, n, k)).copy()
-                if rows.size:
-                    full[:, rows] = new[start - first:part.stop - first]
-                outs.append(full)
-            if model.uses_evidence:
-                bs, us = zip(*(_opinion_arrays(e + 1.0) for e in outs))
-                all_b[part], all_u[part], all_bad[part], _ = _fold_with_exclusions(
-                    list(bs), list(us))
-            else:
-                all_b[part] = np.mean([_softmax(logits) for logits in outs], axis=0)
+    for start in range(0, s_count, per_fold):
+        part = slice(start, min(start + per_fold, s_count))
+        outs = []
+        for out, miss, new in zip(shared, missing, imputed):
+            full = np.broadcast_to(out, (part.stop - start, n, k)).copy()
+            full[:, miss] = new[part]
+            outs.append(full)
+        if model.uses_evidence:
+            bs, us = zip(*(_opinion_arrays(e + 1.0) for e in outs))
+            all_b[part], all_u[part], all_bad[part], _ = _fold_with_exclusions(
+                list(bs), list(us))
+        else:
+            all_b[part] = np.mean([_softmax(logits) for logits in outs], axis=0)
     return all_b, all_u, all_bad
 
 
@@ -119,21 +155,6 @@ def _vote(all_b: np.ndarray, all_bad: np.ndarray):
     return labels, counts
 
 
-def complete_test_data(model: TrainedModel, std: MultiViewDataset,
-                       n_samplings: int | None = None, seed: int = 0) -> CompletionSet:
-    """Complete a standardized test set against the model's training pool."""
-    if std.n_views != len(model.networks):
-        raise ValueError(f"test data has {std.n_views} views, the model "
-                         f"{len(model.networks)}")
-    cfg = model.config
-    if n_samplings is not None and cfg.mode in ("uimc", "naive_ce"):
-        cfg = replace(cfg, n_samplings=int(n_samplings))
-    return build_completions(
-        std, cfg, reference=model.train_pool, use_labels=False,
-        seed=_subseed(seed, _SEED_TEST_IMPUTE),
-    )
-
-
 def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> PredictionResult:
     """Classify a single (possibly incomplete) raw sample."""
     mask = np.asarray(mask_row, dtype=bool).reshape(1, -1)
@@ -143,8 +164,7 @@ def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> Predi
     # standardized before the one dataset is built, which then checks the row
     std = MultiViewDataset(_zscore_views(raw, mask, model.stats),
                            np.zeros(1, dtype=np.int64), mask, model.class_count)
-    completions = complete_test_data(model, std, seed=seed)
-    all_b, all_u, all_bad = _sampling_opinions(model, completions)
+    all_b, all_u, all_bad = _sampling_opinions(model, std, _test_draws(model, std, seed=seed))
     labels, counts = _vote(all_b, all_bad)
     valid = ~all_bad[:, 0]
     if valid.any():
@@ -165,9 +185,9 @@ def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> Predi
 def evaluate(model: TrainedModel, test: MultiViewDataset,
              n_samplings: int | None = None, seed: int = 0) -> dict:
     """Accuracy and uncertainty metrics of voted predictions on a test set."""
-    completions = complete_test_data(model, zscore_apply(test, model.stats),
-                                     n_samplings=n_samplings, seed=seed)
-    all_b, all_u, all_bad = _sampling_opinions(model, completions)
+    std = zscore_apply(test, model.stats)
+    all_b, all_u, all_bad = _sampling_opinions(model, std,
+                                               _test_draws(model, std, n_samplings, seed))
     labels, counts = _vote(all_b, all_bad)
     valid = ~all_bad
     any_valid = valid.any(axis=0)
@@ -194,7 +214,7 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
         "predictions": labels.tolist(),
         "vote_counts": counts.tolist(),
         "mode": model.config.mode,
-        "n_samplings": int(completions.n_samplings),
+        "n_samplings": int(all_b.shape[0]),
         "seed": int(seed),
     }
 
@@ -211,9 +231,8 @@ def stability_experiment(model: TrainedModel, test: MultiViewDataset,
     all_labels = np.empty((n_repeats, test.n_samples), dtype=np.int64)
     std = zscore_apply(test, model.stats)
     for r in range(n_repeats):
-        completions = complete_test_data(model, std, n_samplings=n_samplings,
-                                         seed=_subseed(seed, r))
-        all_b, _, all_bad = _sampling_opinions(model, completions)
+        draws = _test_draws(model, std, n_samplings, _subseed(seed, r))
+        all_b, _, all_bad = _sampling_opinions(model, std, draws)
         all_labels[r], _ = _vote(all_b, all_bad)
     consistent = (all_labels == all_labels[0]).all(axis=0)
     return {

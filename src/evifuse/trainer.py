@@ -28,7 +28,7 @@ import numpy as np
 from evifuse.dataset import MultiViewDataset, ZScoreStats, zscore_fit_transform
 from evifuse.evidential import anneal_lambda, one_hot
 from evifuse.fusion import FusionConflictError, total_loss_alpha_grads
-from evifuse.imputer import CompletionSet, mean_value_completions, sample_completions
+from evifuse.imputer import CompletionSet, sample_completions
 from evifuse.network import Adam, EvidenceNetwork
 
 MODES = ("uimc", "single_imputation", "naive_ce", "mean_imputation")
@@ -73,11 +73,21 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.anneal_epochs < 1:
             raise ValueError("anneal_epochs must be >= 1")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
         if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
             raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.plateau_tol) and self.plateau_tol >= 0.0):
+            raise ValueError(f"plateau_tol must be finite and >= 0, got {self.plateau_tol}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if any(h < 1 for h in self.hidden):
+            raise ValueError(f"hidden must be widths >= 1, got {list(self.hidden)}")
 
     def to_dict(self) -> dict:
         out = {"schema": CONFIG_SCHEMA}
@@ -141,23 +151,25 @@ def _subseed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence([int(seed), *map(int, path)]).generate_state(1)[0])
 
 
+def _completion_options(cfg: TrainConfig, n_samplings: int | None = None) -> dict:
+    """Imputer keyword arguments of the config's mode: how its missing views are filled.
+
+    uimc and naive_ce draw ``n_samplings`` completions (the config's count
+    unless given), single_imputation takes the neighbor mean and
+    mean_imputation the column means, one completion each.
+    """
+    if cfg.mode in ("uimc", "naive_ce"):
+        count = cfg.n_samplings if n_samplings is None else int(n_samplings)
+        return dict(k=cfg.k, n_samplings=count, jitter=cfg.jitter, fill="draws")
+    fill = "neighbor_mean" if cfg.mode == "single_imputation" else "column_mean"
+    return dict(k=cfg.k, n_samplings=1, jitter=cfg.jitter, fill=fill)
+
+
 def build_completions(data: MultiViewDataset, cfg: TrainConfig,
-                      reference: MultiViewDataset | None = None,
-                      use_labels: bool = True,
                       seed: int | None = None) -> CompletionSet:
-    """Mode-appropriate completions of ``data`` (train-time or test-time)."""
-    seed_val = cfg.seed if seed is None else seed
-    if cfg.mode == "mean_imputation":
-        return mean_value_completions(data, reference=reference)
-    if cfg.mode == "single_imputation":
-        return sample_completions(
-            data, k=cfg.k, n_samplings=1, jitter=cfg.jitter, seed=seed_val,
-            reference=reference, use_labels=use_labels, point_estimate=True,
-        )
-    return sample_completions(
-        data, k=cfg.k, n_samplings=cfg.n_samplings, jitter=cfg.jitter, seed=seed_val,
-        reference=reference, use_labels=use_labels,
-    )
+    """Train-time completions of ``data`` from its own rows, for the config's mode."""
+    return sample_completions(data, seed=cfg.seed if seed is None else seed,
+                              **_completion_options(cfg))
 
 
 def _flatten_pairs(completions: CompletionSet):

@@ -104,6 +104,29 @@ def test_wrongly_typed_config_value_exits_config(key, value, tmp_path, capsys):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("hidden", [0], "hidden"),
+    ("hidden", [8, -1], "hidden"),
+    ("learning_rate", -1.0, "learning_rate"),
+    ("learning_rate", 0, "learning_rate"),
+    ("learning_rate", float("nan"), "learning_rate"),
+    ("k", 0, "k"),
+    ("patience", 0, "patience"),
+    ("plateau_tol", -1.0, "plateau_tol"),
+    ("plateau_tol", float("inf"), "plateau_tol"),
+])
+def test_out_of_range_config_value_exits_config(key, value, field, tmp_path, capsys):
+    data_dir = write_dataset_dir(tmp_path / "data",
+                                 make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, key: value}))
+    ckpt = tmp_path / "m.ckpt"
+    assert cli.main(["train", "--data", str(data_dir), "--out", str(ckpt),
+                     "--config", str(config)]) == cli.EXIT_CONFIG
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_impute_output_loads_as_dataset(tmp_path):
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))

@@ -16,7 +16,6 @@ from evifuse.imputer import (
     _neighbor_unions,
     _SeedState,
     _slot_states,
-    mean_value_completions,
     neighbor_union,
     sample_completions,
 )
@@ -354,7 +353,7 @@ class TestSampleCompletions:
 
     def test_point_estimate_uses_mean(self):
         data = tiny_dataset()
-        cs = sample_completions(data, k=5, n_samplings=1, seed=0, point_estimate=True)
+        cs = sample_completions(data, k=5, n_samplings=1, seed=0, fill="neighbor_mean")
         # neighbors of sample 0 in view 1 are samples {1, 2}: mean = [1.5]*3
         np.testing.assert_allclose(cs.draws[1][0, 0], [1.5, 1.5, 1.5])
 
@@ -430,7 +429,7 @@ class TestSampleCompletions:
         v1 = np.array([[0.0], [10.0], [20.0]])
         mask = np.array([[True, False], [False, True], [False, True]])
         data = MultiViewDataset([v0, v1], np.array([0, 0, 1]), mask, 2)
-        cs = sample_completions(data, k=2, n_samplings=1, seed=0, point_estimate=True)
+        cs = sample_completions(data, k=2, n_samplings=1, seed=0, fill="neighbor_mean")
         assert cs.draws[1][0, 0, 0] == pytest.approx(15.0)
 
     def test_reference_pool_for_test_data(self):
@@ -450,7 +449,7 @@ class TestSampleCompletions:
 
 
 def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labels=True,
-                          point_estimate=False):
+                          fill="draws"):
     """Draws slot by slot: full-scan search, keyed RNG, the imputer docstring's low-rank draw."""
     ref = data if ref is None else ref
     draws = [[] for _ in range(data.n_views)]
@@ -467,7 +466,7 @@ def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labe
                 rows = ref.views[m][idx]
                 mu = rows.mean(axis=0)
                 factor = (rows - mu) / np.sqrt(c - 1) if c > 1 else np.zeros((1, d))
-            if point_estimate:
+            if fill == "neighbor_mean":
                 draws[m].append(np.broadcast_to(mu, (n_samplings, d)).copy())
                 continue
             z = slot_rng(seed, m, data, n).standard_normal((n_samplings, c + d))
@@ -526,7 +525,7 @@ class TestBatchedDraws:
         for i, options in [
             (0, dict()),
             (1, dict(use_labels=False)),
-            (3, dict(point_estimate=True)),
+            (3, dict(fill="neighbor_mean")),
         ]
         for block in (1, 4, 128)
     ])
@@ -566,7 +565,7 @@ class TestBatchedDraws:
 class TestMeanValueCompletions:
     def test_fills_with_column_means(self):
         data = tiny_dataset()
-        cs = mean_value_completions(data)
+        cs = sample_completions(data, n_samplings=1, fill="column_mean")
         observed_mean = data.views[1][data.mask[:, 1]].mean(axis=0)
         np.testing.assert_allclose(cs.draws[1][0, 0], observed_mean)
         assert cs.n_samplings == 1

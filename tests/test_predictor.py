@@ -1,6 +1,8 @@
 """Vote-based prediction, evaluation metrics, and the stability study."""
 
 import json
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +16,8 @@ from evifuse.imputer import sample_completions
 from evifuse.network import EvidenceNetwork
 from evifuse.predictor import (
     _sampling_opinions,
+    _test_draws,
     _vote,
-    complete_test_data,
     evaluate,
     predict_sample,
     stability_experiment,
@@ -130,8 +132,8 @@ class TestPredictSample:
             res = predict_sample(with_samplings(model, 5), [v[i] for v in test.views],
                                  test.mask[i], seed=4)
             std = zscore_apply(test.subset(np.array([i])), model.stats)
-            completions = complete_test_data(model, std, n_samplings=5, seed=4)
-            all_b, all_u, all_bad = _sampling_opinions(model, completions)
+            all_b, all_u, all_bad = _sampling_opinions(
+                model, std, _test_draws(model, std, n_samplings=5, seed=4))
             valid = np.nonzero(~all_bad[:, 0])[0]
             batch = res.sampling_opinions
             assert batch.beliefs.shape == (valid.size, test.class_count)
@@ -330,7 +332,7 @@ def conflict_model(mode):
 
 
 def conflict_completions():
-    """Row 0 is complete and has both views far out, in total conflict."""
+    """Data and its completions; row 0 is complete and has both views far out, in total conflict."""
     rng = np.random.default_rng(12)
     views = [rng.uniform(-1.0, 1.0, (40, 2)) for _ in range(2)]
     views[0][0, 0] = views[1][0, 0] = 6.0
@@ -338,7 +340,7 @@ def conflict_completions():
     mask[~mask.any(axis=1), 0] = True
     mask[0] = True
     data = MultiViewDataset(views, rng.integers(0, 3, 40), mask, 3)
-    return sample_completions(data, k=4, n_samplings=7, seed=1, use_labels=False)
+    return data, sample_completions(data, k=4, n_samplings=7, seed=1, use_labels=False)
 
 
 class TestObservedOnce:
@@ -348,8 +350,8 @@ class TestObservedOnce:
     @pytest.mark.parametrize("forward_rows", [5, 30, 100, 4096])
     def test_matches_per_sampling_loop(self, mode, forward_rows, monkeypatch):
         monkeypatch.setattr(predictor, "_FORWARD_ROWS", forward_rows)
-        model, completions = conflict_model(mode), conflict_completions()
-        all_b, all_u, all_bad = _sampling_opinions(model, completions)
+        model, (data, completions) = conflict_model(mode), conflict_completions()
+        all_b, all_u, all_bad = _sampling_opinions(model, data, completions.draws)
         ref_b, ref_u, ref_bad = per_sampling_opinions(model, completions)
         np.testing.assert_allclose(all_b, ref_b, rtol=0, atol=1e-12)
         np.testing.assert_allclose(all_u, ref_u, rtol=0, atol=1e-12)
@@ -363,10 +365,10 @@ class TestObservedOnce:
             assert counts[0].sum() == 0  # flagged in every sampling, out of the vote
 
     def test_sample_in_total_conflict_gives_empty_batch(self):
-        data = conflict_completions()
+        _, completions = conflict_completions()
         identity = ZScoreStats([np.zeros(2)] * 2, [np.ones(2)] * 2)
         model = replace(conflict_model("uimc"), stats=identity,
-                        train_pool=MultiViewDataset(data.views, data.labels,
+                        train_pool=MultiViewDataset(completions.views, completions.labels,
                                                     np.ones((40, 2), dtype=bool), 3))
         res = predict_sample(with_samplings(model, 5), [np.array([6.0, 0.0])] * 2,
                              [True, True])
@@ -377,7 +379,7 @@ class TestObservedOnce:
         assert res.mean_opinion.uncertainty == 1.0
 
     def test_each_input_runs_once(self, monkeypatch):
-        model, completions = conflict_model("uimc"), conflict_completions()
+        model, (data, completions) = conflict_model("uimc"), conflict_completions()
         rows = []
         forward = EvidenceNetwork.forward
 
@@ -386,6 +388,43 @@ class TestObservedOnce:
             return forward(self, x, **kwargs)
 
         monkeypatch.setattr(EvidenceNetwork, "forward", counting_forward)
-        _sampling_opinions(model, completions)
+        _sampling_opinions(model, data, completions.draws)
         imputed = sum(r.size for r in completions.imputed_rows)
         assert sum(rows) == 2 * completions.n_samples + completions.n_samplings * imputed
+
+
+class TestStream:
+    """Test-time completion holds one view's draws at a time."""
+
+    def test_each_view_is_let_go_before_the_next_is_drawn(self, monkeypatch):
+        dims = (3, 2, 4)
+        train_set = make_blobs_dataset(n=90, view_dims=dims, eta=0.4, seed=71, mask_seed=72)
+        test = make_blobs_dataset(n=60, view_dims=dims, eta=0.4, seed=71, mask_seed=73)
+        model = train(train_set, TrainConfig(seed=5, **FAST))
+        held, alive_at_call = [], []
+        draw = predictor.view_draws
+
+        def watched(data, m, *args, **kwargs):
+            alive_at_call.append([ref() is not None for ref in held])
+            out = draw(data, m, *args, **kwargs)
+            held.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(predictor, "view_draws", watched)
+        evaluate(model, test, seed=0)
+        assert alive_at_call == [[], [False], [False, False]]
+
+    def test_evaluate_peak_stays_below_the_draws(self):
+        dims = (120,) * 6
+        train_set = make_blobs_dataset(n=600, view_dims=dims, eta=0.5, seed=81, mask_seed=82)
+        test = make_blobs_dataset(n=600, view_dims=dims, eta=0.5, seed=81, mask_seed=83)
+        cfg = TrainConfig(epochs=1, hidden=(16,), early_stop=False, seed=1)
+        model = train(train_set, cfg)
+        draw_bytes = int((~test.mask).sum()) * cfg.n_samplings * 120 * 8
+        tracemalloc.start()
+        try:
+            evaluate(model, test, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * draw_bytes
