@@ -18,6 +18,7 @@ class from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +85,12 @@ def _opinion_arrays(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (alpha - 1.0) / strength, alpha.shape[-1] / strength[..., 0]
 
 
+@lru_cache
+def _log_gamma_of(k: int) -> np.floating:
+    """log Gamma(k) of a class count, computed once per k."""
+    return gammaln(float(k))
+
+
 def _loss_parts(alpha, label):
     """(ace, kl, ace_grad, kl_grad) of every head stacked on alpha's leading axes.
 
@@ -99,7 +106,7 @@ def _loss_parts(alpha, label):
                         alpha.sum(axis=-1, keepdims=True)], axis=-1)
     lg, dg, tg = gammaln(z[..., :k + 1]), digamma(z), trigamma(z)
     ace = dg[..., k + 2] - dg[..., k + 1]
-    kl = (lg[..., k] - lg[..., :k].sum(axis=-1) - gammaln(float(k))
+    kl = (lg[..., k] - lg[..., :k].sum(axis=-1) - _log_gamma_of(k)
           + ((masked - 1.0) * (dg[..., :k] - dg[..., k:k + 1])).sum(axis=-1))
     ace_grad = tg[..., k + 2:] - y * tg[..., k + 1:k + 2]
     kl_grad = (1.0 - y) * ((masked - 1.0) * tg[..., :k] - (z[..., k:k + 1] - k) * tg[..., k:k + 1])

@@ -29,7 +29,9 @@ generator, and its draws are
     x = mu + z[:, :c] @ F + sqrt(jitter) * z[:, c:]
 
 (added in that order), an exact sample of N(mu, S + jitter * I): no d x d
-matrix is formed or factored.
+matrix is formed or factored. A draw is computed in float64 and stored
+once, rounded to float32, as are the means of the other fills; the keyed
+contract still fixes every stored value exactly.
 
 ``view_draws`` completes every slot missing one view, a block of slots at
 a time: one GEMM neighbor search (``_nearest``) per (missing view,
@@ -39,9 +41,9 @@ observed view, label group), merged into per-slot unions
 place in one (slots, n_samplings, c + d) array per union size. It is the
 one per-view step of both completion paths. At train time
 ``sample_completions`` runs it for every view and keeps the result in a
-``CompletionSet``, which holds the observed entries once and the draws
-per slot. At test time the predictor asks for one view's draws at a time
-and drops them once its head has run on them.
+``CompletionSet``, which holds the dataset's own view arrays and the
+draws per slot. At test time the predictor asks for one view's draws at
+a time and drops them once its head has run on them.
 """
 
 from __future__ import annotations
@@ -215,8 +217,9 @@ def _slot_states(seed: int, m: int, data: MultiViewDataset, rows: np.ndarray) ->
 class CompletionSet:
     """All completions of a dataset: observed entries plus per-slot draws.
 
-    Observed entries are bit-identical across samplings; only the rows
-    listed in ``imputed_rows[v]`` differ, with their draws stored as
+    ``views`` are the dataset's own arrays, whose missing entries are never
+    read. Observed entries are bit-identical across samplings; only the rows
+    listed in ``imputed_rows[v]`` differ, with their float32 draws stored as
     ``(row, sampling, feature)`` blocks per view.
     """
 
@@ -245,7 +248,7 @@ class CompletionSet:
         return len(self.views)
 
     def completion(self, s: int) -> list:
-        """Materialize the s-th completed dataset as full view matrices."""
+        """Materialize the s-th completed dataset as full float64 view matrices."""
         if not 0 <= s < self.n_samplings:
             raise IndexError(f"sampling {s} out of range [0, {self.n_samplings})")
         out = []
@@ -258,7 +261,7 @@ class CompletionSet:
         return out
 
     def gather(self, sample_rows: np.ndarray, samplings: np.ndarray) -> list:
-        """Per-view matrices for a flattened (sample, sampling) batch.
+        """Per-view float64 matrices for a flattened (sample, sampling) batch.
 
         Integer-array indexing gives each matrix as a new array, so filling
         in the draws leaves ``views`` unchanged."""
@@ -290,7 +293,7 @@ def view_draws(
     use_labels: bool = True,
     fill: str = "draws",
 ) -> np.ndarray:
-    """(rows missing view m, n_samplings, d_m) completions of every slot missing view m.
+    """(rows missing view m, n_samplings, d_m) float32 completions of every slot missing view m.
 
     Rows follow ``data``'s order. ``reference`` supplies the candidate pool
     (defaults to ``data`` itself, the train-time setting); pass the
@@ -316,9 +319,10 @@ def view_draws(
     ref = reference if reference is not None else data
     rows = np.nonzero(~data.mask[:, m])[0]
     d = data.view_dims[m]
+    out = np.empty((rows.size, n_samplings, d), dtype=np.float32)
     if fill == "column_mean":
-        return np.broadcast_to(_column_means(ref, m), (rows.size, n_samplings, d)).copy()
-    out = np.empty((rows.size, n_samplings, d))
+        out[:] = _column_means(ref, m)
+        return out
     states = _slot_states(seed, m, data, rows) if fill == "draws" else None
     scale = np.sqrt(jitter)
     for start in range(0, rows.size, _SLOT_BLOCK):
@@ -356,16 +360,11 @@ def sample_completions(
     draws = [view_draws(data, m, k, n_samplings, jitter, seed, reference=reference,
                         use_labels=use_labels, fill=fill)
              for m in range(data.n_views)]
-    base_views = []
-    for v in range(data.n_views):
-        mat = data.views[v].copy()
-        mat[~data.mask[:, v]] = 0.0
-        base_views.append(mat)
     return CompletionSet(
         n_samplings=n_samplings,
-        views=base_views,
-        mask=data.mask.copy(),
-        labels=data.labels.copy(),
+        views=data.views,
+        mask=data.mask,
+        labels=data.labels,
         imputed_rows=[np.nonzero(~data.mask[:, v])[0] for v in range(data.n_views)],
         draws=draws,
     )

@@ -156,10 +156,13 @@ def _completion_options(cfg: TrainConfig, n_samplings: int | None = None) -> dic
 
     uimc and naive_ce draw ``n_samplings`` completions (the config's count
     unless given), single_imputation takes the neighbor mean and
-    mean_imputation the column means, one completion each.
+    mean_imputation the column means, one completion each. An override
+    below 1 is rejected in every mode.
     """
+    count = cfg.n_samplings if n_samplings is None else int(n_samplings)
+    if count < 1:
+        raise ValueError(f"n_samplings must be >= 1, got {count}")
     if cfg.mode in ("uimc", "naive_ce"):
-        count = cfg.n_samplings if n_samplings is None else int(n_samplings)
         return dict(k=cfg.k, n_samplings=count, jitter=cfg.jitter, fill="draws")
     fill = "neighbor_mean" if cfg.mode == "single_imputation" else "column_mean"
     return dict(k=cfg.k, n_samplings=1, jitter=cfg.jitter, fill=fill)

@@ -19,12 +19,12 @@ from conftest import (make_blobs_dataset, rewrite_checkpoint_meta, write_checkpo
 TINY = {"epochs": 1, "batch_size": 32, "n_samplings": 2, "hidden": [8], "anneal_epochs": 1}
 
 
-def train_tiny(tmp_path):
+def train_tiny(tmp_path, **config_overrides):
     """A dataset directory and a one-epoch checkpoint trained on it by the CLI."""
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY))
+    config.write_text(json.dumps(dict(TINY, **config_overrides)))
     ckpt = tmp_path / "model.ckpt"
     assert cli.main(["train", "--data", str(data_dir), "--out", str(ckpt),
                      "--config", str(config)]) == cli.EXIT_OK
@@ -125,6 +125,18 @@ def test_out_of_range_config_value_exits_config(key, value, field, tmp_path, cap
                      "--config", str(config)]) == cli.EXIT_CONFIG
     assert f"error: {field} must be" in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "stability"])
+def test_samplings_override_below_one_exits_config(command, tmp_path, capsys):
+    data_dir, ckpt = train_tiny(tmp_path, mode="single_imputation")
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    code = cli.main([command, "--model", str(ckpt), "--data", str(data_dir), "--ns", "0",
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "error: n_samplings must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_impute_output_loads_as_dataset(tmp_path):

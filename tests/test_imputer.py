@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,13 +512,18 @@ def fallback_dataset():
 
 
 class TestBatchedDraws:
-    """sample_completions against the slot-by-slot reference, bit for bit."""
+    """sample_completions against the slot-by-slot reference, bit for bit.
+
+    The reference computes in float64; the stored draws are its values
+    rounded once to float32.
+    """
 
     def assert_same_draws(self, got, expect):
         for v, block in enumerate(expect):
             np.testing.assert_array_equal(got.imputed_rows[v],
                                           np.nonzero(~got.mask[:, v])[0])
-            assert got.draws[v].tobytes() == block.tobytes()
+            assert got.draws[v].dtype == np.float32
+            assert got.draws[v].tobytes() == block.astype(np.float32).tobytes()
 
     # ids: options<i> with 4 slots a block, options<i>-block<b> with b slots
     @pytest.mark.parametrize("options, block", [
@@ -560,6 +566,50 @@ class TestBatchedDraws:
         np.testing.assert_array_equal(got.draws[1][row_37], np.full((5, 3), 5.0))
         column_mean = data.views[2][30:32].mean(axis=0)  # the rows observing view 2
         np.testing.assert_allclose(got.draws[2][0], np.tile(column_mean, (5, 1)), atol=1e-2)
+
+
+class TestStorage:
+    """Draws are stored as float32 and read back as float64; views are shared."""
+
+    @pytest.mark.parametrize("fill", imputer._FILLS)
+    def test_draws_stored_as_float32_and_read_back_as_float64(self, blobs_incomplete, fill):
+        cs = sample_completions(blobs_incomplete, k=4, n_samplings=3, seed=5, fill=fill)
+        # sample_completions keeps each view's view_draws output as it is
+        assert all(block.dtype == np.float32 for block in cs.draws)
+        for v, rows in enumerate(cs.imputed_rows):
+            for s in range(3):
+                mat = cs.completion(s)[v]
+                assert mat.dtype == np.float64
+                np.testing.assert_array_equal(mat[rows], cs.draws[v][:, s].astype(np.float64))
+            slots = np.arange(rows.size) % 3
+            mat = cs.gather(rows, slots)[v]
+            assert mat.dtype == np.float64
+            np.testing.assert_array_equal(
+                mat, cs.draws[v][np.arange(rows.size), slots].astype(np.float64))
+
+    def test_views_are_the_datasets_own(self, blobs_incomplete):
+        cs = sample_completions(blobs_incomplete, k=4, n_samplings=2, seed=5)
+        for v in range(blobs_incomplete.n_views):
+            assert cs.views[v] is blobs_incomplete.views[v]
+
+    def test_building_holds_little_beyond_the_float32_draws(self, monkeypatch):
+        data = make_blobs_dataset(n=400, class_count=3, view_dims=(40, 30, 20), eta=0.5,
+                                  seed=21, mask_seed=22)
+        # small blocks keep the per-block normals and products small next to the draws
+        monkeypatch.setattr(imputer, "_SLOT_BLOCK", 8)
+        n_samplings = 30
+        draw_bytes = sum(int((~data.mask[:, v]).sum()) * d
+                         for v, d in enumerate(data.view_dims)) * n_samplings * 4
+        # a first call makes the one-time allocations of a fresh process
+        sample_completions(data, k=5, n_samplings=1, seed=3)
+        tracemalloc.start()
+        try:
+            cs = sample_completions(data, k=5, n_samplings=n_samplings, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * draw_bytes
+        assert sum(block.nbytes for block in cs.draws) == draw_bytes
 
 
 class TestMeanValueCompletions:

@@ -22,7 +22,7 @@ from evifuse.predictor import (
     predict_sample,
     stability_experiment,
 )
-from evifuse.trainer import TrainConfig, TrainedModel, _softmax, train
+from evifuse.trainer import MODES, TrainConfig, TrainedModel, _softmax, train
 from conftest import make_blobs_dataset
 
 FAST = dict(epochs=12, batch_size=32, n_samplings=4, hidden=(12,), anneal_epochs=5,
@@ -253,6 +253,18 @@ class TestEvaluate:
             for c, a in enumerate(metrics["per_class_accuracy"])
         ]) / test.n_samples
         assert overall == pytest.approx(metrics["accuracy"])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_samplings_override_below_one_rejected(self, fitted, mode):
+        """Every mode checks the override, also those that take one completion."""
+        _, test = fitted
+        data = make_blobs_dataset(n=60, eta=0.3, seed=61, mask_seed=62)
+        model = train(data, TrainConfig(seed=3, mode=mode, **dict(FAST, epochs=1)))
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="n_samplings must be >= 1"):
+                evaluate(model, test, n_samplings=count, seed=0)
+            with pytest.raises(ValueError, match="n_samplings must be >= 1"):
+                stability_experiment(model, test, n_repeats=2, n_samplings=count, seed=0)
 
     def test_vote_counts_rowwise_sum(self, fitted):
         model, test = fitted
