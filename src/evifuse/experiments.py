@@ -1,19 +1,21 @@
 """Experiment harness: missing-rate sweeps, reports, and completion export.
 
 A sweep runs one cell per (eta, seed, mode): generate per-split masks,
-train, evaluate, and record a row. Completed cells persist as JSON files
-under ``<out>/cells`` so a rerun skips them; a lock file (created
-atomically, holding the owner's pid and host) keeps other workers off the
-cell; a rerun on that host reclaims it once that process is gone. All
-cell-level randomness derives from the cell's seed plus its coordinates,
-so rerunning a cell reproduces its row exactly.
+train, evaluate, and record a row. All cell-level randomness derives from
+the cell's seed plus its coordinates, so a row is fixed apart from
+``wall_time`` and running a cell twice does no harm. A worker writes its
+row to a private temporary file and hard-links it to ``cells/<key>.json``;
+a link never replaces a file, so the first published row wins and a rerun
+skips the cell. A killed worker leaves at most a stray ``*.tmp`` file,
+which counts as no result. The output directory must support hard links,
+as every local POSIX filesystem does.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import socket
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -91,10 +93,21 @@ def _cell_key(eta: float, seed: int, mode: str) -> str:
     return f"eta{eta:g}_seed{seed}_{mode}"
 
 
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-    os.replace(tmp, path)
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=1, sort_keys=True)
+
+
+def _write_atomic(path: Path, text: str, publish=os.replace) -> None:
+    """Write ``text`` to a private temporary file beside ``path``, then
+    ``publish(tmp, path)``: ``os.replace`` overwrites, ``os.link`` raises
+    ``FileExistsError`` if ``path`` exists. Readers never see a torn file."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        publish(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
@@ -102,21 +115,24 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
           workers: int = 1) -> list[dict]:
     """Run every (eta, seed, mode) cell, skipping ones already on disk.
 
-    Failed cells are recorded with status "error" and the sweep continues.
-    Returns all completed rows and writes results.csv plus summary.json;
-    the summary lists under ``cells_missing`` the keys of cells that have
-    no result, such as a cell whose lock a killed worker left behind.
+    Failed cells are recorded with status "error" and, like any published
+    row, are not rerun. Two sweeps on one ``out_dir`` may both compute a
+    cell; the first row published wins. A worker process that dies ends a
+    parallel sweep early. Returns all completed rows and writes results.csv
+    plus summary.json, whose ``cells_missing`` lists the keys of cells with
+    no result yet, such as a killed worker's; a rerun runs them.
+    ``out_dir`` must support hard links.
     """
     out = Path(out_dir)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
     todo = [(float(e), int(s), str(m)) for e in etas for s in seeds for m in modes]
+    data = load_dataset(data_dir)  # a bad directory fails here, not in a worker
     if workers > 1:
         _run_cells_parallel(data_dir, todo, cfg, cells_dir, train_fraction, workers)
     else:
-        data = load_dataset(data_dir)
         for eta, seed, mode in todo:
-            _run_cell_guarded(data, eta, seed, mode, cfg, cells_dir, train_fraction)
+            _run_cell_once(data, eta, seed, mode, cfg, cells_dir, train_fraction)
     rows, missing = [], []
     for eta, seed, mode in todo:
         key = _cell_key(eta, seed, mode)
@@ -128,53 +144,28 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
     write_results_csv(rows, out / "results.csv")
     summary = summarize(rows)
     summary["cells_missing"] = missing
-    _write_json_atomic(out / "summary.json", summary)
+    _write_atomic(out / "summary.json", _json_text(summary))
     return rows
 
 
-def _run_cell_guarded(data, eta, seed, mode, cfg, cells_dir: Path,
-                      train_fraction) -> None:
-    key = _cell_key(eta, seed, mode)
-    result_path = cells_dir / f"{key}.json"
+def _run_cell_once(data, eta, seed, mode, cfg, cells_dir: Path,
+                   train_fraction) -> None:
+    """Run a cell that has no published row and publish its row, unless
+    another worker published one first."""
+    result_path = cells_dir / f"{_cell_key(eta, seed, mode)}.json"
     if result_path.exists():
         return
-    lock_path = cells_dir / f"{key}.lock"
-    if _lock_is_stale(lock_path):  # left by a killed worker
-        lock_path.unlink(missing_ok=True)
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        row = run_cell(data, eta, seed, mode, cfg, train_fraction)
+    except Exception as exc:  # record the failure, keep sweeping
+        row = {
+            "eta": eta, "seed": seed, "mode": mode, "status": "error",
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+    try:
+        _write_atomic(result_path, _json_text(row), os.link)
     except FileExistsError:
-        return  # another worker owns this cell
-    with os.fdopen(fd, "w") as fh:
-        fh.write(f"{os.getpid()} {socket.gethostname()}")
-    try:
-        if result_path.exists():  # written by a worker that let go of the lock meanwhile
-            return
-        try:
-            row = run_cell(data, eta, seed, mode, cfg, train_fraction)
-        except Exception as exc:  # record the failure, keep sweeping
-            row = {
-                "eta": eta, "seed": seed, "mode": mode, "status": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        _write_json_atomic(result_path, row)
-    finally:
-        lock_path.unlink(missing_ok=True)
-
-
-def _lock_is_stale(lock_path: Path) -> bool:
-    """True for a lock that names this host and a pid that no longer runs.
-
-    A missing, empty or unreadable lock may be mid-write and is not stale.
-    Two reruns that reclaim one stale lock at once may both run the cell."""
-    try:
-        pid, host = lock_path.read_text().split()
-        os.kill(int(pid), 0)
-    except ProcessLookupError:
-        return host == socket.gethostname()
-    except (OSError, ValueError):
-        return False
-    return False
+        pass  # another worker published this cell first; its row stands
 
 
 _WORKER_DATA: dict = {}
@@ -187,20 +178,24 @@ def _worker_init(data_dir):
 def _worker_run(args):
     eta, seed, mode, cfg_dict, cells_dir, train_fraction = args
     cfg = TrainConfig.from_dict(cfg_dict)
-    _run_cell_guarded(_WORKER_DATA["data"], eta, seed, mode, cfg,
-                      Path(cells_dir), train_fraction)
+    _run_cell_once(_WORKER_DATA["data"], eta, seed, mode, cfg,
+                   Path(cells_dir), train_fraction)
 
 
 def _run_cells_parallel(data_dir, todo, cfg, cells_dir, train_fraction, workers):
     import multiprocessing as mp
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    ctx = mp.get_context("spawn")
     args = [
         (eta, seed, mode, cfg.to_dict(), str(cells_dir), train_fraction)
         for eta, seed, mode in todo
     ]
-    with ctx.Pool(workers, initializer=_worker_init, initargs=(data_dir,)) as pool:
-        pool.map(_worker_run, args)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=mp.get_context("spawn"),
+                                 initializer=_worker_init, initargs=(data_dir,)) as pool:
+            list(pool.map(_worker_run, args))
+    except BrokenProcessPool:
+        pass  # a worker died, say killed by the OOM killer; unfinished cells stay missing
 
 
 def write_results_csv(rows: list[dict], path) -> None:
@@ -212,7 +207,7 @@ def write_results_csv(rows: list[dict], path) -> None:
             f'{r["eta"]:.17g},{r["seed"]},{r["mode"]},'
             f'{r["accuracy"]:.17g},{r["mean_uncertainty"]:.17g},{r["wall_time"]:.17g}'
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(Path(path), "\n".join(lines) + "\n")
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -294,7 +289,7 @@ def write_tidy_csv(summary: list[dict], path) -> None:
             f'{s["mode"]},{s["eta"]:.17g},{s["n_cells"]},'
             f'{s["mean_accuracy"]:.17g},{s["std_accuracy"]:.17g}'
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(Path(path), "\n".join(lines) + "\n")
 
 
 def write_completion_directory(completions: CompletionSet, out_dir) -> None:
@@ -316,4 +311,4 @@ def write_completion_directory(completions: CompletionSet, out_dir) -> None:
             if not completions.mask[n, v]
         ],
     }
-    _write_json_atomic(out / "provenance.json", provenance)
+    _write_atomic(out / "provenance.json", _json_text(provenance))

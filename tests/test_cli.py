@@ -1,11 +1,13 @@
 """Command-line entry point: exit codes, error reporting and written outputs."""
 
 import json
+import multiprocessing
 import os
-import socket
-import subprocess
-import sys
+import signal
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,24 +157,6 @@ def test_impute_output_loads_as_dataset(tmp_path):
                                       source.views[v][observed])
 
 
-def test_sweep_reports_cell_left_locked(tmp_path, capsys):
-    data_dir = write_dataset_dir(tmp_path / "data",
-                                 make_blobs_dataset(n=40, seed=21), include_mask=False)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY))
-    out = tmp_path / "sweep"
-    locked = experiments._cell_key(0.2, 0, "uimc")
-    (out / "cells").mkdir(parents=True)
-    (out / "cells" / f"{locked}.lock").touch()
-    assert cli.main(["sweep", "--data", str(data_dir), "--etas", "0.2", "--seeds", "0",
-                     "--modes", "uimc,mean_imputation", "--config", str(config),
-                     "--out", str(out)]) == cli.EXIT_OK
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["cells_missing"] == [locked]
-    assert summary["cells_ok"] == 1
-    assert "1 missing" in capsys.readouterr().out
-
-
 def test_diverged_training_exits_numeric(tmp_path, capsys):
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=60, eta=0.3, seed=21, mask_seed=22))
@@ -189,69 +173,111 @@ def test_diverged_training_exits_numeric(tmp_path, capsys):
     assert not ckpt.exists()
 
 
-def sweep_two_cells(tmp_path, lock_text):
-    """A two-cell sweep whose uimc cell starts with a lock holding ``lock_text``."""
+def sweep_two_cells(tmp_path):
+    """A two-cell sweep (one uimc cell) into ``tmp_path / "sweep"``: (out, uimc key)."""
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, seed=21), include_mask=False)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY))
     out = tmp_path / "sweep"
-    key = experiments._cell_key(0.2, 0, "uimc")
-    (out / "cells").mkdir(parents=True)
-    (out / "cells" / f"{key}.lock").write_text(lock_text)
     assert cli.main(["sweep", "--data", str(data_dir), "--etas", "0.2", "--seeds", "0",
                      "--modes", "uimc,mean_imputation", "--config", str(config),
                      "--out", str(out)]) == cli.EXIT_OK
-    return out, key
+    return out, experiments._cell_key(0.2, 0, "uimc")
 
 
-def test_sweep_reclaims_lock_of_finished_process(tmp_path):
-    finished = subprocess.Popen([sys.executable, "-c", "pass"])
-    finished.wait()
-    out, key = sweep_two_cells(tmp_path, f"{finished.pid} {socket.gethostname()}")
+def test_sweep_drops_row_of_cell_published_meanwhile(tmp_path, monkeypatch):
+    key = experiments._cell_key(0.2, 0, "uimc")
+    result = tmp_path / f"{key}.json"
+    first = b'{"status": "ok", "by": "first"}'
+
+    def publish_elsewhere(*args, **kwargs):
+        result.write_bytes(first)  # another worker publishes while this one runs
+        return {"status": "ok", "by": "second"}
+
+    monkeypatch.setattr(experiments, "run_cell", publish_elsewhere)
+    experiments._run_cell_once(None, 0.2, 0, "uimc", TrainConfig(), tmp_path, 0.5)
+    assert result.read_bytes() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == [result.name]
+
+
+def test_sweep_reruns_cell_left_as_temp_file(tmp_path, capsys):
+    key = experiments._cell_key(0.2, 0, "uimc")
+    (tmp_path / "sweep" / "cells").mkdir(parents=True)
+    (tmp_path / "sweep" / "cells" / f"{key}.json.k1ll3d.tmp").write_text('{"status": "ok"')
+    out, _ = sweep_two_cells(tmp_path)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cells_missing"] == [] and summary["cells_ok"] == 2
     assert json.loads((out / "cells" / f"{key}.json").read_text())["status"] == "ok"
-    assert not (out / "cells" / f"{key}.lock").exists()
+    assert "2 cells ok, 0 failed, 0 missing" in capsys.readouterr().out
 
 
-def test_sweep_respects_lock_of_live_process(tmp_path):
-    out, key = sweep_two_cells(tmp_path, f"{os.getpid()} {socket.gethostname()}")
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["cells_missing"] == [key]
-    assert (out / "cells" / f"{key}.lock").exists()
+def test_sweep_publishes_error_row_and_does_not_retry_it(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("cell blew up")
 
-
-def test_sweep_lock_names_its_owner(tmp_path, monkeypatch):
-    seen = []
-    real_run_cell = experiments.run_cell
-
-    def run_cell(*args, **kwargs):
-        key = experiments._cell_key(*args[1:4])
-        seen.append((tmp_path / "sweep" / "cells" / f"{key}.lock").read_text())
-        return real_run_cell(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "run_cell", run_cell)
-    sweep_two_cells(tmp_path, "")
-    assert seen == [f"{os.getpid()} {socket.gethostname()}"]
-
-
-def test_sweep_skips_cell_finished_while_its_lock_was_taken(tmp_path, monkeypatch):
-    key = experiments._cell_key(0.2, 0, "uimc")
-    result = tmp_path / f"{key}.json"
-
-    def finish_elsewhere(lock_path):
-        # another worker writes the result and lets go of the lock in between
-        result.write_text('{"status": "ok"}')
-        return False
-
+    links = []
+    real_link = os.link
+    monkeypatch.setattr(os, "link", lambda src, dst: (links.append(dst), real_link(src, dst)))
+    monkeypatch.setattr(experiments, "run_cell", fail)
+    out, key = sweep_two_cells(tmp_path)
+    error_row = (out / "cells" / f"{key}.json").read_text()
+    assert json.loads(error_row)["error"] == "RuntimeError: cell blew up"
+    assert sorted(Path(dst).name for dst in links) == sorted(
+        p.name for p in (out / "cells").iterdir())
+    assert len(links) == 2
     calls = []
-    monkeypatch.setattr(experiments, "_lock_is_stale", finish_elsewhere)
     monkeypatch.setattr(experiments, "run_cell", lambda *a, **k: calls.append(a))
-    experiments._run_cell_guarded(None, 0.2, 0, "uimc", TrainConfig(), tmp_path, 0.5)
+    sweep_two_cells(tmp_path)
     assert calls == []
-    assert result.read_text() == '{"status": "ok"}'
-    assert not (tmp_path / f"{key}.lock").exists()
+    assert (out / "cells" / f"{key}.json").read_text() == error_row
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cells_failed"] == 2 and summary["cells_missing"] == []
+
+
+def test_sweep_with_killed_worker_returns_and_rerun_completes(tmp_path, capsys):
+    data_dir = write_dataset_dir(tmp_path / "data", make_blobs_dataset(n=200, seed=21),
+                                 include_mask=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, "epochs": 40}))  # about 0.3 s a cell
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--data", str(data_dir), "--etas", "0.2", "--seeds", "0,1,2,3",
+            "--modes", "uimc", "--config", str(config), "--out", str(out)]
+    swept, killed = threading.Event(), []
+
+    def kill_a_worker():
+        # once a cell is published, the pool is up and the other cells are running or queued
+        while not swept.is_set() and not list((out / "cells").glob("*.json")):
+            time.sleep(0.005)
+        workers = multiprocessing.active_children()
+        if workers and not swept.is_set():
+            os.kill(workers[0].pid, signal.SIGKILL)
+            killed.append(workers[0].pid)
+
+    killer = threading.Thread(target=kill_a_worker)
+    killer.start()
+    try:
+        assert cli.main([*argv, "--threads", "2"]) == cli.EXIT_OK
+    finally:
+        swept.set()
+        killer.join(timeout=30)
+    assert not killer.is_alive() and killed
+    summary = json.loads((out / "summary.json").read_text())
+    missing = summary["cells_missing"]
+    assert missing and summary["cells_ok"] + len(missing) == 4
+    assert not any((out / "cells" / f"{key}.json").exists() for key in missing)
+    assert f"{len(missing)} missing" in capsys.readouterr().out
+    assert cli.main(argv) == cli.EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cells_missing"] == [] and summary["cells_ok"] == 4
+
+
+def test_parallel_sweep_of_missing_data_exits_config(tmp_path, capsys):
+    code = cli.main(["sweep", "--data", str(tmp_path / "absent"), "--etas", "0.2",
+                     "--seeds", "0", "--modes", "uimc", "--out", str(tmp_path / "sweep"),
+                     "--threads", "2"])
+    assert code == cli.EXIT_CONFIG
+    assert "not a dataset directory" in capsys.readouterr().err
 
 
 def run_sweep(data_dir, config, out, *extra):
