@@ -8,16 +8,13 @@ uncertainty reporting.
 """
 
 from evifuse.dataset import (
-    MissingnessSpec,
     MultiViewDataset,
-    SplitSpec,
     generate_missing_mask,
     load_dataset,
     split,
     zscore_fit_transform,
 )
 from evifuse.evidential import SubjectiveOpinion, anneal_lambda
-from evifuse.fusion import FusionConflictError
 from evifuse.imputer import CompletionSet, sample_completions
 from evifuse.network import Adam, EvidenceNetwork
 from evifuse.predictor import evaluate, predict_sample, stability_experiment
@@ -29,10 +26,7 @@ __all__ = [
     "Adam",
     "CompletionSet",
     "EvidenceNetwork",
-    "FusionConflictError",
-    "MissingnessSpec",
     "MultiViewDataset",
-    "SplitSpec",
     "SubjectiveOpinion",
     "TrainConfig",
     "TrainedModel",

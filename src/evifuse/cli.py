@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from evifuse import experiments
-from evifuse.dataset import MissingnessSpec, generate_missing_mask, load_dataset
-from evifuse.fusion import FusionConflictError
+from evifuse.dataset import generate_missing_mask, load_dataset
 from evifuse.imputer import sample_completions
 from evifuse.predictor import evaluate, stability_experiment
 from evifuse.trainer import (
@@ -131,10 +130,8 @@ def _load_config(args) -> TrainConfig:
 
 def _cmd_mask(args) -> int:
     data = load_dataset(args.data)
-    mask = generate_missing_mask(
-        data.n_samples, data.n_views,
-        MissingnessSpec(args.eta, seed=args.seed if args.seed is not None else 0),
-    )
+    mask = generate_missing_mask(data.n_samples, data.n_views, args.eta,
+                                 seed=args.seed if args.seed is not None else 0)
     np.savetxt(args.out, mask.astype(int), fmt="%d", delimiter=",")
     print(f"wrote {args.out}: {(~mask).sum()} missing of {mask.size} slots")
     return EXIT_OK
@@ -240,7 +237,7 @@ def main(argv=None) -> int:
     except (ValueError, CheckpointError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FusionConflictError, NonFiniteLossError, FloatingPointError) as exc:
+    except (NonFiniteLossError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -85,28 +85,6 @@ class MultiViewDataset:
         return MultiViewDataset(list(self.views), self.labels, mask, self.class_count)
 
 
-@dataclass(frozen=True)
-class MissingnessSpec:
-    """Target fraction of missing (sample, view) slots plus the RNG seed."""
-
-    eta: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError("eta must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
-
-
 def load_dataset(root_path) -> MultiViewDataset:
     """Read a dataset directory; an absent mask.csv means fully observed."""
     root = Path(root_path)
@@ -204,22 +182,24 @@ def _zscore_views(views: list, mask: np.ndarray, stats: ZScoreStats) -> list:
             for i, (v, mean, scale) in enumerate(zip(views, stats.means, stats.scales()))]
 
 
-def generate_missing_mask(n: int, v: int, spec: MissingnessSpec) -> np.ndarray:
-    """Random availability mask with round(eta*n*v) missing slots.
+def generate_missing_mask(n: int, v: int, eta: float, seed: int = 0) -> np.ndarray:
+    """Random availability mask with round(eta*n*v) missing slots, eta in [0, 1).
 
     Slots are removed one at a time by uniform draws over (sample, view),
     rejecting any draw that would leave a sample with no observed view.
     """
+    if not 0.0 <= eta < 1.0:
+        raise ValueError("eta must lie in [0, 1)")
     if n < 1 or v < 1:
         raise ValueError("need n >= 1 samples and v >= 1 views")
-    target = int(np.rint(spec.eta * n * v))
+    target = int(np.rint(eta * n * v))
     if target > n * (v - 1):
         raise ValueError(
             f"infeasible missingness: {target} slots exceed n*(v-1) = {n * (v - 1)}"
         )
     mask = np.ones((n, v), dtype=bool)
     observed_per_row = np.full(n, v)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     removed = 0
     while removed < target:
         i = int(rng.integers(n))
@@ -231,9 +211,11 @@ def generate_missing_mask(n: int, v: int, spec: MissingnessSpec) -> np.ndarray:
     return mask
 
 
-def split(data: MultiViewDataset, spec: SplitSpec):
-    """Disjoint train/test partition, stratified by label."""
-    rng = np.random.default_rng(spec.seed)
+def split(data: MultiViewDataset, train_fraction: float, seed: int = 0):
+    """Disjoint train/test partition, stratified by label; train_fraction in (0, 1)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+    rng = np.random.default_rng(seed)
     train_idx = []
     for c in range(data.class_count):
         members = np.nonzero(data.labels == c)[0]
@@ -243,7 +225,7 @@ def split(data: MultiViewDataset, spec: SplitSpec):
             raise ValueError(
                 f"class {c} has {members.size} sample(s); stratified split needs >= 2"
             )
-        take = int(round(spec.train_fraction * members.size))
+        take = int(round(train_fraction * members.size))
         take = min(max(take, 1), members.size - 1)
         train_idx.append(rng.permutation(members)[:take])
     train_idx = np.sort(np.concatenate(train_idx))

@@ -23,9 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from evifuse.dataset import (
-    MissingnessSpec,
     MultiViewDataset,
-    SplitSpec,
     generate_missing_mask,
     load_dataset,
     split,
@@ -48,18 +46,12 @@ def _eta_key(eta: float) -> int:
 def prepare_cell_data(data: MultiViewDataset, eta: float, seed: int,
                       train_fraction: float = DEFAULT_TRAIN_FRACTION):
     """Split, then corrupt each split independently at the same missing rate."""
-    train_set, test_set = split(
-        data, SplitSpec(train_fraction, seed=_subseed(seed, _TAG_SPLIT))
-    )
+    train_set, test_set = split(data, train_fraction, seed=_subseed(seed, _TAG_SPLIT))
     ek = _eta_key(eta)
-    train_mask = generate_missing_mask(
-        train_set.n_samples, train_set.n_views,
-        MissingnessSpec(eta, seed=_subseed(seed, _TAG_TRAIN_MASK, ek)),
-    )
-    test_mask = generate_missing_mask(
-        test_set.n_samples, test_set.n_views,
-        MissingnessSpec(eta, seed=_subseed(seed, _TAG_TEST_MASK, ek)),
-    )
+    train_mask = generate_missing_mask(train_set.n_samples, train_set.n_views, eta,
+                                       seed=_subseed(seed, _TAG_TRAIN_MASK, ek))
+    test_mask = generate_missing_mask(test_set.n_samples, test_set.n_views, eta,
+                                      seed=_subseed(seed, _TAG_TEST_MASK, ek))
     return train_set.with_mask(train_mask), test_set.with_mask(test_mask)
 
 

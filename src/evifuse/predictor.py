@@ -6,8 +6,8 @@ fusing the per-view opinions, and the final label is the most frequent
 per-completion prediction. Ties break toward the class with the larger
 belief mass summed over completions, then toward the lower class index.
 Reported uncertainty is the fused uncertainty mass averaged over
-completions. Samplings whose fusion collapses in total conflict are
-excluded from the vote and counted separately.
+completions. Samplings whose fused evidence is not finite (it overflows,
+or a head gave NaN) are excluded from the vote and counted separately.
 
 Test-time completion is a stream, one missing view at a time:
 ``_test_draws`` yields view m's draws for every slot missing it, and
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from evifuse.dataset import MultiViewDataset, _zscore_views, zscore_apply
-from evifuse.evidential import SubjectiveOpinion, _opinion_arrays
+from evifuse.evidential import SubjectiveOpinion
 from evifuse.fusion import _fold_with_exclusions
 from evifuse.imputer import view_draws
 from evifuse.trainer import TrainedModel, _completion_options, _softmax, _subseed
@@ -49,7 +49,8 @@ class PredictionResult:
         in sampling order, with ``beliefs`` (S_valid, K) and
         ``uncertainty`` (S_valid,); sampling s of them is
         ``beliefs[s]``, ``uncertainty[s]``.
-    excluded_samplings: samplings left out for total conflict, S - S_valid.
+    excluded_samplings: samplings left out because their fused evidence
+        is not finite, S - S_valid.
     """
 
     label: int
@@ -92,7 +93,7 @@ def _sampling_opinions(model: TrainedModel, std: MultiViewDataset, draws):
                          f"{len(model.networks)}")
     n = std.n_samples
     k = model.class_count
-    heads = [net.forward if model.uses_evidence else net.forward_logits
+    heads = [net.forward if model.config.uses_evidence else net.forward_logits
              for net in model.networks]
     missing = ~std.mask.T
     shared = [head(np.where(miss[:, None], 0.0, x))
@@ -124,10 +125,9 @@ def _sampling_opinions(model: TrainedModel, std: MultiViewDataset, draws):
             full = np.broadcast_to(out, (part.stop - start, n, k)).copy()
             full[:, miss] = new[part]
             outs.append(full)
-        if model.uses_evidence:
-            bs, us = zip(*(_opinion_arrays(e + 1.0) for e in outs))
-            all_b[part], all_u[part], all_bad[part], _ = _fold_with_exclusions(
-                list(bs), list(us))
+        if model.config.uses_evidence:
+            all_b[part], all_u[part], all_bad[part] = _fold_with_exclusions(
+                [e + 1.0 for e in outs])
         else:
             all_b[part] = np.mean([_softmax(logits) for logits in outs], axis=0)
     return all_b, all_u, all_bad

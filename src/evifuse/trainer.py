@@ -27,7 +27,7 @@ import numpy as np
 
 from evifuse.dataset import MultiViewDataset, ZScoreStats, zscore_fit_transform
 from evifuse.evidential import anneal_lambda, one_hot
-from evifuse.fusion import FusionConflictError, total_loss_alpha_grads
+from evifuse.fusion import total_loss_alpha_grads
 from evifuse.imputer import CompletionSet, sample_completions
 from evifuse.network import Adam, EvidenceNetwork
 
@@ -89,6 +89,11 @@ class TrainConfig:
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden must be widths >= 1, got {list(self.hidden)}")
 
+    @property
+    def uses_evidence(self) -> bool:
+        """Whether the mode trains evidential heads fused by belief fusion."""
+        return self.mode in ("uimc", "single_imputation")
+
     def to_dict(self) -> dict:
         out = {"schema": CONFIG_SCHEMA}
         out.update(asdict(self))
@@ -136,10 +141,6 @@ class TrainedModel:
     train_pool: MultiViewDataset
     class_count: int
     epochs_run: int
-
-    @property
-    def uses_evidence(self) -> bool:
-        return self.config.mode in ("uimc", "single_imputation")
 
 
 def _seeded(seed: int, *path: int) -> np.random.Generator:
@@ -229,10 +230,9 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
             # a diverging step overflows to inf and nan; the finite checks on
             # alpha, the gradients and the epoch loss report it as an error
             with np.errstate(over="ignore", invalid="ignore"):
-                if cfg.mode in ("uimc", "single_imputation"):
-                    fused_sum, view_sums = _evidential_step(
-                        networks, optimizer, xs, y, lam, epoch=epoch, batch_rows=rows,
-                    )
+                if cfg.uses_evidence:
+                    fused_sum, view_sums = _evidential_step(networks, optimizer, xs, y, lam,
+                                                            epoch)
                 else:
                     fused_sum, view_sums = _cross_entropy_step(networks, optimizer, xs, y)
             fused_total += fused_sum
@@ -265,7 +265,7 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
     )
 
 
-def _evidential_step(networks, optimizer, xs, y, lam, epoch, batch_rows):
+def _evidential_step(networks, optimizer, xs, y, lam, epoch):
     batch_size = y.shape[0]
     alphas, caches = [], []
     for net, x in zip(networks, xs):
@@ -274,12 +274,6 @@ def _evidential_step(networks, optimizer, xs, y, lam, epoch, batch_rows):
         caches.append(cache)
     try:
         fused_term, view_terms, grads = total_loss_alpha_grads(alphas, y, lam)
-    except FusionConflictError as exc:
-        rows = batch_rows[exc.rows]
-        raise FusionConflictError(
-            f"fusion conflict at epoch {epoch}, samples {rows[:8].tolist()}: {exc}",
-            rows=rows,
-        ) from exc
     except FloatingPointError as exc:
         raise NonFiniteLossError(f"training diverged at epoch {epoch}: {exc}") from exc
     optimizer.step([g for net, cache, grad in zip(networks, caches, grads)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from evifuse.dataset import MissingnessSpec, MultiViewDataset, generate_missing_mask
+from evifuse.dataset import MultiViewDataset, generate_missing_mask
 
 
 def make_blobs_dataset(n=120, class_count=3, view_dims=(3, 2), noise=0.7,
@@ -18,10 +18,8 @@ def make_blobs_dataset(n=120, class_count=3, view_dims=(3, 2), noise=0.7,
     labels = rng.integers(0, class_count, n)
     views = [c[labels] + rng.normal(0.0, noise, (n, c.shape[1])) for c in centers]
     if eta > 0:
-        mask = generate_missing_mask(
-            n, len(view_dims),
-            MissingnessSpec(eta, seed=seed if mask_seed is None else mask_seed),
-        )
+        mask = generate_missing_mask(n, len(view_dims), eta,
+                                     seed=seed if mask_seed is None else mask_seed)
     else:
         mask = np.ones((n, len(view_dims)), dtype=bool)
     return MultiViewDataset(views, labels, mask, class_count)

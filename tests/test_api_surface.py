@@ -1,9 +1,11 @@
-"""Every public function and class in ``src/evifuse`` has a caller in the program.
+"""Every top-level function and class in ``src/evifuse`` has a caller in the program.
 
-A public top-level definition that nothing in ``src/`` or ``bench/`` refers
-to is API that only tests read; its tests belong on the code that runs.
-The package ``__init__`` only re-exports names, so it does not count as a
-caller.
+A top-level definition, public or private, that nothing in ``src/`` or
+``bench/`` refers to is code that only tests read: API nothing uses, or a
+kernel left behind when its caller went; its tests belong on the code that
+runs. The package ``__init__`` only re-exports names, so it does not count
+as a caller. The attribute names that the bench's ``HOOKS`` patch count as
+callers.
 """
 
 import ast
@@ -39,7 +41,7 @@ def hook_targets(tree) -> set:
 
 
 def uncalled_definitions(src_dir: Path, bench_dir: Path) -> list:
-    """``module.name`` of each public top-level def or class that no other code refers to."""
+    """``module.name`` of each top-level def or class that no other code refers to."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src_dir.glob("*.py"))
                if path.name != "__init__.py"}
     bench = {path.stem: ast.parse(path.read_text()) for path in sorted(bench_dir.glob("*.py"))}
@@ -51,7 +53,7 @@ def uncalled_definitions(src_dir: Path, bench_dir: Path) -> list:
     uncalled = []
     for module, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name not in outside and not any(
                     node.name in names for other, names in statements if other is not node):
@@ -60,6 +62,7 @@ def uncalled_definitions(src_dir: Path, bench_dir: Path) -> list:
 
 
 def test_every_public_definition_has_a_caller():
+    """Private definitions are checked as well as public ones."""
     assert uncalled_definitions(SRC, BENCH) == []
 
 
@@ -72,11 +75,17 @@ def test_finds_a_definition_only_tests_call(tmp_path):
         "def kernel(x):\n    return x\n\n\n"
         "def orphan(x):\n    return orphan(x)\n\n\n"
         "def hooked(x):\n    return x\n\n\n"
-        "class Used:\n    pass\n")
+        "def _step(x):\n    return x\n\n\n"
+        "def _orphan_step(x):\n    return _orphan_step(x)\n\n\n"
+        "def _hooked_step(x):\n    return x\n\n\n"
+        "class Used:\n    pass\n\n\n"
+        "class _Orphan:\n    pass\n")
     (src / "user.py").write_text(
-        "from pkg import core\nfrom pkg.core import Used\n\n\n"
-        "def run(x):\n    return core.kernel(x)\n")
+        "from pkg import core\nfrom pkg.core import Used, _step\n\n\n"
+        "def run(x):\n    return core.kernel(_step(x))\n")
     (bench / "spans.py").write_text(
-        "from pkg import core, user\n\nHOOKS = ((core, 'hooked', 'span', None),)\n"
+        "from pkg import core, user\n\nHOOKS = ((core, 'hooked', 'span', None),\n"
+        "         (core, '_hooked_step', 'span', None))\n"
         "user.run(1)\n")
-    assert uncalled_definitions(src, bench) == ["core.orphan"]
+    assert uncalled_definitions(src, bench) == ["core.orphan", "core._orphan_step",
+                                                "core._Orphan"]

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from evifuse.dataset import (
-    MissingnessSpec,
     MultiViewDataset,
-    SplitSpec,
     generate_missing_mask,
     load_dataset,
     split,
@@ -116,48 +114,48 @@ class TestZScore:
 
 class TestMissingMask:
     def test_exact_slot_count(self):
-        mask = generate_missing_mask(10, 3, MissingnessSpec(0.2, seed=0))
+        mask = generate_missing_mask(10, 3, 0.2, seed=0)
         assert (~mask).sum() == 6
         assert mask.any(axis=1).all()
 
     def test_zero_rate_all_true(self):
-        mask = generate_missing_mask(7, 4, MissingnessSpec(0.0, seed=1))
+        mask = generate_missing_mask(7, 4, 0.0, seed=1)
         assert mask.all()
 
     def test_infeasible_rate_rejected(self):
         with pytest.raises(ValueError, match="infeasible"):
-            generate_missing_mask(2, 2, MissingnessSpec(0.9, seed=0))
+            generate_missing_mask(2, 2, 0.9, seed=0)
 
     def test_every_row_keeps_a_view_at_maximum(self):
         # round(eta*n*v) == n*(v-1): every sample ends with exactly one view
-        mask = generate_missing_mask(6, 3, MissingnessSpec(4.0 / 6.0, seed=3))
+        mask = generate_missing_mask(6, 3, 4.0 / 6.0, seed=3)
         assert (~mask).sum() == 12
         np.testing.assert_array_equal(mask.sum(axis=1), np.ones(6))
 
     def test_deterministic_and_seed_sensitive(self):
-        a = generate_missing_mask(10, 4, MissingnessSpec(0.4, seed=5))
-        b = generate_missing_mask(10, 4, MissingnessSpec(0.4, seed=5))
-        c = generate_missing_mask(10, 4, MissingnessSpec(0.4, seed=6))
+        a = generate_missing_mask(10, 4, 0.4, seed=5)
+        b = generate_missing_mask(10, 4, 0.4, seed=5)
+        c = generate_missing_mask(10, 4, 0.4, seed=6)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_realized_rate_matches_target(self):
         n, v = 200, 5
         for eta in (0.1, 0.3, 0.5):
-            mask = generate_missing_mask(n, v, MissingnessSpec(eta, seed=2))
+            mask = generate_missing_mask(n, v, eta, seed=2)
             assert (~mask).sum() == round(eta * n * v)
 
     def test_eta_bounds(self):
-        with pytest.raises(ValueError):
-            MissingnessSpec(1.0)
-        with pytest.raises(ValueError):
-            MissingnessSpec(-0.1)
+        with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\)"):
+            generate_missing_mask(5, 2, 1.0)
+        with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\)"):
+            generate_missing_mask(5, 2, -0.1)
 
 
 class TestSplit:
     def test_exact_fraction(self):
         data = make_blobs_dataset(n=10, class_count=2, seed=2)
-        train, test = split(data, SplitSpec(0.8, seed=0))
+        train, test = split(data, 0.8, seed=0)
         assert train.n_samples == 8
         assert test.n_samples == 2
 
@@ -165,7 +163,7 @@ class TestSplit:
         labels = np.array([0] * 6 + [1] * 4)
         views = [np.arange(10.0)[:, None]]
         data = MultiViewDataset(views, labels, np.ones((10, 1), bool), 2)
-        train, test = split(data, SplitSpec(0.5, seed=1))
+        train, test = split(data, 0.5, seed=1)
         assert (train.labels == 0).sum() == 3
         assert (train.labels == 1).sum() == 2
         assert (test.labels == 0).sum() == 3
@@ -173,14 +171,14 @@ class TestSplit:
 
     def test_deterministic(self):
         data = make_blobs_dataset(n=30, seed=3)
-        t1, _ = split(data, SplitSpec(0.7, seed=4))
-        t2, _ = split(data, SplitSpec(0.7, seed=4))
+        t1, _ = split(data, 0.7, seed=4)
+        t2, _ = split(data, 0.7, seed=4)
         np.testing.assert_array_equal(t1.labels, t2.labels)
         np.testing.assert_array_equal(t1.views[0], t2.views[0])
 
     def test_partitions_disjoint_and_cover(self):
         data = make_blobs_dataset(n=30, seed=5)
-        train, test = split(data, SplitSpec(0.6, seed=6))
+        train, test = split(data, 0.6, seed=6)
         assert train.n_samples + test.n_samples == 30
         combined = np.vstack([train.views[0], test.views[0]])
         assert np.unique(combined, axis=0).shape[0] == 30
@@ -188,11 +186,17 @@ class TestSplit:
     def test_singleton_class_rejected(self):
         data = MultiViewDataset([np.zeros((3, 1))], [0, 0, 1], np.ones((3, 1), bool), 2)
         with pytest.raises(ValueError, match="stratified"):
-            split(data, SplitSpec(0.5, seed=0))
+            split(data, 0.5, seed=0)
+
+    def test_train_fraction_bounds(self):
+        data = make_blobs_dataset(n=10, class_count=2, seed=2)
+        for fraction in (0.0, 1.0):
+            with pytest.raises(ValueError, match=r"train_fraction must lie in \(0, 1\)"):
+                split(data, fraction)
 
     def test_every_class_in_both_partitions(self):
         data = make_blobs_dataset(n=40, class_count=5, seed=7)
-        train, test = split(data, SplitSpec(0.8, seed=8))
+        train, test = split(data, 0.8, seed=8)
         assert set(train.labels) == set(range(5))
         assert set(test.labels) == set(range(5))
 

@@ -1,41 +1,46 @@
-"""Belief-combination kernels: the pair rule, its fold, the fused Dirichlet and the objective."""
+"""Belief fusion: the closed-form product kernel, its VJP, prediction's exclusions and the objective.
+
+The kernels are checked against a test-local reference: the reduced
+Dempster-Shafer pair rule on (b, u) opinions, folded left over the views.
+"""
+
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evifuse import evidential
 from evifuse.evidential import SubjectiveOpinion, _opinion_arrays
 from evifuse.fusion import (
-    FusionConflictError,
-    _combine_pair,
     _fold_with_exclusions,
     _fuse_alphas,
-    _fused_alpha,
-    _raise_on_conflict,
+    _fuse_alphas_vjp,
     total_loss_alpha_grads,
 )
 
 
-def opinion(beliefs, uncertainty):
-    """(b, u) as the fusion kernels take them: float arrays, u without the class axis."""
-    return np.asarray(beliefs, dtype=float), np.asarray(uncertainty, dtype=float)
-
-
-def combine(s1, s2):
-    """The pair rule on two (b, u) opinions; returns (b, u), raising on total conflict."""
-    b, u, bad = _combine_pair(*s1, *s2)
-    _raise_on_conflict(bad)
+def reference_fold(opinions):
+    """Left fold of the pair rule over (b, u) opinions: the rule as written, conflict and all."""
+    b, u = opinions[0]
+    for b2, u2 in opinions[1:]:
+        norm = 1.0 - (b.sum(axis=-1) * b2.sum(axis=-1) - (b * b2).sum(axis=-1))
+        b = (b * b2 + b * u2[..., None] + b2 * u[..., None]) / norm[..., None]
+        u = u * u2 / norm
     return b, u
 
 
-def fold(opinions):
-    """Left fold of the pair rule over (b, u) opinions; raises on total conflict."""
-    b, u, invalid, _ = _fold_with_exclusions([s[0] for s in opinions],
-                                             [s[1] for s in opinions])
-    _raise_on_conflict(invalid)
-    return b, u
+def reference_alpha(alphas):
+    """Fused concentrations of the reference fold, through the strength K / u."""
+    b, u = reference_fold([_opinion_arrays(alpha) for alpha in alphas])
+    return b * (b.shape[-1] / u)[..., None] + 1.0
+
+
+def fused_opinion(alphas):
+    """(b, u) of the fused concentrations."""
+    return _opinion_arrays(_fuse_alphas(alphas)[0])
 
 
 def random_opinions(rng, count, k, min_u=0.0):
@@ -47,162 +52,200 @@ def random_opinions(rng, count, k, min_u=0.0):
     return raw[:, :k], raw[:, -1]
 
 
-@st.composite
-def opinion_pairs(draw, k=3):
-    """Two opinions over k classes with enough uncertainty to avoid conflict."""
-    def one():
-        parts = [draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-                 for _ in range(k)]
-        u = draw(st.floats(min_value=0.01, max_value=1.0, allow_nan=False))
-        total = sum(parts) + u
-        return [p / total for p in parts], u / total
+def alpha_of(b, u):
+    """Concentrations of a (b, u) opinion: alpha = b K / u + 1."""
+    return b * (b.shape[-1] / u)[..., None] + 1.0
 
-    return opinion(*one()), opinion(*one())
+
+@st.composite
+def view_alphas(draw, view_counts=(1, 2, 3, 6), class_counts=(2, 3, 10)):
+    """Concentrations of V views over 4 rows and K classes, evidence in [0, 100]."""
+    v = draw(st.sampled_from(view_counts))
+    k = draw(st.sampled_from(class_counts))
+    evidence = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+    return [1.0 + draw(arrays(np.float64, (4, k), elements=evidence)) for _ in range(v)]
 
 
 class TestPairRule:
+    """The product equals the pair rule it replaces."""
+
+    @given(view_alphas())
+    def test_matches_reference_fold(self, alphas):
+        np.testing.assert_allclose(_fuse_alphas(alphas)[0], reference_alpha(alphas),
+                                   rtol=1e-12, atol=0)
+
     def test_vacuous_is_neutral(self):
-        s1 = opinion([0.6, 0.2], 0.2)
-        b, u = combine(s1, opinion([0.0, 0.0], 1.0))
-        np.testing.assert_allclose(b, s1[0], atol=1e-15)
-        assert u == pytest.approx(0.2, abs=1e-15)
+        alpha = np.array([4.0, 2.0])
+        np.testing.assert_allclose(_fuse_alphas([alpha, np.ones(2)])[0], alpha, rtol=1e-15)
+        np.testing.assert_allclose(_fuse_alphas([np.ones(2), alpha])[0], alpha, rtol=1e-15)
 
     def test_hand_example(self):
-        b, u = combine(opinion([0.6, 0.2], 0.2), opinion([0.5, 0.3], 0.2))
+        """alpha [7, 3] is b [0.6, 0.2], u 0.2; [6, 4] is b [0.5, 0.3], u 0.2.
+        The pair rule gives b [13/18, 4/18], u 1/18, which is alpha [27, 9]."""
+        fused = _fuse_alphas([np.array([7.0, 3.0]), np.array([6.0, 4.0])])[0]
+        np.testing.assert_allclose(fused, [27.0, 9.0], rtol=1e-15)
+        b, u = _opinion_arrays(fused)
         np.testing.assert_allclose(b, [13 / 18, 4 / 18], rtol=1e-12)
         assert u == pytest.approx(1 / 18, rel=1e-12)
 
     def test_commutative(self):
-        s1, s2 = opinion([0.6, 0.2], 0.2), opinion([0.5, 0.3], 0.2)
-        a, b = combine(s1, s2), combine(s2, s1)
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[1] == b[1]
+        rng = np.random.default_rng(3)
+        a1, a2 = (1.0 + rng.uniform(0.0, 30.0, (500, 4)) for _ in range(2))
+        np.testing.assert_array_equal(_fuse_alphas([a1, a2])[0], _fuse_alphas([a2, a1])[0])
 
-    def test_total_conflict_raises(self):
-        """The kernel flags the row and returns it vacuous; the training policy raises."""
-        s1, s2 = opinion([1.0, 0.0], 0.0), opinion([0.0, 1.0], 0.0)
-        b, u, bad = _combine_pair(*s1, *s2)
-        assert bad and u == 1.0
-        np.testing.assert_array_equal(b, 0.0)
-        with pytest.raises(FusionConflictError):
-            combine(s1, s2)
+    def test_opposed_huge_evidence_fuses_finite(self):
+        """Evidence 1e15 for different classes: the rule has no total conflict, the
+        opinion splits its belief between the two classes."""
+        fused = _fuse_alphas([np.array([1e15, 1.0, 1.0]), np.array([1.0, 1e15, 1.0])])[0]
+        np.testing.assert_allclose(fused, [1e15, 1e15, 1.0], rtol=1e-12)
+        b, u = _opinion_arrays(fused)
+        SubjectiveOpinion(b, u)
+        np.testing.assert_allclose(b, [0.5, 0.5, 0.0], atol=1e-14)
 
     def test_class_count_mismatch(self):
         with pytest.raises(ValueError):
-            combine(opinion([0.0, 0.0], 1.0), opinion([0.0, 0.0, 0.0], 1.0))
+            _fuse_alphas([np.ones(2), np.ones(3)])
 
-    @given(opinion_pairs())
-    def test_closure(self, pair):
-        """Output stays a normalized opinion with nonnegative parts."""
-        b, u = combine(*pair)
-        assert np.all(b >= 0)
-        assert u >= 0
-        assert b.sum() + u == pytest.approx(1.0, abs=1e-12)
+    @given(view_alphas())
+    def test_closure(self, alphas):
+        """The fused alpha projects to a normalized opinion with nonnegative parts."""
+        b, u = fused_opinion(alphas)
+        assert np.all(b >= 0) and np.all(u > 0)
+        np.testing.assert_allclose(b.sum(axis=-1) + u, 1.0, atol=1e-12)
         SubjectiveOpinion(b, u)  # passes the opinion checks
 
-    @given(opinion_pairs())
-    def test_uncertainty_contracts(self, pair):
-        """Fused uncertainty never exceeds either input's uncertainty."""
-        (_, u1), (_, u2) = pair
-        _, u = combine(*pair)
-        assert u <= min(u1, u2) + 1e-12
+    @given(view_alphas())
+    def test_uncertainty_contracts(self, alphas):
+        """Fused uncertainty never exceeds any view's uncertainty."""
+        _, u = fused_opinion(alphas)
+        view_u = np.min([_opinion_arrays(alpha)[1] for alpha in alphas], axis=0)
+        assert np.all(u <= view_u * (1.0 + 1e-12))
 
 
 class TestFold:
     def test_single_element(self):
-        s = opinion([0.3, 0.1], 0.6)
-        b, u = fold([s])
-        np.testing.assert_array_equal(b, s[0])
-        assert u == s[1]
+        alpha = np.array([4.0, 2.0, 9.5])
+        np.testing.assert_allclose(_fuse_alphas([alpha])[0], alpha, rtol=1e-15)
 
     def test_all_vacuous(self):
-        vac = opinion([0.0, 0.0, 0.0], 1.0)
-        b, u = fold([vac, vac, vac])
-        np.testing.assert_allclose(b, 0.0, atol=1e-15)
-        assert u == pytest.approx(1.0)
+        np.testing.assert_array_equal(_fuse_alphas([np.ones(3)] * 3)[0], np.ones(3))
 
     def test_order_invariance_enumerated(self):
-        from itertools import permutations
-
         rng = np.random.default_rng(2)
-        b, u = random_opinions(rng, 3, 4, min_u=0.01)
-        ops = [(b[i], u[i]) for i in range(3)]
-        results = []
-        for perm in permutations(range(3)):
-            out_b, out_u = fold([ops[i] for i in perm])
-            results.append(np.append(out_b, out_u))
+        alphas = [1.0 + rng.uniform(0.0, 20.0, 4) for _ in range(3)]
+        results = [_fuse_alphas([alphas[i] for i in perm])[0] for perm in permutations(range(3))]
         for r in results[1:]:
-            np.testing.assert_allclose(r, results[0], atol=1e-9)
+            np.testing.assert_allclose(r, results[0], rtol=1e-14)
 
     def test_order_invariance_batched(self):
-        """All 6 fold orders agree for 10**4 random triples (batched check)."""
-        from itertools import permutations
-
+        """All 6 orders agree for 10**4 random triples (batched check)."""
         rng = np.random.default_rng(7)
-        triples = [random_opinions(rng, 10_000, 3, min_u=0.01) for _ in range(3)]
-        outputs = []
-        for perm in permutations(range(3)):
-            out_b, out_u = fold([triples[i] for i in perm])
-            outputs.append(np.concatenate([out_b, out_u[:, None]], axis=1))
+        triples = [alpha_of(*random_opinions(rng, 10_000, 3, min_u=0.01)) for _ in range(3)]
+        outputs = [_fuse_alphas([triples[i] for i in perm])[0]
+                   for perm in permutations(range(3))]
         for other in outputs[1:]:
-            np.testing.assert_allclose(other, outputs[0], atol=1e-9)
+            np.testing.assert_allclose(other, outputs[0], rtol=1e-14)
 
 
 class TestSharedKernel:
-    """Training and prediction fold with one kernel and differ only in policy."""
+    """Training and prediction fuse with one kernel and differ only in policy."""
 
     @staticmethod
-    def conflicting_alphas():
-        """Three views over 5 rows; row 2 ends in total conflict at the last view."""
+    def overflowing_alphas():
+        """Three views over 5 rows; row 2 has evidence 1e200 in two views, which
+        overflows the product, and row 4 the 1e15 evidence the pair rule's fold
+        once reported as total conflict."""
         rng = np.random.default_rng(43)
         alphas = [1.0 + rng.uniform(0.0, 6.0, (5, 3)) for _ in range(3)]
-        alphas[0][2] = [1e15, 1.0, 1.0]
-        alphas[1][2] = [1e15, 1.0, 1.0]
-        alphas[2][2] = [1.0, 1e15, 1.0]
+        alphas[0][2] = [1e200, 1.0, 1.0]
+        alphas[1][2] = [1e200, 1.0, 1.0]
+        alphas[0][4] = alphas[1][4] = [1e15, 1.0, 1.0]
+        alphas[2][4] = [1.0, 1e15, 1.0]
         return alphas
 
-    def test_fold_flags_conflict_row_and_leaves_it_vacuous(self):
-        alphas = self.conflicting_alphas()
-        beliefs, uncerts = zip(*(_opinion_arrays(a) for a in alphas))
-        b, u, invalid, _ = _fold_with_exclusions(list(beliefs), list(uncerts))
+    def test_fold_flags_overflow_row_and_leaves_it_vacuous(self):
+        alphas = self.overflowing_alphas()
+        b, u, invalid = _fold_with_exclusions(alphas)
         assert invalid.tolist() == [False, False, True, False, False]
         np.testing.assert_array_equal(b[2], 0.0)
         assert u[2] == 1.0
+        SubjectiveOpinion(b, u)
         for row in (0, 1, 3, 4):
-            single_b, single_u = fold([_opinion_arrays(a[row]) for a in alphas])
+            single_b, single_u = fused_opinion([a[row] for a in alphas])
             np.testing.assert_array_equal(b[row], single_b)
             assert u[row] == single_u
 
+    def test_fold_flags_nan_evidence_and_strength_overflow(self):
+        """Row 1 has NaN evidence; row 2 a finite fused alpha whose strength overflows."""
+        alphas = [np.array([[2.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [1.5e308, 1.5e308, 1.0]]),
+                  np.array([[1.0, 3.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])]
+        b, u, invalid = _fold_with_exclusions(alphas)
+        assert invalid.tolist() == [False, True, True]
+        np.testing.assert_array_equal(b[1:], 0.0)
+        np.testing.assert_array_equal(u[1:], 1.0)
+        SubjectiveOpinion(b, u)
+
     def test_training_fusion_raises_on_the_same_row(self):
-        with pytest.raises(FusionConflictError) as info:
-            _fuse_alphas(self.conflicting_alphas())
-        assert info.value.rows.tolist() == [2]
+        """Training fuses the same row to a non-finite alpha, and its loss refuses it."""
+        alphas = self.overflowing_alphas()
+        y = evidential.one_hot(np.zeros(5, dtype=int), 3)
+        # as in the trainer, whose step runs with overflow ignored
+        with np.errstate(over="ignore"):
+            fused, _ = _fuse_alphas(alphas)
+            assert (~np.isfinite(fused).all(axis=-1)).tolist() == [False, False, True,
+                                                                   False, False]
+            with pytest.raises(FloatingPointError):
+                total_loss_alpha_grads(alphas, y, 0.5)
 
 
 class TestFusedDirichlet:
-    """_fused_alpha rebuilds concentrations from a fused opinion via strength K / u."""
+    """Prediction's opinions are the projections of the fused concentrations."""
 
     def test_vacuous_inverts_to_uniform(self):
-        alpha = _fused_alpha(*opinion([0.0, 0.0, 0.0], 1.0))
-        np.testing.assert_array_equal(alpha, [1.0, 1.0, 1.0])
-        assert alpha.sum() == pytest.approx(3.0)
+        b, u, invalid = _fold_with_exclusions([np.ones((1, 3))] * 2)
+        np.testing.assert_array_equal(b, [[0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(u, [1.0])
+        assert not invalid.any()
 
     def test_hand_example_strength(self):
-        alpha = _fused_alpha(*opinion([13 / 18, 4 / 18], 1 / 18))
-        np.testing.assert_allclose(alpha, [27.0, 9.0], rtol=1e-12)
-        assert alpha.sum() == pytest.approx(36.0)
+        b, u, _ = _fold_with_exclusions([np.array([[7.0, 3.0]]), np.array([[6.0, 4.0]])])
+        np.testing.assert_allclose(b, [[13 / 18, 4 / 18]], rtol=1e-12)
+        np.testing.assert_allclose(2 / u, [36.0], rtol=1e-12)
 
     def test_inverse_of_projection(self):
+        """One view fuses to itself."""
         rng = np.random.default_rng(13)
         alpha = 1.0 + rng.uniform(0, 40, (300, 5))
-        np.testing.assert_allclose(_fused_alpha(*_opinion_arrays(alpha)), alpha, atol=1e-9)
+        np.testing.assert_allclose(_fuse_alphas([alpha])[0], alpha, rtol=1e-14)
 
     def test_projection_of_inverse(self):
+        """The opinions prediction votes on are the pair rule's on the views' opinions."""
         rng = np.random.default_rng(19)
-        b, u = random_opinions(rng, 300, 4, min_u=1e-6)
-        back_b, back_u = _opinion_arrays(_fused_alpha(b, u))
-        np.testing.assert_allclose(back_b, b, atol=1e-9)
-        np.testing.assert_allclose(back_u, u, atol=1e-9)
+        opinions = [random_opinions(rng, 300, 4, min_u=1e-3) for _ in range(3)]
+        b, u, invalid = _fold_with_exclusions([alpha_of(*o) for o in opinions])
+        ref_b, ref_u = reference_fold(opinions)
+        assert not invalid.any()
+        np.testing.assert_allclose(b, ref_b, rtol=1e-10, atol=1e-15)
+        np.testing.assert_allclose(u, ref_u, rtol=1e-10)
+
+
+class TestProductVJP:
+    """d alpha_k / d alpha_vk = prod_{w != v} r_wk, and zero across classes."""
+
+    def test_matches_longdouble_product_of_other_views(self):
+        rng = np.random.default_rng(5)
+        k, rows = 4, 50
+        alphas = [1.0 + rng.uniform(0.0, 20.0, (rows, k)) for _ in range(3)]
+        _, cache = _fuse_alphas(alphas)
+        ratios = [(a.astype(np.longdouble) + (k - 1)) / k for a in alphas]
+        for j in range(k):
+            grad = np.zeros((rows, k))
+            grad[:, j] = 1.0
+            for v, g in enumerate(_fuse_alphas_vjp(cache, grad)):
+                others = np.prod([r for w, r in enumerate(ratios) if w != v], axis=0)
+                np.testing.assert_allclose(g[:, j], others[:, j].astype(np.float64),
+                                           rtol=1e-15)
+                assert np.all(np.delete(g, j, axis=1) == 0.0)
 
 
 class TestTotalLoss:

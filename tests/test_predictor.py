@@ -10,7 +10,6 @@ import pytest
 
 from evifuse import predictor
 from evifuse.dataset import MultiViewDataset, ZScoreStats, zscore_apply
-from evifuse.evidential import _opinion_arrays
 from evifuse.fusion import _fold_with_exclusions
 from evifuse.imputer import sample_completions
 from evifuse.network import EvidenceNetwork
@@ -313,10 +312,9 @@ def per_sampling_opinions(model, completions):
     all_b, all_u, all_bad = [], [], []
     for s in range(completions.n_samplings):
         views = completions.completion(s)
-        if model.uses_evidence:
-            b, u, bad, _ = _fold_with_exclusions(
-                *zip(*(_opinion_arrays(net.forward(x) + 1.0)
-                       for net, x in zip(model.networks, views))))
+        if model.config.uses_evidence:
+            b, u, bad = _fold_with_exclusions([net.forward(x) + 1.0
+                                               for net, x in zip(model.networks, views)])
         else:
             b = np.mean([_softmax(net.forward_logits(x))
                          for net, x in zip(model.networks, views)], axis=0)
@@ -327,24 +325,24 @@ def per_sampling_opinions(model, completions):
     return np.array(all_b), np.array(all_u), np.array(all_bad)
 
 
-def conflict_model(mode):
+def far_model(mode, evidence=1e14, huge_classes=(0, 1)):
     """Two 2-feature views, 3 classes; a first feature above 5 gives evidence
-    of about 1e14 for class 0 in view 0 and for class 1 in view 1."""
+    of about ``evidence`` for class ``huge_classes[v]`` in view v."""
     networks = []
-    for huge_class in (0, 1):
-        net = EvidenceNetwork([2, 2, 3], seed=huge_class)
+    for seed, huge_class in enumerate(huge_classes):
+        net = EvidenceNetwork([2, 2, 3], seed=seed)
         net.weights[0] = np.eye(2)
         net.biases[0] = np.array([-5.0, 0.0])  # hidden = relu(x0 - 5), relu(x1)
         net.weights[1] = np.array([[0.0, 0.0, 0.0], [0.7, -0.4, 0.2]])
-        net.weights[1][0, huge_class] = 1e14
+        net.weights[1][0, huge_class] = evidence
         net.biases[1] = np.array([0.3, 0.1, -0.2])
         networks.append(net)
     return TrainedModel(networks=networks, stats=None, config=TrainConfig(mode=mode),
                         loss_history=[], train_pool=None, class_count=3, epochs_run=0)
 
 
-def conflict_completions():
-    """Data and its completions; row 0 is complete and has both views far out, in total conflict."""
+def far_completions():
+    """Data and its completions; row 0 is complete and has both views far out."""
     rng = np.random.default_rng(12)
     views = [rng.uniform(-1.0, 1.0, (40, 2)) for _ in range(2)]
     views[0][0, 0] = views[1][0, 0] = 6.0
@@ -355,6 +353,17 @@ def conflict_completions():
     return data, sample_completions(data, k=4, n_samplings=7, seed=1, use_labels=False)
 
 
+def far_predictor(evidence, huge_classes, n_samplings):
+    """``far_model`` in uimc mode that evaluate and predict_sample can run: identity
+    standardization, the completed data as its neighbor pool."""
+    _, completions = far_completions()
+    identity = ZScoreStats([np.zeros(2)] * 2, [np.ones(2)] * 2)
+    model = replace(far_model("uimc", evidence, huge_classes), stats=identity,
+                    train_pool=MultiViewDataset(completions.views, completions.labels,
+                                                np.ones((40, 2), dtype=bool), 3))
+    return with_samplings(model, n_samplings)
+
+
 class TestObservedOnce:
     @pytest.mark.parametrize("mode", ["uimc", "naive_ce"])
     # 40 rows, at most 13 imputed per view: samplings per forward call and
@@ -362,7 +371,7 @@ class TestObservedOnce:
     @pytest.mark.parametrize("forward_rows", [5, 30, 100, 4096])
     def test_matches_per_sampling_loop(self, mode, forward_rows, monkeypatch):
         monkeypatch.setattr(predictor, "_FORWARD_ROWS", forward_rows)
-        model, (data, completions) = conflict_model(mode), conflict_completions()
+        model, (data, completions) = far_model(mode), far_completions()
         all_b, all_u, all_bad = _sampling_opinions(model, data, completions.draws)
         ref_b, ref_u, ref_bad = per_sampling_opinions(model, completions)
         np.testing.assert_allclose(all_b, ref_b, rtol=0, atol=1e-12)
@@ -373,25 +382,44 @@ class TestObservedOnce:
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_array_equal(counts, ref_counts)
         if mode == "uimc":
-            assert all_bad[:, 0].all() and not all_bad[:, 1:].any()
-            assert counts[0].sum() == 0  # flagged in every sampling, out of the vote
+            # row 0's opposed 1e14 evidence fuses finite: it votes in every sampling
+            assert not all_bad.any()
+            assert counts[0].sum() == completions.n_samplings
+            np.testing.assert_allclose(all_b.sum(axis=-1) + all_u, 1.0, atol=1e-12)
 
-    def test_sample_in_total_conflict_gives_empty_batch(self):
-        _, completions = conflict_completions()
-        identity = ZScoreStats([np.zeros(2)] * 2, [np.ones(2)] * 2)
-        model = replace(conflict_model("uimc"), stats=identity,
-                        train_pool=MultiViewDataset(completions.views, completions.labels,
-                                                    np.ones((40, 2), dtype=bool), 3))
-        res = predict_sample(with_samplings(model, 5), [np.array([6.0, 0.0])] * 2,
-                             [True, True])
+    def test_far_out_sample_votes_alike_in_evaluate_and_predict_sample(self):
+        """Evidence of about 1e14 for class 0 in view 0 and class 1 in view 1 fuses to
+        a finite, normalized opinion that votes, the same way in both paths."""
+        model = far_predictor(1e14, (0, 1), n_samplings=5)
+        data, _ = far_completions()
+        metrics = evaluate(model, data, seed=0)
+        res = predict_sample(model, [v[0] for v in data.views], data.mask[0], seed=0)
+        assert metrics["excluded_samplings"] == 0 and res.excluded_samplings == 0
+        assert res.label in (0, 1) and res.label == metrics["predictions"][0]
+        assert res.vote_counts.tolist() == metrics["vote_counts"][0]
+        assert res.vote_counts.sum() == 5
+        assert res.sampling_opinions.beliefs.shape == (5, 3)
+        # the belief splits between classes 0 and 1, at almost no uncertainty
+        assert res.mean_opinion.beliefs[:2].min() > 0.4
+        assert res.mean_opinion.beliefs[2] < 1e-12 and res.mean_opinion.uncertainty < 1e-12
+
+    def test_sample_with_overflowing_evidence_gives_empty_batch(self):
+        """Evidence of about 1e200 for class 0 in both views overflows the fused
+        product: every sampling of the row is excluded and counted."""
+        model = far_predictor(1e200, (0, 0), n_samplings=5)
+        res = predict_sample(model, [np.array([6.0, 0.0])] * 2, [True, True])
         assert res.sampling_opinions.beliefs.shape == (0, 3)
         assert res.sampling_opinions.uncertainty.shape == (0,)
         assert res.excluded_samplings == 5 and res.vote_counts.tolist() == [0, 0, 0]
         np.testing.assert_array_equal(res.mean_opinion.beliefs, np.zeros(3))
         assert res.mean_opinion.uncertainty == 1.0
+        data, _ = far_completions()
+        metrics = evaluate(model, data, seed=0)
+        assert metrics["excluded_samplings"] == 5
+        assert metrics["vote_counts"][0] == [0, 0, 0]
 
     def test_each_input_runs_once(self, monkeypatch):
-        model, (data, completions) = conflict_model("uimc"), conflict_completions()
+        model, (data, completions) = far_model("uimc"), far_completions()
         rows = []
         forward = EvidenceNetwork.forward
 
