@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from evifuse import experiments
-from evifuse.dataset import generate_missing_mask, load_dataset
+from evifuse.dataset import generate_missing_mask, load_dataset, load_mask
 from evifuse.imputer import sample_completions
 from evifuse.predictor import evaluate, stability_experiment
 from evifuse.trainer import (
@@ -111,10 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_data(data_path: Path, mask_path: Path | None):
     data = load_dataset(data_path)
     if mask_path is not None:
-        mask = np.loadtxt(mask_path, delimiter=",", ndmin=2)
-        if not np.all(np.isin(mask, (0.0, 1.0))):
-            raise ValueError(f"mask file {mask_path} must contain only 0/1")
-        data = data.with_mask(mask.astype(bool))
+        data = data.with_mask(load_mask(mask_path))
     return data
 
 

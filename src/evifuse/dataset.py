@@ -120,13 +120,19 @@ def load_dataset(root_path) -> MultiViewDataset:
 
     mask_path = root / "mask.csv"
     if mask_path.exists():
-        mask_raw = _read_csv_matrix(mask_path)
-        if not np.all(np.isin(mask_raw, (0.0, 1.0))):
-            raise ValueError("mask.csv entries must be 0 or 1")
-        mask = mask_raw.astype(bool)
+        mask = load_mask(mask_path)
     else:
         mask = np.ones((views[0].shape[0], len(views)), dtype=bool)
     return MultiViewDataset(views, labels, mask, class_count)
+
+
+def load_mask(path) -> np.ndarray:
+    """A headerless 0/1 CSV of observed (sample, view) slots, as a boolean array."""
+    path = Path(path)
+    raw = _read_csv_matrix(path)
+    if not np.all(np.isin(raw, (0.0, 1.0))):
+        raise ValueError(f"{path.name} entries must be 0 or 1")
+    return raw.astype(bool)
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:

@@ -195,9 +195,11 @@ def write_results_csv(rows: list[dict], path) -> None:
     ok.sort(key=lambda r: (r["eta"], r["mode"], r["seed"]))
     lines = [",".join(RESULT_COLUMNS)]
     for r in ok:
+        # a cell with no valid sampling has no mean uncertainty (None): nan
+        uncertainty = np.nan if r["mean_uncertainty"] is None else r["mean_uncertainty"]
         lines.append(
             f'{r["eta"]:.17g},{r["seed"]},{r["mode"]},'
-            f'{r["accuracy"]:.17g},{r["mean_uncertainty"]:.17g},{r["wall_time"]:.17g}'
+            f'{r["accuracy"]:.17g},{uncertainty:.17g},{r["wall_time"]:.17g}'
         )
     _write_atomic(Path(path), "\n".join(lines) + "\n")
 
@@ -288,19 +290,17 @@ def write_completion_directory(completions: CompletionSet, out_dir) -> None:
     """Dataset-layout export: one subdirectory per sampling plus provenance JSON."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    data = completions.data
+    rows = np.arange(data.n_samples)
     for s in range(completions.n_samplings):
         sub = out / f"sampling_{s:03d}"
         sub.mkdir(exist_ok=True)
-        for v, mat in enumerate(completions.completion(s)):
+        for v, mat in enumerate(completions.gather(rows, np.full(rows.size, s))):
             np.savetxt(sub / f"view_{v}.csv", mat, fmt="%.10g", delimiter=",")
-        np.savetxt(sub / "labels.csv", completions.labels[:, None], fmt="%d", delimiter=",")
+        np.savetxt(sub / "labels.csv", data.labels[:, None], fmt="%d", delimiter=",")
     provenance = {
         "n_samplings": completions.n_samplings,
-        "imputed_slots": [
-            {"sample": int(n), "view": int(v)}
-            for n in range(completions.n_samples)
-            for v in range(completions.n_views)
-            if not completions.mask[n, v]
-        ],
+        "imputed_slots": [{"sample": int(n), "view": int(v)}
+                          for n, v in np.argwhere(~data.mask)],
     }
     _write_atomic(out / "provenance.json", _json_text(provenance))

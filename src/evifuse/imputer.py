@@ -2,10 +2,10 @@
 
 For a sample missing view m, every one of its observed views proposes its
 k nearest candidates (restricted to samples that observe both that view
-and view m, and at train time to samples with the same label). The union
-of proposals indexes view-m rows whose mean and covariance define a
-multivariate Gaussian; multiple draws from it produce multiple completed
-copies of the sample.
+and view m, and, when the data completes itself from its own rows, to
+samples with the same label). The union of proposals indexes view-m rows
+whose mean and covariance define a multivariate Gaussian; multiple draws
+from it produce multiple completed copies of the sample.
 
 Randomness is keyed on (seed, missing view, sample content): a slot's
 draws do not depend on sample order or on the rows completed with it, and
@@ -39,17 +39,19 @@ observed view, label group), merged into per-slot unions
 (``_neighbor_unions``), then means and factors stacked per union size
 (``_moments``) and draws per union size, each slot's normals filled in
 place in one (slots, n_samplings, c + d) array per union size. It is the
-one per-view step of both completion paths. At train time
-``sample_completions`` runs it for every view and keeps the result in a
-``CompletionSet``, which holds the dataset's own view arrays and the
-draws per slot. At test time the predictor asks for one view's draws at
-a time and drops them once its head has run on them.
+one per-view step of both completion paths, and the reference pool
+decides whether labels are read: only a dataset completed from itself
+(no ``reference``) reads its labels. At train time ``sample_completions``
+runs it for every view and keeps the result in a ``CompletionSet``, which
+holds the dataset and the draws per slot. At test time the predictor asks
+for one view's draws at a time, label-free from the training pool, and
+drops them once its head has run on them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,65 +217,42 @@ def _slot_states(seed: int, m: int, data: MultiViewDataset, rows: np.ndarray) ->
 
 @dataclass
 class CompletionSet:
-    """All completions of a dataset: observed entries plus per-slot draws.
+    """All completions of a dataset: its observed entries plus per-slot draws.
 
-    ``views`` are the dataset's own arrays, whose missing entries are never
-    read. Observed entries are bit-identical across samplings; only the rows
-    listed in ``imputed_rows[v]`` differ, with their float32 draws stored as
-    ``(row, sampling, feature)`` blocks per view.
+    ``draws[v]`` holds the float32 draws of the rows missing view v, in row
+    order, as a ``(row, sampling, feature)`` block; observed entries come
+    from ``data``'s own arrays, the same in every sampling.
     """
 
-    n_samplings: int
-    views: list
-    mask: np.ndarray
-    labels: np.ndarray
-    imputed_rows: list
+    data: MultiViewDataset
     draws: list
-    _row_pos: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        n = self.views[0].shape[0]
+        # each view's position of a row in its draws, -1 where the row observes it
         self._row_pos = []
-        for v in range(len(self.views)):
-            pos = np.full(n, -1, dtype=np.int64)
-            pos[self.imputed_rows[v]] = np.arange(len(self.imputed_rows[v]))
+        for missing in (~self.data.mask).T:
+            pos = np.full(missing.size, -1, dtype=np.int64)
+            pos[missing] = np.arange(np.count_nonzero(missing))
             self._row_pos.append(pos)
 
     @property
-    def n_samples(self) -> int:
-        return self.views[0].shape[0]
-
-    @property
-    def n_views(self) -> int:
-        return len(self.views)
-
-    def completion(self, s: int) -> list:
-        """Materialize the s-th completed dataset as full float64 view matrices."""
-        if not 0 <= s < self.n_samplings:
-            raise IndexError(f"sampling {s} out of range [0, {self.n_samplings})")
-        out = []
-        for v in range(self.n_views):
-            mat = self.views[v].copy()
-            rows = self.imputed_rows[v]
-            if rows.size:
-                mat[rows] = self.draws[v][:, s, :]
-            out.append(mat)
-        return out
+    def n_samplings(self) -> int:
+        return self.draws[0].shape[1]
 
     def gather(self, sample_rows: np.ndarray, samplings: np.ndarray) -> list:
         """Per-view float64 matrices for a flattened (sample, sampling) batch.
 
         Integer-array indexing gives each matrix as a new array, so filling
-        in the draws leaves ``views`` unchanged."""
+        in the draws leaves the dataset's views unchanged."""
         sample_rows = np.asarray(sample_rows)
         samplings = np.asarray(samplings)
         out = []
-        for v in range(self.n_views):
-            mat = self.views[v][sample_rows]
-            pos = self._row_pos[v][sample_rows]
+        for view, pos, draws in zip(self.data.views, self._row_pos, self.draws):
+            mat = view[sample_rows]
+            pos = pos[sample_rows]
             hit = pos >= 0
             if hit.any():
-                mat[hit] = self.draws[v][pos[hit], samplings[hit], :]
+                mat[hit] = draws[pos[hit], samplings[hit], :]
             out.append(mat)
         return out
 
@@ -290,19 +269,19 @@ def view_draws(
     seed: int = 0,
     *,
     reference: MultiViewDataset | None = None,
-    use_labels: bool = True,
     fill: str = "draws",
 ) -> np.ndarray:
     """(rows missing view m, n_samplings, d_m) float32 completions of every slot missing view m.
 
-    Rows follow ``data``'s order. ``reference`` supplies the candidate pool
-    (defaults to ``data`` itself, the train-time setting); pass the
-    training set when completing test data. ``fill`` picks what a slot
-    takes: ``"draws"`` from its neighbor Gaussian (see the module doc),
-    ``"neighbor_mean"`` the Gaussian's mean, the single-imputation
-    baseline, or ``"column_mean"`` the column means of view m over the
-    reference rows observing it, with no neighbor search. ``jitter`` is the
-    variance added to every feature of a draw.
+    Rows follow ``data``'s order. ``reference`` supplies the candidate pool,
+    searched label-free: pass the training set when completing test data.
+    Without it, ``data`` completes itself, the train-time setting, and a
+    slot's candidates must share its label; labels are read only then.
+    ``fill`` picks what a slot takes: ``"draws"`` from its neighbor
+    Gaussian (see the module doc), ``"neighbor_mean"`` the Gaussian's mean,
+    the single-imputation baseline, or ``"column_mean"`` the column means
+    of view m over the pool's rows observing it, with no neighbor search.
+    ``jitter`` is the variance added to every feature of a draw.
 
     Fallbacks when no candidate satisfies the eligibility predicate:
     first drop the label restriction, then fall back to the column means
@@ -316,7 +295,8 @@ def view_draws(
         raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
     if fill not in _FILLS:
         raise ValueError(f"fill must be one of {_FILLS}, got {fill!r}")
-    ref = reference if reference is not None else data
+    use_labels = reference is None
+    ref = data if use_labels else reference
     rows = np.nonzero(~data.mask[:, m])[0]
     d = data.view_dims[m]
     out = np.empty((rows.size, n_samplings, d), dtype=np.float32)
@@ -352,22 +332,12 @@ def sample_completions(
     jitter: float = 1e-3,
     seed: int = 0,
     *,
-    reference: MultiViewDataset | None = None,
-    use_labels: bool = True,
     fill: str = "draws",
 ) -> CompletionSet:
-    """Every view's ``view_draws`` (same arguments) in one ``CompletionSet``."""
-    draws = [view_draws(data, m, k, n_samplings, jitter, seed, reference=reference,
-                        use_labels=use_labels, fill=fill)
-             for m in range(data.n_views)]
-    return CompletionSet(
-        n_samplings=n_samplings,
-        views=data.views,
-        mask=data.mask,
-        labels=data.labels,
-        imputed_rows=[np.nonzero(~data.mask[:, v])[0] for v in range(data.n_views)],
-        draws=draws,
-    )
+    """Every view's ``view_draws`` of ``data`` from its own rows, by label, in one
+    ``CompletionSet``: the train-time completions."""
+    return CompletionSet(data, [view_draws(data, m, k, n_samplings, jitter, seed, fill=fill)
+                                for m in range(data.n_views)])
 
 
 def _column_means(ref: MultiViewDataset, m: int) -> np.ndarray:

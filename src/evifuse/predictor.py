@@ -71,8 +71,7 @@ def _test_draws(model: TrainedModel, std: MultiViewDataset,
     options = _completion_options(model.config, n_samplings)
     seed = _subseed(seed, _SEED_TEST_IMPUTE)
     for m in range(std.n_views):
-        yield view_draws(std, m, seed=seed, reference=model.train_pool, use_labels=False,
-                         **options)
+        yield view_draws(std, m, seed=seed, reference=model.train_pool, **options)
 
 
 def _sampling_opinions(model: TrainedModel, std: MultiViewDataset, draws):
@@ -207,7 +206,7 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
                                for c in range(test.class_count)],
         "n_test": int(test.n_samples),
         "n_correct": int(correct.sum()),
-        "mean_uncertainty": float(np.nanmean(mean_u)),
+        "mean_uncertainty": _mean(mean_u),
         "mean_uncertainty_correct": _mean(mean_u[correct]),
         "mean_uncertainty_incorrect": _mean(mean_u[~correct]),
         "excluded_samplings": int(all_bad.sum()),

@@ -139,8 +139,15 @@ class TrainedModel:
     config: TrainConfig
     loss_history: list
     train_pool: MultiViewDataset
-    class_count: int
-    epochs_run: int
+
+    @property
+    def class_count(self) -> int:
+        """Classes the heads score: their output width."""
+        return self.networks[0].layer_sizes[-1]
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.loss_history)
 
 
 def _seeded(seed: int, *path: int) -> np.random.Generator:
@@ -178,7 +185,7 @@ def build_completions(data: MultiViewDataset, cfg: TrainConfig,
 
 def _flatten_pairs(completions: CompletionSet):
     """(sample, sampling) index pairs; complete samples appear exactly once."""
-    incomplete = ~completions.mask.all(axis=1)
+    incomplete = ~completions.data.mask.all(axis=1)
     complete_rows = np.nonzero(~incomplete)[0]
     inc_rows = np.nonzero(incomplete)[0]
     rows = [complete_rows]
@@ -215,7 +222,6 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
     best = np.inf
     stale = 0
     shuffle_rng = _seeded(cfg.seed, _SEED_SHUFFLE)
-    epochs_run = 0
 
     for epoch in range(cfg.epochs):
         lam = anneal_lambda(epoch, cfg.anneal_epochs)
@@ -244,7 +250,6 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
             {"total": float(total), "fused": float(fused_total),
              "views": view_totals.tolist(), "lambda": float(lam)}
         )
-        epochs_run = epoch + 1
         if cfg.early_stop and epoch >= cfg.anneal_epochs:
             if total < best * (1.0 - cfg.plateau_tol):
                 best = total
@@ -260,8 +265,6 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
         config=cfg,
         loss_history=history,
         train_pool=std_train,
-        class_count=k_classes,
-        epochs_run=epochs_run,
     )
 
 
@@ -380,8 +383,6 @@ def load_model(path) -> TrainedModel:
             config=cfg,
             loss_history=meta["loss_history"],
             train_pool=pool,
-            class_count=int(meta["class_count"]),
-            epochs_run=int(meta["epochs_run"]),
         )
     except CheckpointError:
         raise

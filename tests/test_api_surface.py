@@ -1,11 +1,13 @@
-"""Every top-level function and class in ``src/evifuse`` has a caller in the program.
+"""Every function, class, method and property in ``src/evifuse`` has a caller in the program.
 
-A top-level definition, public or private, that nothing in ``src/`` or
-``bench/`` refers to is code that only tests read: API nothing uses, or a
-kernel left behind when its caller went; its tests belong on the code that
-runs. The package ``__init__`` only re-exports names, so it does not count
-as a caller. The attribute names that the bench's ``HOOKS`` patch count as
-callers.
+A top-level definition, public or private, or a method or property of a
+top-level class, that nothing else in ``src/`` or ``bench/`` refers to is
+code that only tests read: API nothing uses, or a kernel left behind when
+its caller went; its tests belong on the code that runs. Names are matched,
+not resolved, so a reference to any attribute of the same name counts.
+Dunder methods are called by Python itself and are exempt. The package
+``__init__`` only re-exports names, so it does not count as a caller. The
+attribute names that the bench's ``HOOKS`` patch count as callers.
 """
 
 import ast
@@ -40,24 +42,46 @@ def hook_targets(tree) -> set:
     return out
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def uncalled_definitions(src_dir: Path, bench_dir: Path) -> list:
-    """``module.name`` of each top-level def or class that no other code refers to."""
+    """``module.name`` of each top-level def or class, and ``module.Class.name`` of
+    each non-dunder method or property, that no other code refers to."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src_dir.glob("*.py"))
                if path.name != "__init__.py"}
     bench = {path.stem: ast.parse(path.read_text()) for path in sorted(bench_dir.glob("*.py"))}
     outside = set().union(*(referenced_names(tree) for tree in bench.values()))
     if "spans" in bench:
         outside |= hook_targets(bench["spans"])
-    # each top-level statement's references, so a definition's own body is left out
-    statements = [(node, referenced_names(node)) for tree in modules.values() for node in tree.body]
+    # the references of each top-level statement and of each statement in a
+    # class body, so a definition's own body is left out
+    units = []
+    for tree in modules.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                header = [*node.bases, *node.keywords, *node.decorator_list]
+                units.append((node, set().union(*map(referenced_names, header))))
+                units.extend((member, referenced_names(member)) for member in node.body)
+            else:
+                units.append((node, referenced_names(node)))
+
+    def called(name, own) -> bool:
+        return name in outside or any(name in names for unit, names in units if unit not in own)
+
     uncalled = []
     for module, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name not in outside and not any(
-                    node.name in names for other, names in statements if other is not node):
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            if not called(node.name, {node, *members}):
                 uncalled.append(f"{module}.{node.name}")
+            uncalled.extend(
+                f"{module}.{node.name}.{member.name}" for member in members
+                if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name)
+                and not called(member.name, {member}))
     return uncalled
 
 
@@ -78,14 +102,21 @@ def test_finds_a_definition_only_tests_call(tmp_path):
         "def _step(x):\n    return x\n\n\n"
         "def _orphan_step(x):\n    return _orphan_step(x)\n\n\n"
         "def _hooked_step(x):\n    return x\n\n\n"
-        "class Used:\n    pass\n\n\n"
+        "class Used:\n"
+        "    def __repr__(self):\n        return 'Used'\n\n"
+        "    def method(self):\n        return 1\n\n"
+        "    def hooked_method(self):\n        return 1\n\n"
+        "    def orphan_method(self):\n        return self.orphan_method()\n\n"
+        "    @property\n    def orphan_property(self):\n        return 1\n\n\n"
         "class _Orphan:\n    pass\n")
     (src / "user.py").write_text(
         "from pkg import core\nfrom pkg.core import Used, _step\n\n\n"
-        "def run(x):\n    return core.kernel(_step(x))\n")
+        "def run(x):\n    return core.kernel(_step(x)) + Used().method()\n")
     (bench / "spans.py").write_text(
         "from pkg import core, user\n\nHOOKS = ((core, 'hooked', 'span', None),\n"
-        "         (core, '_hooked_step', 'span', None))\n"
+        "         (core, '_hooked_step', 'span', None),\n"
+        "         (core.Used, 'hooked_method', 'span', None))\n"
         "user.run(1)\n")
-    assert uncalled_definitions(src, bench) == ["core.orphan", "core._orphan_step",
-                                                "core._Orphan"]
+    assert uncalled_definitions(src, bench) == [
+        "core.orphan", "core._orphan_step", "core.Used.orphan_method",
+        "core.Used.orphan_property", "core._Orphan"]

@@ -141,6 +141,20 @@ def test_samplings_override_below_one_exits_config(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_numeric_mask_file_exits_config_and_names_it(tmp_path, capsys):
+    data = make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22)
+    data_dir = write_dataset_dir(tmp_path / "data", data, include_mask=False)
+    rows = [",".join(map(str, row)) for row in data.mask.astype(int)]
+    rows[1] = "1,x"
+    bad_mask = tmp_path / "bad_mask.csv"
+    bad_mask.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "imputed"
+    assert cli.main(["impute", "--data", str(data_dir), "--mask", str(bad_mask),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "error: non-numeric cell in bad_mask.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_impute_output_loads_as_dataset(tmp_path):
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
@@ -309,6 +323,19 @@ def test_report_writes_tidy_csv(finished_sweep, tmp_path, capsys):
     assert tidy.read_text() == (
         "mode,eta,n_cells,mean_accuracy,std_accuracy\n"
         f"uimc,0.20000000000000001,2,{np.mean(accs):.17g},{np.std(accs):.17g}\n")
+
+
+def test_cell_without_mean_uncertainty_is_written_as_nan_and_reported(tmp_path, capsys):
+    """A cell whose every sampling was excluded has mean uncertainty None."""
+    row = {"eta": 0.2, "seed": 0, "mode": "uimc", "accuracy": 0.5,
+           "mean_uncertainty": None, "wall_time": 1.5, "status": "ok"}
+    results = tmp_path / "results.csv"
+    experiments.write_results_csv([row], results)
+    assert results.read_text().splitlines()[1] == "0.20000000000000001,0,uimc,0.5,nan,1.5"
+    [back] = experiments.read_results_csv(results)
+    assert np.isnan(back["mean_uncertainty"]) and back["accuracy"] == 0.5
+    assert cli.main(["report", "--results", str(results)]) == cli.EXIT_OK
+    assert "uimc" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", [

@@ -1,5 +1,6 @@
 """Neighbor search, Gaussian estimation, and multi-sample completion."""
 
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -19,6 +20,7 @@ from evifuse.imputer import (
     _slot_states,
     neighbor_union,
     sample_completions,
+    view_draws,
 )
 from conftest import make_blobs_dataset
 
@@ -263,11 +265,12 @@ class TestSeedStates:
         test = self.DATA
 
         def draws_by_row(rows):
-            cs = sample_completions(test.subset(rows), k=4, n_samplings=3, seed=5,
-                                    reference=train, use_labels=False)
-            return {(int(rows[i]), v): cs.draws[v][j].tobytes()
-                    for v in range(cs.n_views)
-                    for j, i in enumerate(cs.imputed_rows[v])}
+            part = test.subset(rows)
+            return {(int(rows[i]), v): draws.tobytes()
+                    for v in range(part.n_views)
+                    for i, draws in zip(np.nonzero(~part.mask[:, v])[0],
+                                        view_draws(part, v, k=4, n_samplings=3, seed=5,
+                                                   reference=train))}
 
         block = draws_by_row(np.arange(test.n_samples))
         shuffled = draws_by_row(np.random.default_rng(0).permutation(test.n_samples))
@@ -319,18 +322,32 @@ class TestSeedStates:
             state.generate_state(8, np.uint32)
 
 
+def completion(cs, s):
+    """The s-th completed dataset of ``cs`` as full float64 view matrices, built
+    from its dataset and draws without ``gather``."""
+    mats = []
+    for view, missing, draws in zip(cs.data.views, (~cs.data.mask).T, cs.draws):
+        mat = view.copy()
+        mat[missing] = draws[:, s, :]
+        mats.append(mat)
+    return mats
+
+
 class TestSampleCompletions:
     def test_complete_data_noop(self, blobs):
         cs = sample_completions(blobs, k=3, n_samplings=4, seed=0)
-        assert all(rows.size == 0 for rows in cs.imputed_rows)
+        assert cs.n_samplings == 4
+        assert all(block.shape == (0, 4, d) for block, d in zip(cs.draws, blobs.view_dims))
+        rows = np.arange(blobs.n_samples)
         for s in range(4):
-            for v, mat in enumerate(cs.completion(s)):
+            for v, mat in enumerate(cs.gather(rows, np.full(rows.size, s))):
                 np.testing.assert_array_equal(mat, blobs.views[v])
 
     def test_observed_entries_bit_identical(self, blobs_incomplete):
         cs = sample_completions(blobs_incomplete, k=5, n_samplings=3, seed=1)
+        rows = np.arange(blobs_incomplete.n_samples)
         for s in range(3):
-            mats = cs.completion(s)
+            mats = cs.gather(rows, np.full(rows.size, s))
             for v in range(blobs_incomplete.n_views):
                 obs = blobs_incomplete.mask[:, v]
                 np.testing.assert_array_equal(
@@ -340,7 +357,7 @@ class TestSampleCompletions:
     def test_deterministic(self, blobs_incomplete):
         a = sample_completions(blobs_incomplete, k=5, n_samplings=3, seed=42)
         b = sample_completions(blobs_incomplete, k=5, n_samplings=3, seed=42)
-        for v in range(a.n_views):
+        for v in range(blobs_incomplete.n_views):
             np.testing.assert_array_equal(a.draws[v], b.draws[v])
 
     def test_seed_changes_draws(self, blobs_incomplete):
@@ -348,7 +365,7 @@ class TestSampleCompletions:
         b = sample_completions(blobs_incomplete, k=5, n_samplings=3, seed=43)
         different = any(
             a.draws[v].size and not np.array_equal(a.draws[v], b.draws[v])
-            for v in range(a.n_views)
+            for v in range(blobs_incomplete.n_views)
         )
         assert different
 
@@ -393,19 +410,20 @@ class TestSampleCompletions:
         rows = np.array([0, 5, 10, 17, 3])
         slots = np.array([0, 2, 1, 0, 2])
         gathered = cs.gather(rows, slots)
-        for v in range(cs.n_views):
+        assert not blobs_incomplete.mask[rows].all()  # some gathered rows are drawn
+        for v in range(blobs_incomplete.n_views):
             for pos, (r, s) in enumerate(zip(rows, slots)):
                 np.testing.assert_array_equal(
-                    gathered[v][pos], cs.completion(int(s))[v][r]
+                    gathered[v][pos], completion(cs, int(s))[v][r]
                 )
 
     def test_gather_leaves_views_unchanged(self, blobs_incomplete):
         cs = sample_completions(blobs_incomplete, k=4, n_samplings=3, seed=5)
-        before = [v.copy() for v in cs.views]
+        before = [v.copy() for v in cs.data.views]
         rows = np.array([0, 5, 5, 17])
         for mat in cs.gather(rows, np.array([0, 1, 2, 0])):
             mat[:] = -7.0
-        for v, ref in zip(cs.views, before):
+        for v, ref in zip(cs.data.views, before):
             np.testing.assert_array_equal(v, ref)
 
     def test_k_validation(self, blobs_incomplete):
@@ -440,13 +458,25 @@ class TestSampleCompletions:
         mask = np.ones((10, 2), dtype=bool)
         mask[:, 1] = False
         test = test.with_mask(mask)
-        cs = sample_completions(
-            test, k=5, n_samplings=2, seed=0, reference=train, use_labels=False
-        )
-        assert cs.draws[1].shape == (10, 2, 2)
+        draws = view_draws(test, 1, k=5, n_samplings=2, seed=0, reference=train)
+        assert draws.shape == (10, 2, 2)
         idx = _neighbor_unions(test, train, np.array([0]), 1, 5, False)[0]
         assert idx.size > 0
         assert idx.max() < train.n_samples
+
+    def test_reference_pool_reads_no_test_labels(self):
+        """Draws against a reference pool are the same whatever the test labels."""
+        train = make_blobs_dataset(n=60, class_count=3, view_dims=(2, 3, 2), eta=0.3,
+                                   seed=4, mask_seed=105)
+        test = make_blobs_dataset(n=25, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                                  seed=4, mask_seed=106)
+        relabelled = MultiViewDataset(test.views, np.roll(test.labels, 1), test.mask,
+                                      test.class_count)
+        assert (relabelled.labels != test.labels).any()
+        for m in range(test.n_views):
+            assert (view_draws(test, m, k=4, n_samplings=3, seed=2, reference=train).tobytes()
+                    == view_draws(relabelled, m, k=4, n_samplings=3, seed=2,
+                                  reference=train).tobytes())
 
 
 def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labels=True,
@@ -511,19 +541,27 @@ def fallback_dataset():
     return MultiViewDataset([v0, v1, v2], labels, mask, 5)
 
 
+def every_view_draws(data, k, n_samplings, jitter, seed, use_labels=True, fill="draws"):
+    """Each view's ``view_draws`` of ``data`` from its own rows: by label as
+    ``sample_completions`` draws them, or label-free with ``data`` as the reference."""
+    if use_labels:
+        return sample_completions(data, k, n_samplings, jitter, seed, fill=fill).draws
+    return [view_draws(data, m, k, n_samplings, jitter, seed, reference=data, fill=fill)
+            for m in range(data.n_views)]
+
+
 class TestBatchedDraws:
-    """sample_completions against the slot-by-slot reference, bit for bit.
+    """view_draws against the slot-by-slot reference, bit for bit.
 
     The reference computes in float64; the stored draws are its values
     rounded once to float32.
     """
 
-    def assert_same_draws(self, got, expect):
+    def assert_same_draws(self, data, got, expect):
         for v, block in enumerate(expect):
-            np.testing.assert_array_equal(got.imputed_rows[v],
-                                          np.nonzero(~got.mask[:, v])[0])
-            assert got.draws[v].dtype == np.float32
-            assert got.draws[v].tobytes() == block.astype(np.float32).tobytes()
+            assert got[v].shape[0] == np.count_nonzero(~data.mask[:, v])
+            assert got[v].dtype == np.float32
+            assert got[v].tobytes() == block.astype(np.float32).tobytes()
 
     # ids: options<i> with 4 slots a block, options<i>-block<b> with b slots
     @pytest.mark.parametrize("options, block", [
@@ -539,33 +577,33 @@ class TestBatchedDraws:
         data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
                                   seed=4, mask_seed=104)
         monkeypatch.setattr(imputer, "_SLOT_BLOCK", block)
-        got = sample_completions(data, k=3, n_samplings=5, jitter=1e-3, seed=8, **options)
-        self.assert_same_draws(got, reference_completions(data, 3, 5, 1e-3, 8, **options))
+        got = every_view_draws(data, 3, 5, 1e-3, 8, **options)
+        self.assert_same_draws(data, got,
+                               reference_completions(data, 3, 5, 1e-3, 8, **options))
 
     def test_reference_pool(self):
         train = make_blobs_dataset(n=60, class_count=3, view_dims=(2, 3, 2), eta=0.3,
                                    seed=4, mask_seed=105)
         test = make_blobs_dataset(n=25, class_count=3, view_dims=(2, 3, 2), eta=0.35,
                                   seed=4, mask_seed=106)
-        got = sample_completions(test, k=4, n_samplings=6, seed=2, reference=train,
-                                 use_labels=False)
+        got = [view_draws(test, m, k=4, n_samplings=6, seed=2, reference=train)
+               for m in range(test.n_views)]
         self.assert_same_draws(
-            got, reference_completions(test, 4, 6, 1e-3, 2, ref=train, use_labels=False))
+            test, got, reference_completions(test, 4, 6, 1e-3, 2, ref=train, use_labels=False))
 
     @pytest.mark.parametrize("use_labels", [True, False])
     def test_fallbacks_and_escalation(self, use_labels):
         data = fallback_dataset()
-        got = sample_completions(data, k=4, n_samplings=5, jitter=0.0, seed=3,
-                                 use_labels=use_labels)
+        got = every_view_draws(data, 4, 5, 0.0, 3, use_labels=use_labels)
         self.assert_same_draws(
-            got, reference_completions(data, 4, 5, 0.0, 3, use_labels=use_labels))
+            data, got, reference_completions(data, 4, 5, 0.0, 3, use_labels=use_labels))
         sizes = [len(exhaustive_union(data, data, n, 1, 4, use_labels)) for n in (30, 39, 37)]
         assert sizes == ([0, 1, 4] if use_labels else [0, 4, 4])
-        row_37 = int(np.searchsorted(got.imputed_rows[1], 37))
+        row_37 = int(np.searchsorted(np.nonzero(~data.mask[:, 1])[0], 37))
         # a zero covariance at jitter 0 draws the mean itself
-        np.testing.assert_array_equal(got.draws[1][row_37], np.full((5, 3), 5.0))
+        np.testing.assert_array_equal(got[1][row_37], np.full((5, 3), 5.0))
         column_mean = data.views[2][30:32].mean(axis=0)  # the rows observing view 2
-        np.testing.assert_allclose(got.draws[2][0], np.tile(column_mean, (5, 1)), atol=1e-2)
+        np.testing.assert_allclose(got[2][0], np.tile(column_mean, (5, 1)), atol=1e-2)
 
 
 class TestStorage:
@@ -576,9 +614,11 @@ class TestStorage:
         cs = sample_completions(blobs_incomplete, k=4, n_samplings=3, seed=5, fill=fill)
         # sample_completions keeps each view's view_draws output as it is
         assert all(block.dtype == np.float32 for block in cs.draws)
-        for v, rows in enumerate(cs.imputed_rows):
+        every_row = np.arange(blobs_incomplete.n_samples)
+        for v, missing in enumerate((~blobs_incomplete.mask).T):
+            rows = np.nonzero(missing)[0]
             for s in range(3):
-                mat = cs.completion(s)[v]
+                mat = cs.gather(every_row, np.full(every_row.size, s))[v]
                 assert mat.dtype == np.float64
                 np.testing.assert_array_equal(mat[rows], cs.draws[v][:, s].astype(np.float64))
             slots = np.arange(rows.size) % 3
@@ -589,8 +629,8 @@ class TestStorage:
 
     def test_views_are_the_datasets_own(self, blobs_incomplete):
         cs = sample_completions(blobs_incomplete, k=4, n_samplings=2, seed=5)
-        for v in range(blobs_incomplete.n_views):
-            assert cs.views[v] is blobs_incomplete.views[v]
+        assert cs.data is blobs_incomplete
+        assert [f.name for f in dataclasses.fields(cs)] == ["data", "draws"]
 
     def test_building_holds_little_beyond_the_float32_draws(self, monkeypatch):
         data = make_blobs_dataset(n=400, class_count=3, view_dims=(40, 30, 20), eta=0.5,

@@ -11,7 +11,7 @@ import pytest
 from evifuse import predictor
 from evifuse.dataset import MultiViewDataset, ZScoreStats, zscore_apply
 from evifuse.fusion import _fold_with_exclusions
-from evifuse.imputer import sample_completions
+from evifuse.imputer import CompletionSet, view_draws
 from evifuse.network import EvidenceNetwork
 from evifuse.predictor import (
     _sampling_opinions,
@@ -310,8 +310,9 @@ class TestStability:
 def per_sampling_opinions(model, completions):
     """Every network on every row of every materialized completion."""
     all_b, all_u, all_bad = [], [], []
+    rows = np.arange(completions.data.n_samples)
     for s in range(completions.n_samplings):
-        views = completions.completion(s)
+        views = completions.gather(rows, np.full(rows.size, s))
         if model.config.uses_evidence:
             b, u, bad = _fold_with_exclusions([net.forward(x) + 1.0
                                                for net, x in zip(model.networks, views)])
@@ -338,11 +339,12 @@ def far_model(mode, evidence=1e14, huge_classes=(0, 1)):
         net.biases[1] = np.array([0.3, 0.1, -0.2])
         networks.append(net)
     return TrainedModel(networks=networks, stats=None, config=TrainConfig(mode=mode),
-                        loss_history=[], train_pool=None, class_count=3, epochs_run=0)
+                        loss_history=[], train_pool=None)
 
 
 def far_completions():
-    """Data and its completions; row 0 is complete and has both views far out."""
+    """Data and its label-free completions from its own rows; row 0 is complete
+    and has both views far out."""
     rng = np.random.default_rng(12)
     views = [rng.uniform(-1.0, 1.0, (40, 2)) for _ in range(2)]
     views[0][0, 0] = views[1][0, 0] = 6.0
@@ -350,17 +352,17 @@ def far_completions():
     mask[~mask.any(axis=1), 0] = True
     mask[0] = True
     data = MultiViewDataset(views, rng.integers(0, 3, 40), mask, 3)
-    return data, sample_completions(data, k=4, n_samplings=7, seed=1, use_labels=False)
+    return data, CompletionSet(data, [view_draws(data, m, k=4, n_samplings=7, seed=1,
+                                                 reference=data) for m in range(2)])
 
 
 def far_predictor(evidence, huge_classes, n_samplings):
     """``far_model`` in uimc mode that evaluate and predict_sample can run: identity
     standardization, the completed data as its neighbor pool."""
-    _, completions = far_completions()
+    data, _ = far_completions()
     identity = ZScoreStats([np.zeros(2)] * 2, [np.ones(2)] * 2)
     model = replace(far_model("uimc", evidence, huge_classes), stats=identity,
-                    train_pool=MultiViewDataset(completions.views, completions.labels,
-                                                np.ones((40, 2), dtype=bool), 3))
+                    train_pool=data.with_mask(np.ones((40, 2), dtype=bool)))
     return with_samplings(model, n_samplings)
 
 
@@ -418,6 +420,19 @@ class TestObservedOnce:
         assert metrics["excluded_samplings"] == 5
         assert metrics["vote_counts"][0] == [0, 0, 0]
 
+    def test_no_valid_sampling_reports_null_mean_uncertainty(self):
+        """Four complete rows whose fused evidence overflows in every sampling: no
+        row has a mean uncertainty, so neither has the test set."""
+        model = far_predictor(1e200, (0, 0), n_samplings=3)
+        views = [np.tile([6.0, 0.0], (4, 1))] * 2
+        data = MultiViewDataset(views, [0, 1, 2, 0], np.ones((4, 2), dtype=bool), 3)
+        metrics = evaluate(model, data, seed=0)
+        assert metrics["excluded_samplings"] == 12
+        assert metrics["mean_uncertainty"] is None
+        assert metrics["mean_uncertainty_correct"] is None
+        assert metrics["mean_uncertainty_incorrect"] is None
+        json.dumps(metrics, allow_nan=False)
+
     def test_each_input_runs_once(self, monkeypatch):
         model, (data, completions) = far_model("uimc"), far_completions()
         rows = []
@@ -429,8 +444,9 @@ class TestObservedOnce:
 
         monkeypatch.setattr(EvidenceNetwork, "forward", counting_forward)
         _sampling_opinions(model, data, completions.draws)
-        imputed = sum(r.size for r in completions.imputed_rows)
-        assert sum(rows) == 2 * completions.n_samples + completions.n_samplings * imputed
+        imputed = int((~data.mask).sum())
+        assert imputed and completions.n_samplings == 7
+        assert sum(rows) == 2 * data.n_samples + completions.n_samplings * imputed
 
 
 class TestStream:
