@@ -99,17 +99,19 @@ def _loss_parts(alpha, label):
     alpha = _checked_alpha(alpha)
     y = np.asarray(label, dtype=np.float64)
     k = alpha.shape[-1]
+    wrong = 1.0 - y
     # label class reset to 1: the KL term sees only evidence on wrong classes
-    masked = y + (1.0 - y) * alpha
+    masked = y + wrong * alpha
+    excess = masked - 1.0
     z = np.concatenate([masked, masked.sum(axis=-1, keepdims=True),
                         (y * alpha).sum(axis=-1, keepdims=True),
                         alpha.sum(axis=-1, keepdims=True)], axis=-1)
     lg, dg, tg = gammaln(z[..., :k + 1]), digamma(z), trigamma(z)
     ace = dg[..., k + 2] - dg[..., k + 1]
     kl = (lg[..., k] - lg[..., :k].sum(axis=-1) - _log_gamma_of(k)
-          + ((masked - 1.0) * (dg[..., :k] - dg[..., k:k + 1])).sum(axis=-1))
+          + (excess * (dg[..., :k] - dg[..., k:k + 1])).sum(axis=-1))
     ace_grad = tg[..., k + 2:] - y * tg[..., k + 1:k + 2]
-    kl_grad = (1.0 - y) * ((masked - 1.0) * tg[..., :k] - (z[..., k:k + 1] - k) * tg[..., k:k + 1])
+    kl_grad = wrong * (excess * tg[..., :k] - (z[..., k:k + 1] - k) * tg[..., k:k + 1])
     return ace, kl, ace_grad, kl_grad
 
 

@@ -242,17 +242,21 @@ class CompletionSet:
     def gather(self, sample_rows: np.ndarray, samplings: np.ndarray) -> list:
         """Per-view float64 matrices for a flattened (sample, sampling) batch.
 
-        Integer-array indexing gives each matrix as a new array, so filling
-        in the draws leaves the dataset's views unchanged."""
+        ``take`` gives each matrix as a new array, so filling in the draws
+        leaves the dataset's views unchanged. A view's draws are read with
+        one ``take`` on their (rows * samplings, features) view, at
+        position * samplings + sampling."""
         sample_rows = np.asarray(sample_rows)
         samplings = np.asarray(samplings)
         out = []
         for view, pos, draws in zip(self.data.views, self._row_pos, self.draws):
-            mat = view[sample_rows]
-            pos = pos[sample_rows]
-            hit = pos >= 0
-            if hit.any():
-                mat[hit] = draws[pos[hit], samplings[hit], :]
+            mat = view.take(sample_rows, axis=0)
+            pos = pos.take(sample_rows)
+            hit = np.flatnonzero(pos >= 0)
+            if hit.size:
+                s_count, d = draws.shape[1:]
+                at = pos.take(hit) * s_count + samplings.take(hit)
+                mat[hit] = draws.reshape(-1, d).take(at, axis=0)
             out.append(mat)
         return out
 

@@ -5,7 +5,9 @@ network emits nonnegative per-class evidence for each (rows, features)
 input row. Forward passes can cache activations for a backward call, which
 accepts an upstream gradient on the evidence (or on the raw logits, for
 cross-entropy baselines). One adaptive-moment update with bias correction
-and decoupled weight decay steps the arrays of all heads (Kingma & Ba, 2015).
+and decoupled weight decay steps the parameters of all heads (Kingma & Ba,
+2015): the optimizer holds them in one flat buffer, and the heads hold
+views of it.
 """
 
 from __future__ import annotations
@@ -104,33 +106,54 @@ class EvidenceNetwork:
 
 
 class Adam:
-    """Adaptive-moment optimizer with decoupled weight decay over the arrays it was built on."""
+    """Adaptive-moment optimizer with decoupled weight decay.
+
+    It copies the arrays it is built on into one contiguous float64
+    buffer, in order; ``params`` are views of that buffer shaped like them,
+    and the model it trains must hold those views (``over`` hands them to
+    the heads it is built for). The moments ``m`` and ``v`` are flat
+    too, so a step is one finite check and one pass of the update
+    arithmetic over every parameter.
+    """
 
     def __init__(self, params, learning_rate: float = 1e-3):
-        self.params = list(params)
+        arrays = [np.asarray(p, dtype=np.float64) for p in params]
+        self.flat = np.concatenate([p.ravel() for p in arrays])
+        ends = np.cumsum([p.size for p in arrays])
+        self.params = [self.flat[end - p.size:end].reshape(p.shape)
+                       for p, end in zip(arrays, ends)]
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+
+    @classmethod
+    def over(cls, networks, learning_rate: float = 1e-3) -> "Adam":
+        """One optimizer over every network's parameters, in order; each network
+        then holds views of the optimizer's buffer."""
+        optimizer = cls([p for net in networks for p in net.params], learning_rate)
+        shared = iter(optimizer.params)
+        for net in networks:
+            net.set_params([next(shared) for _ in net.params])
+        return optimizer
 
     def step(self, grads) -> None:
         """Update the params in place; a non-finite gradient raises, naming its
         layer by (weight, bias) pairs counted through all the arrays in order."""
-        if len(grads) != len(self.params):
-            raise ValueError("grads length does not match optimizer state")
-        for i, g in enumerate(grads):
-            if not np.all(np.isfinite(g)):
-                kind = "weights" if i % 2 == 0 else "biases"
-                raise FloatingPointError(
-                    f"non-finite gradient at layer {i // 2} {kind}"
-                )
+        if [np.shape(g) for g in grads] != [p.shape for p in self.params]:
+            raise ValueError("gradient shapes do not match the parameters")
+        g = np.concatenate([np.ravel(x) for x in grads])
+        if not np.isfinite(g).all():
+            i = next(i for i, x in enumerate(grads) if not np.all(np.isfinite(x)))
+            kind = "weights" if i % 2 == 0 else "biases"
+            raise FloatingPointError(f"non-finite gradient at layer {i // 2} {kind}")
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            p -= self.learning_rate * WEIGHT_DECAY * p
+        p, m, v = self.flat, self.m, self.v
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        p -= self.learning_rate * WEIGHT_DECAY * p

@@ -7,7 +7,9 @@ per-completion prediction. Ties break toward the class with the larger
 belief mass summed over completions, then toward the lower class index.
 Reported uncertainty is the fused uncertainty mass averaged over
 completions. Samplings whose fused evidence is not finite (it overflows,
-or a head gave NaN) are excluded from the vote and counted separately.
+or a head gave NaN) are excluded from the vote and counted separately; a
+sample with no valid sampling reports the vacuous opinion (uncertainty 1)
+in ``predict_sample`` and counts at uncertainty 1 in ``evaluate``.
 
 Test-time completion is a stream, one missing view at a time:
 ``_test_draws`` yields view m's draws for every slot missing it, and
@@ -190,15 +192,16 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
     labels, counts = _vote(all_b, all_bad)
     valid = ~all_bad
     any_valid = valid.any(axis=0)
-    mean_u = np.full(test.n_samples, np.nan)
+    # a row without a valid sampling has the vacuous opinion, as in predict_sample
+    mean_u = np.ones(test.n_samples)
     mean_u[any_valid] = (
         (all_u * valid).sum(axis=0)[any_valid] / valid.sum(axis=0)[any_valid]
     )
     correct = labels == test.labels
 
     def _mean(values):
-        """Mean of the non-NaN values; None (JSON null) for an empty group."""
-        return None if np.isnan(values).all() else float(np.nanmean(values))
+        """Mean of the values; None (JSON null) for an empty group."""
+        return float(values.mean()) if values.size else None
 
     return {
         "accuracy": float(correct.mean()),

@@ -215,7 +215,7 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
                         seed=_subseed(cfg.seed, _SEED_INIT, v))
         for v, dim in enumerate(std_train.view_dims)
     ]
-    optimizer = Adam([p for net in networks for p in net.params], cfg.learning_rate)
+    optimizer = Adam.over(networks, cfg.learning_rate)
     labels_hot = one_hot(std_train.labels, k_classes)
 
     history = []
@@ -281,7 +281,8 @@ def _evidential_step(networks, optimizer, xs, y, lam, epoch):
         raise NonFiniteLossError(f"training diverged at epoch {epoch}: {exc}") from exc
     optimizer.step([g for net, cache, grad in zip(networks, caches, grads)
                     for g in net.backward(cache, grad / batch_size)])
-    return float(np.sum(fused_term)), np.array([float(np.sum(t)) for t in view_terms])
+    sums = np.sum([fused_term, *view_terms], axis=-1)
+    return float(sums[0]), sums[1:]
 
 
 def _cross_entropy_step(networks, optimizer, xs, y):

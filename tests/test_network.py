@@ -5,7 +5,16 @@ import pytest
 
 from evifuse.evidential import loss_and_grad, one_hot
 from evifuse.fusion import _fuse_alphas, total_loss_alpha_grads
-from evifuse.network import WEIGHT_DECAY, Adam, EvidenceNetwork, sigmoid, softplus
+from evifuse.network import (
+    BETA1,
+    BETA2,
+    EPS,
+    WEIGHT_DECAY,
+    Adam,
+    EvidenceNetwork,
+    sigmoid,
+    softplus,
+)
 
 
 def flat_params(net):
@@ -179,8 +188,8 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_only_decays(self):
         net = EvidenceNetwork([2, 2], seed=0)
-        opt = Adam(net.params, learning_rate=0.1)
         before = [p.copy() for p in net.params]
+        opt = Adam.over([net], learning_rate=0.1)
         opt.step([np.zeros_like(p) for p in net.params])
         for b, p in zip(before, net.params):
             np.testing.assert_allclose(p, b * (1 - 0.1 * WEIGHT_DECAY), rtol=1e-12)
@@ -188,14 +197,56 @@ class TestAdam:
     def test_constant_gradient_step_magnitude(self):
         """With constant gradient the bias-corrected step approaches lr
         (the weight decay moves |p| <= 0.5 by at most 5e-9 a step)."""
-        p = [np.array([0.0])]
-        opt = Adam(p, learning_rate=1e-3)
+        opt = Adam([np.array([0.0])], learning_rate=1e-3)
+        p = opt.params
         g = [np.array([0.123])]
         prev = p[0].copy()
         for _ in range(500):
             prev = p[0].copy()
             opt.step(g)
         assert abs(prev[0] - p[0][0]) == pytest.approx(1e-3, rel=1e-3)
+
+    def test_params_are_views_of_one_copied_buffer(self):
+        arrays = [np.ones((2, 3)), np.full(3, 2.0)]
+        opt = Adam(arrays)
+        assert [p.shape for p in opt.params] == [(2, 3), (3,)]
+        assert all(np.shares_memory(p, opt.flat) for p in opt.params)
+        np.testing.assert_array_equal(opt.flat, [1.0] * 6 + [2.0] * 3)
+        opt.step([np.ones((2, 3)), np.ones(3)])
+        np.testing.assert_array_equal(arrays[0], np.ones((2, 3)))
+        assert np.all(opt.params[0] < 1.0)
+
+    def test_gradient_of_another_shape_rejected(self):
+        opt = Adam([np.ones((2, 3)), np.ones(3)])
+        for grads in ([np.ones((3, 2)), np.ones(3)], [np.ones((2, 3))],
+                      [np.ones((2, 3)), np.ones(3), np.ones(1)]):
+            with pytest.raises(ValueError, match="shapes"):
+                opt.step(grads)
+        np.testing.assert_array_equal(opt.flat, np.ones(9))
+
+    def test_flat_step_matches_a_per_array_loop(self):
+        """The flat step, byte for byte, against a step over each array in turn."""
+        rng = np.random.default_rng(8)
+        nets = [EvidenceNetwork([3, 5, 2], seed=3), EvidenceNetwork([4, 6, 3, 2], seed=4)]
+        params = [p.copy() for net in nets for p in net.params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        opt, lr = Adam.over(nets, learning_rate=0.05), 0.05
+        for t in range(1, 7):
+            grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3) for p in params]
+            opt.step(grads)
+            bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+            for p, g, m_i, v_i in zip(params, grads, m, v):
+                m_i *= BETA1
+                m_i += (1.0 - BETA1) * g
+                v_i *= BETA2
+                v_i += (1.0 - BETA2) * g * g
+                p -= lr * (m_i / bc1) / (np.sqrt(v_i / bc2) + EPS)
+                p -= lr * WEIGHT_DECAY * p
+            got = [p for net in nets for p in net.params]
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in params]
+            assert opt.m.tobytes() == np.concatenate([x.ravel() for x in m]).tobytes()
+            assert opt.v.tobytes() == np.concatenate([x.ravel() for x in v]).tobytes()
 
     def test_nan_gradient_raises_with_path(self):
         # layers count on through the heads: the second head's first layer is layer 2
@@ -220,20 +271,22 @@ class TestAdam:
             return [EvidenceNetwork([3, 4, 2], seed=1), EvidenceNetwork([2, 5, 2], seed=2)]
 
         shared, alone = heads(), heads()
-        joint = Adam([p for net in shared for p in net.params], learning_rate=0.01)
-        each = [Adam(net.params, learning_rate=0.01) for net in alone]
+        before = flat_params(shared[0])
+        joint = Adam.over(shared, learning_rate=0.01)
+        each = [Adam.over([net], learning_rate=0.01) for net in alone]
         for _ in range(6):
             joint.step([g for net, x in zip(shared, xs) for g in grads(net, x)])
             for opt, net, x in zip(each, alone, xs):
                 opt.step(grads(net, x))
         for a, b in zip(shared, alone):
             np.testing.assert_array_equal(flat_params(a), flat_params(b))
+        assert not np.array_equal(flat_params(shared[0]), before)
 
     def test_deterministic_training_bit_identical(self):
         def run():
             rng = np.random.default_rng(0)
             net = EvidenceNetwork([3, 4, 2], seed=7)
-            opt = Adam(net.params)
+            opt = Adam.over([net])
             x = rng.normal(size=(20, 3))
             y = one_hot(rng.integers(0, 2, 20), 2)
             for _ in range(5):
@@ -241,7 +294,9 @@ class TestAdam:
                 opt.step(net.backward(cache, loss_and_grad(e + 1.0, y, 0.1)[1]))
             return flat_params(net)
 
-        np.testing.assert_array_equal(run(), run())
+        first = run()
+        np.testing.assert_array_equal(first, run())
+        assert not np.array_equal(first, flat_params(EvidenceNetwork([3, 4, 2], seed=7)))
 
 
 class TestTrainingProgress:
@@ -254,7 +309,7 @@ class TestTrainingProgress:
         x2 = np.where(labels[:, None] == 0, 2.0, -2.0) + rng.normal(0, 0.3, (n, 3))
         y = one_hot(labels, 2)
         nets = [EvidenceNetwork([2, 8, 2], seed=1), EvidenceNetwork([3, 8, 2], seed=2)]
-        opt = Adam([p for net in nets for p in net.params], learning_rate=1e-2)
+        opt = Adam.over(nets, learning_rate=1e-2)
         losses = []
         for step in range(20):
             caches, alphas = [], []

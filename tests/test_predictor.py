@@ -420,18 +420,30 @@ class TestObservedOnce:
         assert metrics["excluded_samplings"] == 5
         assert metrics["vote_counts"][0] == [0, 0, 0]
 
-    def test_no_valid_sampling_reports_null_mean_uncertainty(self):
-        """Four complete rows whose fused evidence overflows in every sampling: no
-        row has a mean uncertainty, so neither has the test set."""
+    def test_no_valid_sampling_counts_as_vacuous_uncertainty(self):
+        """Four complete rows whose fused evidence overflows in every sampling: each
+        row counts at uncertainty 1, the vacuous opinion; an empty group reads null."""
         model = far_predictor(1e200, (0, 0), n_samplings=3)
         views = [np.tile([6.0, 0.0], (4, 1))] * 2
         data = MultiViewDataset(views, [0, 1, 2, 0], np.ones((4, 2), dtype=bool), 3)
         metrics = evaluate(model, data, seed=0)
         assert metrics["excluded_samplings"] == 12
-        assert metrics["mean_uncertainty"] is None
-        assert metrics["mean_uncertainty_correct"] is None
-        assert metrics["mean_uncertainty_incorrect"] is None
+        assert metrics["predictions"] == [0, 0, 0, 0]
+        assert metrics["mean_uncertainty"] == 1.0
+        assert metrics["mean_uncertainty_correct"] == 1.0
+        assert metrics["mean_uncertainty_incorrect"] == 1.0
         json.dumps(metrics, allow_nan=False)
+        all_correct = evaluate(model, data.subset(np.array([0, 3])), seed=0)
+        assert all_correct["mean_uncertainty_correct"] == 1.0
+        assert all_correct["mean_uncertainty_incorrect"] is None
+
+    def test_evaluate_and_predict_sample_agree_on_a_row_without_valid_sampling(self):
+        model = far_predictor(1e200, (0, 0), n_samplings=3)
+        row = [np.array([6.0, 0.0])] * 2
+        data = MultiViewDataset([r[None] for r in row], [0], np.ones((1, 2), dtype=bool), 3)
+        res = predict_sample(model, row, [True, True], seed=0)
+        assert res.excluded_samplings == 3
+        assert evaluate(model, data, seed=0)["mean_uncertainty"] == res.mean_opinion.uncertainty
 
     def test_each_input_runs_once(self, monkeypatch):
         model, (data, completions) = far_model("uimc"), far_completions()

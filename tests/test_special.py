@@ -11,7 +11,10 @@ from evifuse.special import (
     _HALF_LOG_2PI,
     _LGAMMA_COEFFS,
     _TRIGAMMA_COEFFS,
+    _inverse_square_term,
     _lifted,
+    _log_term,
+    _reciprocal_term,
     _series,
     digamma,
     gammaln,
@@ -63,6 +66,17 @@ def test_nonpositive_arguments_rejected(fn):
         fn(0.0)
     with pytest.raises(ValueError):
         fn(np.array([1.0, -2.0]))
+    for beside_nan in ([np.nan, -1.0], [0.0, np.nan], [np.nan, 3.0, -0.0]):
+        with pytest.raises(ValueError):
+            fn(np.array(beside_nan))
+
+
+@pytest.mark.parametrize("fn", [digamma, gammaln, trigamma])
+def test_nan_passes_through(fn):
+    for x in ([np.nan], [np.nan, 9.0], [np.nan, 2.5, 0.3]):
+        out = fn(np.array(x))
+        assert np.isnan(out[0]) and np.all(np.isfinite(out[1:]))
+        np.testing.assert_array_equal(out[1:], fn(np.array(x[1:])))
 
 
 BELOW_ONE = np.logspace(-6, 0, 200)
@@ -86,32 +100,70 @@ def test_shape_preserved(fn):
     assert scalar == fn(np.array([3.5]))[0]
 
 
-@pytest.mark.parametrize("term", [np.log, np.reciprocal, lambda z: 1.0 / (z * z)])
-def test_fixed_steps_match_a_loop_that_stops_at_eight(term):
+# each integer 1..8 with its neighbours on both sides: where the step count
+# 8 - floor(min) changes
+EDGES = np.array([x for j in range(1, 9)
+                  for x in (np.nextafter(float(j), 0.0), float(j), np.nextafter(float(j), 9.0))])
+
+
+def _lift_inputs():
     rng = np.random.default_rng(3)
-    x = np.concatenate([BELOW_ONE, rng.uniform(0.0, 12.0, 500), [np.nextafter(8.0, 0.0), 8.0, 1e300]])
-    z, acc = x.copy(), np.zeros_like(x)
-    while (low := z < 8.0).any():
-        acc[low] += term(z[low])
-        z[low] += 1.0
-    got_z, got_acc = _lifted(x, term)
-    np.testing.assert_array_equal(got_z, z)
-    np.testing.assert_array_equal(got_acc, acc)
+    yield np.concatenate([BELOW_ONE, rng.uniform(0.0, 12.0, 500),
+                          [np.nextafter(8.0, 0.0), 8.0, 1e300]])
+    yield EDGES
+    for edge in EDGES:  # each edge as the smallest entry sets the step count
+        yield np.array([edge, edge + 0.5, 20.0])
+    yield rng.uniform(0.0, 1.0, 300)
+    yield np.array([])
+    yield rng.uniform(1.0, 30.0, (4, 6, 13))
+    yield np.array([np.nan, 2.5, 9.0, 0.4])
+    yield np.array([np.nan, 9.0])
+    yield np.array([np.nan])
+
+
+# each recurrence term and the lift's form of it, which takes the 0/1 mask
+LIFT_TERMS = [(np.log, _log_term), (np.reciprocal, _reciprocal_term),
+              (lambda z: 1.0 / (z * z), _inverse_square_term)]
+
+
+@pytest.mark.parametrize("term, masked_term", LIFT_TERMS,
+                         ids=[term.__name__ for term, _ in LIFT_TERMS])
+def test_fixed_steps_match_a_loop_that_stops_at_eight(term, masked_term):
+    calls = []
+
+    def counted(z, low):
+        calls.append(1)
+        return masked_term(z, low)
+
+    for x in _lift_inputs():
+        nan = np.isnan(x)
+        z, acc = x.copy(), np.zeros_like(x)
+        while (low := z < 8.0).any():
+            acc[low] += term(z[low])
+            z[low] += 1.0
+        calls.clear()
+        got_z, got_acc = _lifted(x, counted)
+        np.testing.assert_array_equal(got_z[~nan], z[~nan])
+        np.testing.assert_array_equal(got_acc[~nan], acc[~nan])
+        assert np.isnan(got_z[nan]).all()
+        # no step whose mask is all zero: 8 - floor(min) steps, none for an empty array
+        finite = x[~nan]
+        assert len(calls) == (8 - int(min(finite.min(), 8.0)) if finite.size else 0)
 
 
 def _plain_gammaln(x):
-    z, logs = _lifted(x, np.log)
+    z, logs = _lifted(x, _log_term)
     series = z * _series(_LGAMMA_COEFFS, 1.0 / (z * z))
     return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series - logs
 
 
 def _plain_digamma(x):
-    z, inverses = _lifted(x, np.reciprocal)
+    z, inverses = _lifted(x, _reciprocal_term)
     return np.log(z) - 0.5 / z - _series(_DIGAMMA_COEFFS, 1.0 / (z * z)) - inverses
 
 
 def _plain_trigamma(x):
-    z, inverse_squares = _lifted(x, lambda z: 1.0 / (z * z))
+    z, inverse_squares = _lifted(x, _inverse_square_term)
     r = 1.0 / z
     r2 = r * r
     return r + 0.5 * r2 + r * _series(_TRIGAMMA_COEFFS, r2) + inverse_squares

@@ -70,6 +70,15 @@ class TestTrainBasics:
         assert all(b >= a for a, b in zip(lams, lams[1:]))
         assert max(lams) <= 1.0
 
+    def test_heads_hold_views_of_one_trained_buffer(self, toy_model):
+        data, cfg, model = toy_model
+        params = [p for net in model.networks for p in net.params]
+        assert len({id(p.base) for p in params}) == 1 and params[0].base is not None
+        assert params[0].base.size == sum(p.size for p in params)
+        initial = EvidenceNetwork([data.view_dims[0], *cfg.hidden, data.class_count],
+                                  seed=_subseed(cfg.seed, 101, 0))
+        assert not np.array_equal(model.networks[0].weights[0], initial.weights[0])
+
     def test_deterministic_loss_history(self):
         data = make_blobs_dataset(n=60, eta=0.2, seed=31, mask_seed=32)
         cfg = TrainConfig(seed=5, **FAST)
