@@ -127,17 +127,23 @@ class TestNeighborUnion:
                     got = neighbor_union(NeighborQuery(n, int(m), k), data)
                     assert got.tolist() == exhaustive_union(data, data, n, int(m), k, True)
 
-    @pytest.mark.parametrize("shift", [0.0, 1e4])
-    @pytest.mark.parametrize("use_labels", [True, False])
-    def test_batched_unions_match_exhaustive_scan(self, shift, use_labels):
+    # ids: <use_labels>-<shift> at 128 slots a block, then -block<b> with b slots
+    @pytest.mark.parametrize("use_labels, shift, block", [
+        pytest.param(use_labels, shift, block,
+                     id=f"{use_labels}-{shift}" + ("" if block == 128 else f"-block{block}"))
+        for use_labels in (True, False) for shift in (0.0, 1e4) for block in (1, 4, 128)
+    ])
+    def test_batched_unions_match_exhaustive_scan(self, shift, use_labels, block, monkeypatch):
         """Every slot of a view at once, against the oracle, with exact ties.
 
         Each candidate row appears twice, so with k = 3 the 3rd and 4th
         nearest tie whenever a query's nearest distinct rows are doubled.
         Scaled by 1e-3 and shifted by 1e4, the terms of ||a||^2 - 2 a.b +
         ||b||^2 are ~1e8 and the distances ~1e-6, so the GEMM distance
-        alone misorders neighbors.
+        alone misorders neighbors. Blocks of 1 and 4 queries split every
+        label group over several searches.
         """
+        monkeypatch.setattr(imputer, "_SLOT_BLOCK", block)
         base = make_blobs_dataset(n=40, class_count=3, view_dims=(2, 3, 2), eta=0.35,
                                   seed=5, mask_seed=105)
         doubled = base.subset(np.repeat(np.arange(base.n_samples), 2))
@@ -150,7 +156,10 @@ class TestNeighborUnion:
         for data, ref in ((pool, pool), (queries, pool)):
             for m in range(data.n_views):
                 rows = np.nonzero(~data.mask[:, m])[0]
-                got = _neighbor_unions(data, ref, rows, m, 3, use_labels)
+                index, size = _neighbor_unions(data, ref, rows, m, 3, use_labels)
+                assert size.shape == rows.shape and size.sum() == index.size
+                got = np.split(index, np.cumsum(size)[:-1]) if rows.size else []
+                assert all(np.all(np.diff(idx) > 0) for idx in got)
                 expect = [exhaustive_union(data, ref, int(n), m, 3, use_labels) for n in rows]
                 assert [idx.tolist() for idx in got] == expect
 
@@ -604,6 +613,64 @@ class TestBatchedDraws:
         np.testing.assert_array_equal(got[1][row_37], np.full((5, 3), 5.0))
         column_mean = data.views[2][30:32].mean(axis=0)  # the rows observing view 2
         np.testing.assert_allclose(got[2][0], np.tile(column_mean, (5, 1)), atol=1e-2)
+
+    @pytest.mark.parametrize("use_labels", [True, False])
+    def test_one_search_per_observed_view_and_label_group(self, use_labels, monkeypatch):
+        """With q queries in an (observed view, label group), one view_draws call runs
+        _nearest ceil(q / _SLOT_BLOCK) times, however its slots fall into draw blocks."""
+        data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                                  seed=4, mask_seed=104)
+        monkeypatch.setattr(imputer, "_SLOT_BLOCK", 4)
+        searched = []
+
+        def counted(queries, candidates, k):
+            searched.append(len(queries))
+            return _nearest(queries, candidates, k)
+
+        monkeypatch.setattr(imputer, "_nearest", counted)
+        for m in range(data.n_views):
+            searched.clear()
+            view_draws(data, m, k=3, n_samplings=2, seed=8,
+                       reference=None if use_labels else data)
+            rows = np.nonzero(~data.mask[:, m])[0]
+            expect = []
+            for v in range(data.n_views):
+                if v == m:
+                    continue
+                labels = data.labels[rows[data.mask[rows, v]]]
+                groups = np.unique(labels, return_counts=True)[1] if use_labels else [labels.size]
+                for q in groups:
+                    expect += [4] * (q // 4) + [q % 4] * int(q % 4 > 0)
+            assert searched == expect
+
+
+class TestViewNoRowMisses:
+    """view_draws of a view that every row observes: an empty block, no search."""
+
+    @pytest.mark.parametrize("fill", ["draws", "neighbor_mean"])
+    @pytest.mark.parametrize("use_labels", [True, False])
+    def test_returns_empty_block_without_search(self, blobs, fill, use_labels, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a view that no row misses")
+
+        monkeypatch.setattr(imputer, "_slot_distribution", no_search)
+        for m, d in enumerate(blobs.view_dims):
+            out = view_draws(blobs, m, n_samplings=3, seed=1, fill=fill,
+                             reference=None if use_labels else blobs)
+            assert out.shape == (0, 3, d) and out.dtype == np.float32
+
+    def test_negative_seed_still_rejected(self, blobs):
+        with pytest.raises(ValueError):
+            view_draws(blobs, 0, n_samplings=3, seed=-1)
+
+    def test_column_mean_fill_still_reads_the_means(self, blobs, monkeypatch):
+        calls = []
+        column_means = imputer._column_means
+        monkeypatch.setattr(imputer, "_column_means",
+                            lambda ref, m: calls.append(m) or column_means(ref, m))
+        out = view_draws(blobs, 1, n_samplings=3, fill="column_mean")
+        assert out.shape == (0, 3, blobs.view_dims[1]) and out.dtype == np.float32
+        assert calls == [1]
 
 
 class TestStorage:
