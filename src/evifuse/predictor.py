@@ -7,9 +7,10 @@ per-completion prediction. Ties break toward the class with the larger
 belief mass summed over completions, then toward the lower class index.
 Reported uncertainty is the fused uncertainty mass averaged over
 completions. Samplings whose fused evidence is not finite (it overflows,
-or a head gave NaN) are excluded from the vote and counted separately; a
-sample with no valid sampling reports the vacuous opinion (uncertainty 1)
-in ``predict_sample`` and counts at uncertainty 1 in ``evaluate``.
+or a head gave NaN) are excluded from the vote and counted separately.
+``_vote`` is the one per-row aggregation that ``predict_sample``,
+``evaluate`` and ``stability_experiment`` read: it gives a sample with no
+valid sampling the vacuous opinion (zero beliefs, uncertainty 1).
 
 Test-time completion is a stream, one missing view at a time:
 ``_test_draws`` yields view m's draws for every slot missing it, and
@@ -134,12 +135,14 @@ def _sampling_opinions(model: TrainedModel, std: MultiViewDataset, draws):
     return all_b, all_u, all_bad
 
 
-def _vote(all_b: np.ndarray, all_bad: np.ndarray):
-    """Majority vote per sample over valid samplings.
+def _vote(all_b: np.ndarray, all_u: np.ndarray, all_bad: np.ndarray):
+    """Majority vote and mean opinion per sample over valid samplings.
 
-    Returns (labels, vote_counts) with counts of shape (N, K); ties break
-    by the larger belief mass summed over valid samplings, then by the
-    lower class index.
+    Returns (labels, vote_counts, mean_beliefs, mean_uncertainty) of
+    shapes (N,), (N, K), (N, K) and (N,). Ties break by the larger belief
+    mass summed over valid samplings, then by the lower class index. The
+    means are over the valid samplings; a sample with none has the
+    vacuous opinion, zero beliefs and uncertainty 1.
     """
     n, k = all_b.shape[1:]
     sampling_labels = all_b.argmax(axis=-1)
@@ -153,7 +156,10 @@ def _vote(all_b: np.ndarray, all_bad: np.ndarray):
     # rank ties by summed belief; zero out non-tied classes first
     tie_scores = np.where(tied, summed_belief, -np.inf)
     labels = tie_scores.argmax(axis=1)
-    return labels, counts
+    n_valid = counts.sum(axis=1)
+    divisor = np.maximum(n_valid, 1)
+    mean_u = np.where(n_valid > 0, (all_u * valid).sum(axis=0) / divisor, 1.0)
+    return labels, counts, summed_belief / divisor[:, None], mean_u
 
 
 def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> PredictionResult:
@@ -166,18 +172,12 @@ def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> Predi
     std = MultiViewDataset(_zscore_views(raw, mask, model.stats),
                            np.zeros(1, dtype=np.int64), mask, model.class_count)
     all_b, all_u, all_bad = _sampling_opinions(model, std, _test_draws(model, std, seed=seed))
-    labels, counts = _vote(all_b, all_bad)
+    labels, counts, mean_b, mean_u = _vote(all_b, all_u, all_bad)
     valid = ~all_bad[:, 0]
-    if valid.any():
-        mean_b = all_b[valid, 0].mean(axis=0)
-        mean_u = float(all_u[valid, 0].mean())
-    else:
-        mean_b = np.zeros(model.class_count)
-        mean_u = 1.0
     return PredictionResult(
         label=int(labels[0]),
         vote_counts=counts[0],
-        mean_opinion=SubjectiveOpinion(mean_b, mean_u),
+        mean_opinion=SubjectiveOpinion(mean_b[0], float(mean_u[0])),
         sampling_opinions=SubjectiveOpinion(all_b[valid, 0], all_u[valid, 0]),
         excluded_samplings=int((~valid).sum()),
     )
@@ -189,14 +189,7 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
     std = zscore_apply(test, model.stats)
     all_b, all_u, all_bad = _sampling_opinions(model, std,
                                                _test_draws(model, std, n_samplings, seed))
-    labels, counts = _vote(all_b, all_bad)
-    valid = ~all_bad
-    any_valid = valid.any(axis=0)
-    # a row without a valid sampling has the vacuous opinion, as in predict_sample
-    mean_u = np.ones(test.n_samples)
-    mean_u[any_valid] = (
-        (all_u * valid).sum(axis=0)[any_valid] / valid.sum(axis=0)[any_valid]
-    )
+    labels, counts, _, mean_u = _vote(all_b, all_u, all_bad)
     correct = labels == test.labels
 
     def _mean(values):
@@ -234,8 +227,7 @@ def stability_experiment(model: TrainedModel, test: MultiViewDataset,
     std = zscore_apply(test, model.stats)
     for r in range(n_repeats):
         draws = _test_draws(model, std, n_samplings, _subseed(seed, r))
-        all_b, _, all_bad = _sampling_opinions(model, std, draws)
-        all_labels[r], _ = _vote(all_b, all_bad)
+        all_labels[r] = _vote(*_sampling_opinions(model, std, draws))[0]
     consistent = (all_labels == all_labels[0]).all(axis=0)
     return {
         "consistent_fraction": float(consistent.mean()),

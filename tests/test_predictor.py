@@ -21,7 +21,7 @@ from evifuse.predictor import (
     predict_sample,
     stability_experiment,
 )
-from evifuse.trainer import MODES, TrainConfig, TrainedModel, _softmax, train
+from evifuse.trainer import MODES, TrainConfig, TrainedModel, _softmax, _subseed, train
 from conftest import make_blobs_dataset
 
 FAST = dict(epochs=12, batch_size=32, n_samplings=4, hidden=(12,), anneal_epochs=5,
@@ -45,26 +45,26 @@ class TestVote:
     def test_majority(self):
         # three samplings vote {1, 1, 2}
         b = np.array([[[0.1, 0.8, 0.1]], [[0.0, 0.9, 0.1]], [[0.1, 0.2, 0.7]]])
-        labels, counts = _vote(b, np.zeros((3, 1), dtype=bool))
+        labels, counts, *_ = _vote(b, np.zeros((3, 1)), np.zeros((3, 1), dtype=bool))
         assert labels[0] == 1
         assert counts[0].tolist() == [0, 2, 1]
 
     def test_tie_breaks_by_summed_belief(self):
         # classes 0 and 1 tie 1-1; class 0 carries more total belief
         b = np.array([[[0.6, 0.1, 0.0]], [[0.3, 0.4, 0.0]]])
-        labels, counts = _vote(b, np.zeros((2, 1), dtype=bool))
+        labels, counts, *_ = _vote(b, np.zeros((2, 1)), np.zeros((2, 1), dtype=bool))
         assert counts[0].tolist() == [1, 1, 0]
         assert labels[0] == 0
 
     def test_tie_breaks_to_lower_index_when_equal(self):
         b = np.array([[[0.5, 0.1]], [[0.1, 0.5]]])
-        labels, _ = _vote(b, np.zeros((2, 1), dtype=bool))
+        labels, *_ = _vote(b, np.zeros((2, 1)), np.zeros((2, 1), dtype=bool))
         assert labels[0] == 0
 
     def test_excluded_samplings_do_not_vote(self):
         b = np.array([[[0.9, 0.0]], [[0.0, 0.9]], [[0.0, 0.8]]])
         bad = np.array([[False], [True], [True]])
-        labels, counts = _vote(b, bad)
+        labels, counts, *_ = _vote(b, np.zeros((3, 1)), bad)
         assert labels[0] == 0
         assert counts[0].sum() == 1
 
@@ -73,8 +73,9 @@ class TestVote:
         # few distinct belief values, so rows tie often
         b = rng.integers(0, 3, (9, 50, 4)) / 4.0
         bad = rng.uniform(size=(9, 50)) < 0.3
+        u = rng.uniform(size=(9, 50))
         bad[:, 0] = True  # a row excluded in every sampling
-        labels, counts = _vote(b, bad)
+        labels, counts, mean_b, mean_u = _vote(b, u, bad)
         ref = np.stack([((b.argmax(axis=-1) == c) & ~bad).sum(axis=0) for c in range(4)],
                        axis=1)
         np.testing.assert_array_equal(counts, ref)
@@ -82,6 +83,13 @@ class TestVote:
         summed = (b * ~bad[..., None]).sum(axis=0)
         tie_scores = np.where(ref == ref.max(axis=1, keepdims=True), summed, -np.inf)
         np.testing.assert_array_equal(labels, tie_scores.argmax(axis=1))
+        # the mean opinion over each row's valid samplings; vacuous for row 0
+        assert mean_b.shape == (50, 4) and mean_u.shape == (50,)
+        for i in range(1, 50):
+            valid = ~bad[:, i]
+            np.testing.assert_allclose(mean_b[i], b[valid, i].mean(axis=0), rtol=1e-15)
+            np.testing.assert_allclose(mean_u[i], u[valid, i].mean(), rtol=1e-15)
+        assert mean_b[0].tolist() == [0.0] * 4 and mean_u[0] == 1.0
 
 
 class TestPredictSample:
@@ -301,6 +309,13 @@ class TestStability:
         flags = np.asarray(report["per_sample_consistent"])
         np.testing.assert_array_equal(flags, (labels == labels[0]).all(axis=0))
 
+    def test_repeat_labels_are_evaluate_predictions(self, fitted):
+        """Repeat r votes as evaluate does under the repeat's seed."""
+        model, test = fitted
+        report = stability_experiment(model, test, n_repeats=3, seed=5)
+        for r, labels in enumerate(report["repeat_labels"]):
+            assert labels == evaluate(model, test, seed=_subseed(5, r))["predictions"]
+
     def test_invalid_repeats(self, fitted):
         model, test = fitted
         with pytest.raises(ValueError):
@@ -379,8 +394,8 @@ class TestObservedOnce:
         np.testing.assert_allclose(all_b, ref_b, rtol=0, atol=1e-12)
         np.testing.assert_allclose(all_u, ref_u, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(all_bad, ref_bad)
-        labels, counts = _vote(all_b, all_bad)
-        ref_labels, ref_counts = _vote(ref_b, ref_bad)
+        labels, counts, *_ = _vote(all_b, all_u, all_bad)
+        ref_labels, ref_counts, *_ = _vote(ref_b, ref_u, ref_bad)
         np.testing.assert_array_equal(labels, ref_labels)
         np.testing.assert_array_equal(counts, ref_counts)
         if mode == "uimc":
@@ -437,13 +452,21 @@ class TestObservedOnce:
         assert all_correct["mean_uncertainty_correct"] == 1.0
         assert all_correct["mean_uncertainty_incorrect"] is None
 
-    def test_evaluate_and_predict_sample_agree_on_a_row_without_valid_sampling(self):
+    def test_evaluate_and_predict_sample_agree_on_a_row_without_valid_sampling(self, fitted):
         model = far_predictor(1e200, (0, 0), n_samplings=3)
         row = [np.array([6.0, 0.0])] * 2
         data = MultiViewDataset([r[None] for r in row], [0], np.ones((1, 2), dtype=bool), 3)
         res = predict_sample(model, row, [True, True], seed=0)
         assert res.excluded_samplings == 3
         assert evaluate(model, data, seed=0)["mean_uncertainty"] == res.mean_opinion.uncertainty
+        # and on ordinary rows: a one-row evaluate reads what predict_sample reads
+        model, test = fitted
+        for i in range(test.n_samples):
+            metrics = evaluate(model, test.subset(np.array([i])), seed=7)
+            res = predict_sample(model, [v[i] for v in test.views], test.mask[i], seed=7)
+            assert metrics["predictions"] == [res.label]
+            assert metrics["vote_counts"] == [res.vote_counts.tolist()]
+            assert metrics["mean_uncertainty"] == res.mean_opinion.uncertainty
 
     def test_each_input_runs_once(self, monkeypatch):
         model, (data, completions) = far_model("uimc"), far_completions()
