@@ -195,7 +195,7 @@ def write_results_csv(rows: list[dict], path) -> None:
     ok.sort(key=lambda r: (r["eta"], r["mode"], r["seed"]))
     lines = [",".join(RESULT_COLUMNS)]
     for r in ok:
-        # None (nan): an empty test split, or an older file's cell without a valid sampling
+        # None (nan): an older file's cell, of an empty test split or without a valid sampling
         uncertainty = np.nan if r["mean_uncertainty"] is None else r["mean_uncertainty"]
         lines.append(
             f'{r["eta"]:.17g},{r["seed"]},{r["mode"]},'

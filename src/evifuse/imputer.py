@@ -199,8 +199,6 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
 def _slot_states(seed: int, m: int, data: MultiViewDataset, rows: np.ndarray) -> np.ndarray:
     """(len(rows), 4) uint64 PCG64 seed states of the slots (rows[i], m): see the module doc."""
     seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     seed_bytes = seed.to_bytes((seed.bit_length() + 7) // 8, "little")
     keyed = hashlib.blake2b(digest_size=32)
     keyed.update(len(seed_bytes).to_bytes(8, "little"))
@@ -302,6 +300,8 @@ def view_draws(
         raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
     if fill not in _FILLS:
         raise ValueError(f"fill must be one of {_FILLS}, got {fill!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     use_labels = reference is None
     ref = data if use_labels else reference
     rows = np.nonzero(~data.mask[:, m])[0]
@@ -310,9 +310,9 @@ def view_draws(
     if fill == "column_mean":
         out[:] = _column_means(ref, m)
         return out
-    states = _slot_states(seed, m, data, rows) if fill == "draws" else None
     if rows.size == 0:
         return out
+    states = _slot_states(seed, m, data, rows) if fill == "draws" else None
     index, size = _slot_distribution(data, ref, rows, m, k, use_labels)
     first = np.cumsum(size) - size
     scale = np.sqrt(jitter)

@@ -42,24 +42,19 @@ _FORWARD_ROWS = 2048
 
 @dataclass(frozen=True)
 class PredictionResult:
-    """Voted prediction for one sample.
+    """Voted prediction for one sample: its row of what ``evaluate`` reports.
 
     label: the voted class.
     vote_counts: (K,) votes per class over the valid samplings.
     mean_opinion: fused opinion averaged over the valid samplings; vacuous
         (zero beliefs, uncertainty 1) when every sampling was excluded.
-    sampling_opinions: one batched opinion of the S_valid valid samplings
-        in sampling order, with ``beliefs`` (S_valid, K) and
-        ``uncertainty`` (S_valid,); sampling s of them is
-        ``beliefs[s]``, ``uncertainty[s]``.
     excluded_samplings: samplings left out because their fused evidence
-        is not finite, S - S_valid.
+        is not finite.
     """
 
     label: int
     vote_counts: np.ndarray
     mean_opinion: SubjectiveOpinion
-    sampling_opinions: SubjectiveOpinion
     excluded_samplings: int
 
 
@@ -86,19 +81,22 @@ def _sampling_opinions(model: TrainedModel, std: MultiViewDataset, draws):
     the same in every sampling, so each view's network runs once on all
     rows and then only on the view's draws, a chunk of whole samplings at
     a time; only its outputs are kept, and a view's draws are let go
-    before the next view's are asked for. The samplings are then folded a
-    few at a time, so neither step holds more than about ``_FORWARD_ROWS``
-    rows.
+    before the next view's are asked for. A view that no row observes is
+    all draws, so its network does not run on the observed inputs. The
+    samplings are then folded a few at a time, so neither step holds more
+    than about ``_FORWARD_ROWS`` rows.
     """
     if std.n_views != len(model.networks):
         raise ValueError(f"test data has {std.n_views} views, the model "
                          f"{len(model.networks)}")
     n = std.n_samples
+    if n == 0:
+        raise ValueError("test set has no rows")
     k = model.class_count
     heads = [net.forward if model.config.uses_evidence else net.forward_logits
              for net in model.networks]
     missing = ~std.mask.T
-    shared = [head(np.where(miss[:, None], 0.0, x))
+    shared = [np.empty((n, k)) if miss.all() else head(np.where(miss[:, None], 0.0, x))
               for head, miss, x in zip(heads, missing, std.views)]
     per_forward = max(1, _FORWARD_ROWS // max(int(missing.sum(axis=1).max()), 1))
     imputed = []
@@ -116,7 +114,7 @@ def _sampling_opinions(model: TrainedModel, std: MultiViewDataset, draws):
                 ).reshape(last - first, view.shape[0], k)
         imputed.append(out)
         del view
-    per_fold = max(1, _FORWARD_ROWS // max(n, 1))
+    per_fold = max(1, _FORWARD_ROWS // n)
     all_b = np.empty((s_count, n, k))
     all_u = np.zeros((s_count, n))
     all_bad = np.zeros((s_count, n), dtype=bool)
@@ -163,7 +161,7 @@ def _vote(all_b: np.ndarray, all_u: np.ndarray, all_bad: np.ndarray):
 
 
 def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> PredictionResult:
-    """Classify a single (possibly incomplete) raw sample."""
+    """Classify one (possibly incomplete) raw sample as ``evaluate`` classifies a row."""
     mask = np.asarray(mask_row, dtype=bool).reshape(1, -1)
     raw = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views]
     if mask.shape[1] != len(raw):
@@ -173,13 +171,11 @@ def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> Predi
                            np.zeros(1, dtype=np.int64), mask, model.class_count)
     all_b, all_u, all_bad = _sampling_opinions(model, std, _test_draws(model, std, seed=seed))
     labels, counts, mean_b, mean_u = _vote(all_b, all_u, all_bad)
-    valid = ~all_bad[:, 0]
     return PredictionResult(
         label=int(labels[0]),
         vote_counts=counts[0],
         mean_opinion=SubjectiveOpinion(mean_b[0], float(mean_u[0])),
-        sampling_opinions=SubjectiveOpinion(all_b[valid, 0], all_u[valid, 0]),
-        excluded_samplings=int((~valid).sum()),
+        excluded_samplings=int(all_bad[:, 0].sum()),
     )
 
 
@@ -202,7 +198,7 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
                                for c in range(test.class_count)],
         "n_test": int(test.n_samples),
         "n_correct": int(correct.sum()),
-        "mean_uncertainty": _mean(mean_u),
+        "mean_uncertainty": float(mean_u.mean()),
         "mean_uncertainty_correct": _mean(mean_u[correct]),
         "mean_uncertainty_incorrect": _mean(mean_u[~correct]),
         "excluded_samplings": int(all_bad.sum()),

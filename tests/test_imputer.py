@@ -318,8 +318,11 @@ class TestSeedStates:
 
     @pytest.mark.parametrize("slots", [1, 16, 40])
     def test_negative_seed_rejected(self, slots):
-        with pytest.raises(ValueError):
-            _slot_states(-1, 0, self.DATA, np.arange(slots))
+        mask = np.ones((slots, 3), dtype=bool)
+        mask[:, 0] = False  # every row misses view 0: ``slots`` slots
+        data = self.DATA.subset(np.arange(slots)).with_mask(mask)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            view_draws(data, 0, k=3, n_samplings=2, seed=-1)
 
     def test_negative_seed_rejected_by_completion(self):
         with pytest.raises(ValueError):
@@ -658,6 +661,14 @@ class TestViewNoRowMisses:
             out = view_draws(blobs, m, n_samplings=3, seed=1, fill=fill,
                              reference=None if use_labels else blobs)
             assert out.shape == (0, 3, d) and out.dtype == np.float32
+
+    def test_hashes_no_slot(self, blobs, monkeypatch):
+        def no_hash(*args):
+            raise AssertionError("hashed the slots of a view that no row misses")
+
+        monkeypatch.setattr(imputer, "_slot_states", no_hash)
+        for m, d in enumerate(blobs.view_dims):
+            assert view_draws(blobs, m, n_samplings=3, seed=1).shape == (0, 3, d)
 
     def test_negative_seed_still_rejected(self, blobs):
         with pytest.raises(ValueError):

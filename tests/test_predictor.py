@@ -10,6 +10,7 @@ import pytest
 
 from evifuse import predictor
 from evifuse.dataset import MultiViewDataset, ZScoreStats, zscore_apply
+from evifuse.evidential import SubjectiveOpinion
 from evifuse.fusion import _fold_with_exclusions
 from evifuse.imputer import CompletionSet, view_draws
 from evifuse.network import EvidenceNetwork
@@ -31,6 +32,12 @@ FAST = dict(epochs=12, batch_size=32, n_samplings=4, hidden=(12,), anneal_epochs
 def with_samplings(model, n):
     """The model with n test-time samplings, as evaluate's n_samplings override gives."""
     return replace(model, config=replace(model.config, n_samplings=n))
+
+
+def row_opinions(model, data, i, n_samplings, seed):
+    """``_sampling_opinions`` of row i alone, standardized as predict_sample has it."""
+    std = zscore_apply(data.subset(np.array([i])), model.stats)
+    return _sampling_opinions(model, std, _test_draws(model, std, n_samplings, seed))
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +128,9 @@ class TestPredictSample:
         for i in range(8):
             res = predict_sample(with_samplings(model, 1), [v[i] for v in test.views],
                                  test.mask[i], seed=3)
-            assert res.label == int(np.argmax(res.sampling_opinions.beliefs[0]))
+            all_b, _, all_bad = row_opinions(model, test, i, n_samplings=1, seed=3)
+            assert not all_bad.any()
+            assert res.label == int(np.argmax(all_b[0, 0]))
 
     def test_matches_batched_evaluation(self, fitted):
         """Per-sample prediction agrees with the batched evaluate path."""
@@ -133,26 +142,20 @@ class TestPredictSample:
             assert res.label == metrics["predictions"][i]
 
     def test_sampling_opinions_batch_the_valid_samplings(self, fitted):
-        """Row s of the batch is the s-th valid sampling's fused opinion."""
+        """The votes and mean opinion are those of the row's valid samplings."""
         model, test = fitted
         for i in range(6):
             res = predict_sample(with_samplings(model, 5), [v[i] for v in test.views],
                                  test.mask[i], seed=4)
-            std = zscore_apply(test.subset(np.array([i])), model.stats)
-            all_b, all_u, all_bad = _sampling_opinions(
-                model, std, _test_draws(model, std, n_samplings=5, seed=4))
-            valid = np.nonzero(~all_bad[:, 0])[0]
-            batch = res.sampling_opinions
-            assert batch.beliefs.shape == (valid.size, test.class_count)
-            assert batch.uncertainty.shape == (valid.size,)
-            for s, sampling in enumerate(valid):
-                np.testing.assert_array_equal(batch.beliefs[s], all_b[sampling, 0])
-                assert batch.uncertainty[s] == all_u[sampling, 0]
-            np.testing.assert_array_equal(res.mean_opinion.beliefs, batch.beliefs.mean(axis=0))
-            assert res.mean_opinion.uncertainty == float(batch.uncertainty.mean())
+            all_b, all_u, all_bad = row_opinions(model, test, i, n_samplings=5, seed=4)
+            valid = ~all_bad[:, 0]
+            beliefs, uncertainty = all_b[valid, 0], all_u[valid, 0]
+            assert res.excluded_samplings == int((~valid).sum())
+            np.testing.assert_array_equal(res.mean_opinion.beliefs, beliefs.mean(axis=0))
+            assert res.mean_opinion.uncertainty == float(uncertainty.mean())
             np.testing.assert_array_equal(
                 res.vote_counts,
-                np.bincount(batch.beliefs.argmax(axis=1), minlength=test.class_count))
+                np.bincount(beliefs.argmax(axis=1), minlength=test.class_count))
 
     def test_mean_opinion_normalized(self, fitted):
         model, test = fitted
@@ -169,6 +172,19 @@ class TestPredictSample:
         i = int(np.nonzero(~test.mask.all(axis=1))[0][0])
         predict_sample(model, [v[i] for v in test.views], test.mask[i], seed=0)
         assert len(built) == 1
+
+    def test_builds_one_opinion(self, fitted, monkeypatch):
+        """Only the mean opinion is built, for a complete row and an incomplete one."""
+        model, test = fitted
+        built = []
+        check = SubjectiveOpinion.__post_init__
+        monkeypatch.setattr(SubjectiveOpinion, "__post_init__",
+                            lambda self: built.append(check(self)))
+        complete = test.mask.all(axis=1)
+        for i in (int(np.nonzero(complete)[0][0]), int(np.nonzero(~complete)[0][0])):
+            before = len(built)
+            predict_sample(model, [v[i] for v in test.views], test.mask[i], seed=0)
+            assert len(built) - before == 1
 
     def test_non_finite_observed_entry_rejected(self, fitted):
         model, test = fitted
@@ -216,6 +232,11 @@ class TestEvaluate:
         model, test = fitted
         with pytest.raises(ValueError, match="test data has 1 views, the model 2"):
             evaluate(model, first_view_only(test), seed=0)
+
+    def test_empty_test_set_rejected(self, fitted):
+        model, test = fitted
+        with pytest.raises(ValueError, match="test set has no rows"):
+            evaluate(model, test.subset(np.array([], dtype=int)), seed=0)
 
     def test_perfect_prediction_upper_bound(self, fitted):
         model, _ = fitted
@@ -289,6 +310,12 @@ class TestStability:
         model, test = fitted
         with pytest.raises(ValueError, match="test data has 1 views, the model 2"):
             stability_experiment(model, first_view_only(test), n_repeats=2, seed=0)
+
+    def test_empty_test_set_rejected(self, fitted):
+        model, test = fitted
+        with pytest.raises(ValueError, match="test set has no rows"):
+            stability_experiment(model, test.subset(np.array([], dtype=int)), n_repeats=2,
+                                 seed=0)
 
     def test_complete_data_fully_consistent(self, fitted):
         model, _ = fitted
@@ -415,7 +442,8 @@ class TestObservedOnce:
         assert res.label in (0, 1) and res.label == metrics["predictions"][0]
         assert res.vote_counts.tolist() == metrics["vote_counts"][0]
         assert res.vote_counts.sum() == 5
-        assert res.sampling_opinions.beliefs.shape == (5, 3)
+        all_b, _, all_bad = row_opinions(model, data, 0, n_samplings=5, seed=0)
+        assert all_b.shape == (5, 1, 3) and not all_bad.any()
         # the belief splits between classes 0 and 1, at almost no uncertainty
         assert res.mean_opinion.beliefs[:2].min() > 0.4
         assert res.mean_opinion.beliefs[2] < 1e-12 and res.mean_opinion.uncertainty < 1e-12
@@ -424,9 +452,10 @@ class TestObservedOnce:
         """Evidence of about 1e200 for class 0 in both views overflows the fused
         product: every sampling of the row is excluded and counted."""
         model = far_predictor(1e200, (0, 0), n_samplings=5)
-        res = predict_sample(model, [np.array([6.0, 0.0])] * 2, [True, True])
-        assert res.sampling_opinions.beliefs.shape == (0, 3)
-        assert res.sampling_opinions.uncertainty.shape == (0,)
+        row = [np.array([6.0, 0.0])] * 2
+        res = predict_sample(model, row, [True, True])
+        one_row = MultiViewDataset([r[None] for r in row], [0], np.ones((1, 2), dtype=bool), 3)
+        assert row_opinions(model, one_row, 0, n_samplings=5, seed=0)[2].all()
         assert res.excluded_samplings == 5 and res.vote_counts.tolist() == [0, 0, 0]
         np.testing.assert_array_equal(res.mean_opinion.beliefs, np.zeros(3))
         assert res.mean_opinion.uncertainty == 1.0
@@ -482,6 +511,32 @@ class TestObservedOnce:
         imputed = int((~data.mask).sum())
         assert imputed and completions.n_samplings == 7
         assert sum(rows) == 2 * data.n_samples + completions.n_samplings * imputed
+
+
+    @pytest.mark.parametrize("mode", ["uimc", "naive_ce"])
+    def test_no_head_runs_on_a_view_no_row_observes(self, mode, monkeypatch):
+        """Every row draws view 1: its head runs on the draws alone, and the
+        opinions are those of every head on every row of every completion."""
+        model, (pool, _) = far_model(mode), far_completions()
+        n = pool.n_samples
+        data = pool.with_mask(np.tile([True, False], (n, 1)))  # every row misses view 1
+        completions = CompletionSet(data, [view_draws(data, m, k=4, n_samplings=7, seed=1,
+                                                      reference=pool) for m in range(2)])
+        # one sampling per forward call and per fold, as the reference loop runs them
+        monkeypatch.setattr(predictor, "_FORWARD_ROWS", n)
+        ref = per_sampling_opinions(model, completions)
+        rows = []
+        linear = EvidenceNetwork._forward_linear
+
+        def counting_linear(self, x):
+            rows.append(len(x))
+            return linear(self, x)
+
+        monkeypatch.setattr(EvidenceNetwork, "_forward_linear", counting_linear)
+        got = _sampling_opinions(model, data, completions.draws)
+        assert rows == [n] + [n] * completions.n_samplings  # view 0 once, then view 1's draws
+        for array, expected in zip(got, ref):
+            np.testing.assert_array_equal(array, expected)
 
 
 class TestStream:

@@ -10,8 +10,9 @@ and prints one line per output:
 
 where ``<output>`` is ``weights`` (every head's parameters and the loss
 history), ``evaluate`` (the ``evaluate`` JSON), ``stability`` (a 2-repeat
-``stability_experiment``), ``predict`` (``predict_sample`` on the first 32
-incomplete test rows) or ``draws`` (the train-time completions). A change
+``stability_experiment``), ``predict`` (``predict_sample``'s label, vote
+counts, mean opinion and excluded samplings on the first 32 incomplete
+test rows) or ``draws`` (the train-time completions). A change
 meant to keep every result bit for bit must leave every line as it was;
 two processes of one checkout must print the same lines.
 """
@@ -77,8 +78,7 @@ def digests(seed: int, mode: str) -> dict:
         res = predict_sample(model, [v[row] for v in test_set.views], test_set.mask[row],
                              seed=seed)
         predictions += [res.label, res.vote_counts, res.mean_opinion.beliefs,
-                        res.mean_opinion.uncertainty, res.sampling_opinions.beliefs,
-                        res.sampling_opinions.uncertainty, res.excluded_samplings]
+                        res.mean_opinion.uncertainty, res.excluded_samplings]
     return {
         "weights": _digest(*(p for net in model.networks for p in net.params),
                            model.loss_history),
