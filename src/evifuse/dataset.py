@@ -10,6 +10,7 @@ is the single source of truth.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -110,9 +111,9 @@ def load_dataset(root_path) -> MultiViewDataset:
     if not np.all(labels_raw == np.rint(labels_raw)):
         raise ValueError("labels.csv must contain integers")
     labels = labels_raw.astype(np.int64)
-    if labels.size and labels.min() < 0:
+    if labels.min() < 0:
         raise ValueError("label outside [0, K)")
-    class_count = int(labels.max()) + 1 if labels.size else 1
+    class_count = int(labels.max()) + 1
     present = np.unique(labels)
     if present.size != class_count:
         missing = sorted(set(range(class_count)) - set(present.tolist()))
@@ -136,10 +137,14 @@ def load_mask(path) -> np.ndarray:
 
 
 def _read_csv_matrix(path: Path) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"non-numeric cell in {path.name}: {exc}") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # numpy's warning of a file without rows
+        try:
+            return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except UserWarning as exc:
+            raise ValueError(f"{path.name} holds no rows") from exc
+        except ValueError as exc:
+            raise ValueError(f"non-numeric cell in {path.name}: {exc}") from exc
 
 
 @dataclass(frozen=True)

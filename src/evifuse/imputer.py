@@ -1,11 +1,11 @@
 """Neighbor-conditioned Gaussian imputation of missing views.
 
 For a sample missing view m, every one of its observed views proposes its
-k nearest candidates (restricted to samples that observe both that view
-and view m, and, when the data completes itself from its own rows, to
-samples with the same label). The union of proposals indexes view-m rows
-whose mean and covariance define a multivariate Gaussian; multiple draws
-from it produce multiple completed copies of the sample.
+k nearest candidates among samples that observe both that view and view m
+and, when the data completes itself, share its label if a sample of its
+label observes m with one of its views. The union of proposals indexes
+view-m rows whose mean and covariance define a multivariate Gaussian;
+multiple draws from it produce multiple completed copies of the sample.
 
 Randomness is keyed on (seed, missing view, sample content): a slot's
 draws do not depend on sample order or on the rows completed with it, and
@@ -33,20 +33,21 @@ matrix is formed or factored. A draw is computed in float64 and stored
 once, rounded to float32, as are the means of the other fills; the keyed
 contract still fixes every stored value exactly.
 
-``view_draws`` completes every slot missing one view. Each (observed
-view, label group) gathers its candidates once and runs one GEMM search
-(``_nearest``) per ``_SLOT_BLOCK`` queries; the unions are held flat
-(``_neighbor_unions``) as ``index``, the unions in slot order, and
-``size``, each slot's union size. Slots of one union size draw together,
-``_SLOT_BLOCK`` at a time: means and factors stacked (``_moments``), each
-slot's normals filled in place in one (slots, n_samplings, c + d) array.
-It is the one per-view step of both completion paths, and the reference
-pool decides whether labels are read: only a dataset completed from
-itself (no ``reference``) reads its labels. At train time
-``sample_completions`` runs it for every view and keeps the result in a
-``CompletionSet``, which holds the dataset and the draws per slot. At
-test time the predictor asks for one view's draws at a time, label-free
-from the training pool, and drops them once its head has run on them.
+``view_draws`` completes every slot missing one view, each searched once
+under a key, its label or -1 for all. Each (observed view, key) gathers
+its candidates once and runs one GEMM search (``_nearest``) per
+``_SLOT_BLOCK`` queries; the unions are held flat (``_neighbor_unions``)
+as ``index``, the unions in slot order, and ``size``, each slot's union
+size. Slots of one union size draw together, ``_SLOT_BLOCK`` at a time:
+means and factors stacked (``_moments``), each slot's normals filled in
+place in one (slots, n_samplings, c + d) array. It is the one per-view
+step of both completion paths, and the reference pool decides whether
+labels are read: only a dataset completed from itself (no ``reference``)
+reads its labels. At train time ``sample_completions`` runs it for every
+view and keeps the result in a ``CompletionSet``, which holds the dataset
+and the draws per slot. At test time the predictor asks for one view's
+draws at a time, label-free from the training pool, and drops them once
+its head has run on them.
 """
 
 from __future__ import annotations
@@ -109,15 +110,15 @@ def _nearest(queries: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     return cand_of[order[first[:, None] + np.arange(k)]]
 
 
-def _neighbor_unions(data, ref, rows, m, k, use_labels):
+def _neighbor_unions(data, ref, rows, m, k, keys):
     """Neighbor unions of the slots (rows[i], m), flat: (index, size).
 
     Slot i's union is the next size[i] reference indices of index, in
     ascending order, slots in order. Candidates for view v are reference
-    samples observing both v and m (and sharing the slot's label when
-    ``use_labels``), gathered once per label group and searched
-    ``_SLOT_BLOCK`` queries at a time; each observed view proposes its k
-    nearest. A slot with no candidate gets an empty union.
+    samples observing both v and m, of label keys[i] or of any label where
+    keys[i] is -1, gathered once per key and searched ``_SLOT_BLOCK``
+    queries at a time; each observed view proposes its k nearest. A slot
+    with no candidate gets an empty union.
     """
     found = [np.empty(0, dtype=np.int64)]
     for v in range(data.n_views):
@@ -125,16 +126,9 @@ def _neighbor_unions(data, ref, rows, m, k, use_labels):
             continue
         on_v = data.mask[rows, v]
         eligible = ref.mask[:, m] & ref.mask[:, v]
-        if use_labels:
-            slot_labels = data.labels[rows]
-            groups = [(on_v & (slot_labels == g), eligible & (ref.labels == g))
-                      for g in np.unique(slot_labels[on_v])]
-        else:
-            groups = [(on_v, eligible)]
-        for slot_mask, cand_mask in groups:
-            slots, cand = np.nonzero(slot_mask)[0], np.nonzero(cand_mask)[0]
-            if slots.size == 0 or cand.size == 0:
-                continue
+        for key in np.unique(keys[on_v]):
+            slots = np.nonzero(on_v & (keys == key))[0]
+            cand = np.nonzero(eligible if key < 0 else eligible & (ref.labels == key))[0]
             queries, candidates = data.views[v][rows[slots]], ref.views[v][cand]
             for start in range(0, slots.size, _SLOT_BLOCK):
                 nearest = _nearest(queries[start:start + _SLOT_BLOCK], candidates, k)
@@ -158,7 +152,8 @@ def neighbor_union(
     n, m = query.sample_index, query.missing_view
     if data.mask[n, m]:
         raise ValueError(f"view {m} of sample {n} is observed, nothing to impute")
-    return _neighbor_unions(data, ref, np.array([n]), m, query.k, query.use_labels)[0]
+    key = data.labels[n] if query.use_labels else -1
+    return _neighbor_unions(data, ref, np.array([n]), m, query.k, np.array([key]))[0]
 
 
 def _moments(neighbors: np.ndarray):
@@ -288,9 +283,9 @@ def view_draws(
     of view m over the pool's rows observing it, with no neighbor search.
     ``jitter`` is the variance added to every feature of a draw.
 
-    Fallbacks when no candidate satisfies the eligibility predicate:
-    first drop the label restriction, then fall back to the column means
-    of the missing view over all rows observing it.
+    Fallbacks: a slot searches every label if no row of its own label
+    observes view m and one of its views; only a slot whose union is still
+    empty takes the column means of view m over all rows observing it.
     """
     if n_samplings < 1:
         raise ValueError("n_samplings must be >= 1")
@@ -363,18 +358,17 @@ def _column_means(ref: MultiViewDataset, m: int) -> np.ndarray:
 
 
 def _slot_distribution(data, ref, rows, m, k, use_labels):
-    """``_neighbor_unions`` (index, size) of the slots (rows, m), with the label fallback.
+    """``_neighbor_unions`` (index, size) of the slots (rows, m), each searched once.
 
-    The slots whose labelled union is empty are searched again, all at
-    once, without labels, and their unions merged back in slot order; a
-    slot still empty keeps size 0, and ``view_draws`` gives it the column
-    means of view m.
+    Without labels every key is -1. With them a slot's key is its label, or
+    -1 (the label fallback) if no reference row of that label observes view
+    m and a view the slot observes: exactly when its labelled union is empty.
+    A slot still empty keeps size 0; ``view_draws`` gives it column means.
     """
-    index, size = _neighbor_unions(data, ref, rows, m, k, use_labels)
+    keys = np.full(rows.size, -1)
     if use_labels:
-        retry = np.flatnonzero(size == 0)
-        more, more_size = _neighbor_unions(data, ref, rows[retry], m, k, False)
-        slot = np.concatenate([np.repeat(np.arange(rows.size), size), np.repeat(retry, more_size)])
-        index = np.concatenate([index, more])[np.argsort(slot, kind="stable")]
-        size[retry] = more_size
-    return index, size
+        labels, on_m = data.labels[rows], ref.mask[:, m]
+        # covered[c, v]: some reference row of label c observes views m and v
+        covered = np.eye(ref.class_count, dtype=bool)[ref.labels[on_m]].T @ ref.mask[on_m]
+        keys = np.where((covered[labels] & data.mask[rows]).any(axis=1), labels, -1)
+    return _neighbor_unions(data, ref, rows, m, k, keys)

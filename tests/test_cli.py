@@ -155,6 +155,15 @@ def test_non_numeric_mask_file_exits_config_and_names_it(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_on_dataset_without_rows_exits_config_and_names_the_file(tmp_path, capsys):
+    data = make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22)
+    data_dir = write_dataset_dir(tmp_path / "data", data.subset(np.array([], dtype=int)))
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--data", str(data_dir), "--out", str(ckpt)]) == cli.EXIT_CONFIG
+    assert "error: view_0.csv holds no rows" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_impute_output_loads_as_dataset(tmp_path):
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))

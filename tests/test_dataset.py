@@ -1,5 +1,7 @@
 """Dataset loading, standardization, masks, and splits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ class TestLoadDataset:
         np.savetxt(tmp_path / "labels.csv", np.array([[0], [2], [0]]), fmt="%d")
         with pytest.raises(ValueError, match="contiguous"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("empty", ["labels.csv", "view_0.csv"])
+    def test_file_without_rows_named(self, empty, tmp_path):
+        write_dataset_dir(tmp_path, make_blobs_dataset(n=6, seed=3))
+        (tmp_path / empty).write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{empty} holds no rows$"):
+                load_dataset(tmp_path)
 
     def test_roundtrip_through_directory(self, tmp_path):
         data = make_blobs_dataset(n=30, eta=0.4, seed=4)

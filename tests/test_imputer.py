@@ -17,6 +17,7 @@ from evifuse.imputer import (
     _nearest,
     _neighbor_unions,
     _SeedState,
+    _slot_distribution,
     _slot_states,
     neighbor_union,
     sample_completions,
@@ -31,7 +32,7 @@ def nearest(query, candidates, k):
                     np.asarray(candidates, dtype=float), k)[0].tolist()
 
 
-class TestDistanceSet:
+class TestNearestExactDistance:
     """_nearest ranks its shortlist by the exact squared distance."""
 
     def test_three_four_five(self):
@@ -46,7 +47,7 @@ class TestDistanceSet:
         assert nearest([0.0, 0.0], [[0.0, 2.0], [1.0, 0.0]], 1) == [1]
 
 
-class TestTopK:
+class TestNearestOrderAndTies:
     """_nearest's k nearest, ties resolved to the lowest candidate position."""
 
     def test_orders_by_negated_distance(self):
@@ -62,10 +63,6 @@ class TestTopK:
         assert nearest([0.0], [[2.0], [-2.0], [5.0]], 1) == [0]
         assert nearest([0.0], [[5.0], [-2.0], [2.0]], 2) == [1, 2]
 
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            NeighborQuery(0, 1, k=0)
-
 
 def tiny_dataset():
     """4 samples, 2 views, sample 0 missing view 1."""
@@ -76,15 +73,21 @@ def tiny_dataset():
     return MultiViewDataset([v0, v1], labels, mask, 2)
 
 
+def slot_union(data, n, m, k, key, ref=None):
+    """``_neighbor_unions``' union of the one slot (n, m) under ``key``, a label or -1."""
+    ref = data if ref is None else ref
+    return _neighbor_unions(data, ref, np.array([n]), m, k, np.array([key]))[0]
+
+
 class TestNeighborUnion:
     def test_label_filter_restricts_candidates(self):
         data = tiny_dataset()
-        idx = neighbor_union(NeighborQuery(0, 1, k=5, use_labels=True), data)
+        idx = slot_union(data, 0, 1, 5, data.labels[0])
         assert idx.tolist() == [1, 2]  # sample 3 has the wrong label
 
     def test_label_free_includes_all(self):
         data = tiny_dataset()
-        idx = neighbor_union(NeighborQuery(0, 1, k=5, use_labels=False), data)
+        idx = slot_union(data, 0, 1, 5, -1)
         assert idx.tolist() == [1, 2, 3]
 
     def test_union_collapses_duplicates(self):
@@ -96,7 +99,7 @@ class TestNeighborUnion:
                 target = (n, int(missing[0]))
                 break
         assert target is not None
-        idx = neighbor_union(NeighborQuery(target[0], target[1], k=3), data)
+        idx = slot_union(data, target[0], target[1], 3, data.labels[target[0]])
         assert len(idx) == len(set(idx.tolist()))
 
     def test_observed_view_rejected(self):
@@ -104,13 +107,17 @@ class TestNeighborUnion:
         with pytest.raises(ValueError):
             neighbor_union(NeighborQuery(1, 1, k=2), data)
 
+    def test_k_validation(self):
+        with pytest.raises(ValueError):
+            NeighborQuery(0, 1, k=0)
+
     def test_empty_when_no_candidates(self):
         # all same-label candidates lack view 1
         v0 = np.array([[0.0], [1.0], [2.0]])
         v1 = np.array([[0.0], [0.0], [7.0]])
         mask = np.array([[True, False], [True, False], [True, True]])
         data = MultiViewDataset([v0, v1], np.array([0, 0, 1]), mask, 2)
-        idx = neighbor_union(NeighborQuery(0, 1, k=3, use_labels=True), data)
+        idx = slot_union(data, 0, 1, 3, data.labels[0])
         assert idx.size == 0
 
     def test_matches_exhaustive_scan(self):
@@ -124,8 +131,41 @@ class TestNeighborUnion:
             k = 4
             for n in range(data.n_samples):
                 for m in np.nonzero(~data.mask[n])[0]:
-                    got = neighbor_union(NeighborQuery(n, int(m), k), data)
+                    got = slot_union(data, n, int(m), k, data.labels[n])
                     assert got.tolist() == exhaustive_union(data, data, n, int(m), k, True)
+
+    def test_label_fallback_matches_exhaustive_scan(self):
+        """_slot_distribution's union of every slot: the labelled oracle where that
+        is non-empty, else the label-free one. Many classes and heavy
+        missingness leave some slots no same-label row sharing a view."""
+        fell_back = 0
+        for seed in range(4):
+            data = make_blobs_dataset(n=40, class_count=8, view_dims=(2, 3, 2), eta=0.5,
+                                      seed=seed, mask_seed=seed + 200)
+            for m in range(data.n_views):
+                rows = np.nonzero(~data.mask[:, m])[0]
+                index, size = _slot_distribution(data, data, rows, m, 3, True)
+                got = np.split(index, np.cumsum(size)[:-1]) if rows.size else []
+                expect = []
+                for n in rows.tolist():
+                    union = exhaustive_union(data, data, n, m, 3, True)
+                    if not union:
+                        fell_back += 1
+                        union = exhaustive_union(data, data, n, m, 3, False)
+                    expect.append(union)
+                assert [idx.tolist() for idx in got] == expect
+        assert fell_back > 0
+
+    def test_shim_is_one_slot_of_neighbor_unions(self):
+        """neighbor_union, kept for the benchmark's search span, is its slot's
+        ``_neighbor_unions`` union under its label, or under -1 without labels."""
+        data = make_blobs_dataset(n=30, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                                  seed=2, mask_seed=102)
+        for n, m in np.argwhere(~data.mask).tolist():
+            for use_labels in (True, False):
+                key = data.labels[n] if use_labels else -1
+                assert (neighbor_union(NeighborQuery(n, m, 4, use_labels), data).tolist()
+                        == slot_union(data, n, m, 4, key).tolist())
 
     # ids: <use_labels>-<shift> at 128 slots a block, then -block<b> with b slots
     @pytest.mark.parametrize("use_labels, shift, block", [
@@ -141,7 +181,7 @@ class TestNeighborUnion:
         Scaled by 1e-3 and shifted by 1e4, the terms of ||a||^2 - 2 a.b +
         ||b||^2 are ~1e8 and the distances ~1e-6, so the GEMM distance
         alone misorders neighbors. Blocks of 1 and 4 queries split every
-        label group over several searches.
+        key over several searches.
         """
         monkeypatch.setattr(imputer, "_SLOT_BLOCK", block)
         base = make_blobs_dataset(n=40, class_count=3, view_dims=(2, 3, 2), eta=0.35,
@@ -156,7 +196,8 @@ class TestNeighborUnion:
         for data, ref in ((pool, pool), (queries, pool)):
             for m in range(data.n_views):
                 rows = np.nonzero(~data.mask[:, m])[0]
-                index, size = _neighbor_unions(data, ref, rows, m, 3, use_labels)
+                keys = data.labels[rows] if use_labels else np.full(rows.size, -1)
+                index, size = _neighbor_unions(data, ref, rows, m, 3, keys)
                 assert size.shape == rows.shape and size.sum() == index.size
                 got = np.split(index, np.cumsum(size)[:-1]) if rows.size else []
                 assert all(np.all(np.diff(idx) > 0) for idx in got)
@@ -183,7 +224,7 @@ def exhaustive_union(data, ref, n, m, k, use_labels):
     return sorted(expect)
 
 
-class TestEstimateGaussian:
+class TestMomentsOfOneSet:
     """_moments of one neighbor set: mean and covariance factor."""
 
     def test_two_neighbors(self):
@@ -403,7 +444,7 @@ class TestSampleCompletions:
         cs = sample_completions(data, k=10, n_samplings=draws, seed=7, jitter=jitter)
         sample = cs.draws[1][0]  # (draws, d)
 
-        idx = _neighbor_unions(data, data, np.array([0]), 1, 10, True)[0]
+        idx = slot_union(data, 0, 1, 10, data.labels[0])
         neighbors = data.views[1][idx]
         mu = neighbors.mean(axis=0)
         sigma = np.cov(neighbors, rowvar=False) + jitter * np.eye(d)
@@ -472,7 +513,7 @@ class TestSampleCompletions:
         test = test.with_mask(mask)
         draws = view_draws(test, 1, k=5, n_samplings=2, seed=0, reference=train)
         assert draws.shape == (10, 2, 2)
-        idx = _neighbor_unions(test, train, np.array([0]), 1, 5, False)[0]
+        idx = slot_union(test, 0, 1, 5, -1, ref=train)
         assert idx.size > 0
         assert idx.max() < train.n_samples
 
@@ -617,12 +658,19 @@ class TestBatchedDraws:
         column_mean = data.views[2][30:32].mean(axis=0)  # the rows observing view 2
         np.testing.assert_allclose(got[2][0], np.tile(column_mean, (5, 1)), atol=1e-2)
 
+    # ids: <dataset>-<use_labels>
     @pytest.mark.parametrize("use_labels", [True, False])
-    def test_one_search_per_observed_view_and_label_group(self, use_labels, monkeypatch):
-        """With q queries in an (observed view, label group), one view_draws call runs
-        _nearest ceil(q / _SLOT_BLOCK) times, however its slots fall into draw blocks."""
-        data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
-                                  seed=4, mask_seed=104)
+    @pytest.mark.parametrize("dataset", ["blobs", "fallback"])
+    def test_one_search_per_observed_view_and_key(self, dataset, use_labels, monkeypatch):
+        """With q queries in an (observed view, key), one view_draws call runs
+        _nearest ceil(q / _SLOT_BLOCK) times, however its slots fall into draw blocks.
+        A slot's key is its label, or -1 without labels or where no row of its label
+        is a candidate: the slots whose labelled union is empty form the -1 key."""
+        if dataset == "fallback":
+            data = fallback_dataset()
+        else:
+            data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
+                                      seed=4, mask_seed=104)
         monkeypatch.setattr(imputer, "_SLOT_BLOCK", 4)
         searched = []
 
@@ -631,20 +679,42 @@ class TestBatchedDraws:
             return _nearest(queries, candidates, k)
 
         monkeypatch.setattr(imputer, "_nearest", counted)
+        fell_back = 0
         for m in range(data.n_views):
             searched.clear()
             view_draws(data, m, k=3, n_samplings=2, seed=8,
                        reference=None if use_labels else data)
             rows = np.nonzero(~data.mask[:, m])[0]
+            keys = np.array([data.labels[n]
+                             if use_labels and exhaustive_union(data, data, n, m, 3, True)
+                             else -1 for n in rows.tolist()], dtype=np.int64)
+            fell_back += int(np.count_nonzero(keys == -1)) if use_labels else 0
             expect = []
             for v in range(data.n_views):
                 if v == m:
                     continue
-                labels = data.labels[rows[data.mask[rows, v]]]
-                groups = np.unique(labels, return_counts=True)[1] if use_labels else [labels.size]
-                for q in groups:
+                for q in np.unique(keys[data.mask[rows, v]], return_counts=True)[1]:
                     expect += [4] * (q // 4) + [q % 4] * int(q % 4 > 0)
             assert searched == expect
+        assert fell_back > 0 if (use_labels and dataset == "fallback") else fell_back == 0
+
+    @pytest.mark.parametrize("use_labels", [True, False])
+    def test_one_neighbor_search_per_view(self, use_labels, monkeypatch):
+        """Each view's slots are searched in one _neighbor_unions call, slots that
+        drop their label included."""
+        data = fallback_dataset()
+        searched = []
+
+        def counted(data, ref, rows, m, k, keys):
+            searched.append(rows.tolist())
+            return _neighbor_unions(data, ref, rows, m, k, keys)
+
+        monkeypatch.setattr(imputer, "_neighbor_unions", counted)
+        for m in range(data.n_views):
+            searched.clear()
+            view_draws(data, m, k=4, n_samplings=2, seed=3,
+                       reference=None if use_labels else data)
+            assert searched == [np.nonzero(~data.mask[:, m])[0].tolist()]
 
 
 class TestViewNoRowMisses:
