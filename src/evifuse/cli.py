@@ -48,8 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="incomplete multi-view classification experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _flag("--seed", type=int, default=None,
-                 help="seed override (defaults to 0 or the config file)")
+    seed = _flag("--seed", type=int, default=0, help="default 0")
     config = _flag("--config", type=Path, default=None,
                    help="training config JSON (schema 3)")
 
@@ -67,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter", type=float, default=1e-3)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("train", parents=[seed, config], help="train a model")
+    p = sub.add_parser("train", parents=[config], help="train a model")
+    p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--mask", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True, help="checkpoint path")
@@ -91,8 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=int, default=None)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("sweep", parents=[seed, config],
-                       help="missing-rate sweep over seeds and modes")
+    about = "missing-rate sweep over seeds and modes; each cell sets the config's seed and mode"
+    p = sub.add_parser("sweep", parents=[config], help=about, description=about,
+                       allow_abbrev=False)  # else --seed would read as --seeds
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--etas", default="0,0.1,0.2,0.3,0.4,0.5")
     p.add_argument("--seeds", default="0,1,2,3,4")
@@ -117,18 +118,13 @@ def _load_data(data_path: Path, mask_path: Path | None):
 
 def _load_config(args) -> TrainConfig:
     if args.config is not None:
-        cfg = TrainConfig.from_dict(json.loads(Path(args.config).read_text()))
-    else:
-        cfg = TrainConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+        return TrainConfig.from_dict(json.loads(Path(args.config).read_text()))
+    return TrainConfig()
 
 
 def _cmd_mask(args) -> int:
     data = load_dataset(args.data)
-    mask = generate_missing_mask(data.n_samples, data.n_views, args.eta,
-                                 seed=args.seed if args.seed is not None else 0)
+    mask = generate_missing_mask(data.n_samples, data.n_views, args.eta, seed=args.seed)
     np.savetxt(args.out, mask.astype(int), fmt="%d", delimiter=",")
     print(f"wrote {args.out}: {(~mask).sum()} missing of {mask.size} slots")
     return EXIT_OK
@@ -137,7 +133,7 @@ def _cmd_mask(args) -> int:
 def _cmd_impute(args) -> int:
     completions = sample_completions(
         _load_data(args.data, args.mask), k=args.k, n_samplings=args.ns,
-        jitter=args.jitter, seed=args.seed if args.seed is not None else 0,
+        jitter=args.jitter, seed=args.seed,
     )
     experiments.write_completion_directory(completions, args.out)
     print(f"wrote {completions.n_samplings} samplings to {args.out}")
@@ -147,6 +143,8 @@ def _cmd_impute(args) -> int:
 def _cmd_train(args) -> int:
     data = _load_data(args.data, args.mask)
     cfg = _load_config(args)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     if args.mode is not None:
         cfg = replace(cfg, mode=args.mode)
     started = time.perf_counter()
@@ -168,8 +166,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     data = _load_data(args.data, args.mask)
-    metrics = evaluate(model, data, n_samplings=args.ns,
-                       seed=args.seed if args.seed is not None else 0)
+    metrics = evaluate(model, data, n_samplings=args.ns, seed=args.seed)
     Path(args.out).write_text(json.dumps(metrics, indent=1))
     print(f"accuracy {metrics['accuracy']:.4f} on {metrics['n_test']} samples -> {args.out}")
     return EXIT_OK
@@ -178,10 +175,8 @@ def _cmd_eval(args) -> int:
 def _cmd_stability(args) -> int:
     model = load_model(args.model)
     data = _load_data(args.data, args.mask)
-    result = stability_experiment(
-        model, data, n_repeats=args.repeats, n_samplings=args.ns,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    result = stability_experiment(model, data, n_repeats=args.repeats, n_samplings=args.ns,
+                                  seed=args.seed)
     Path(args.out).write_text(json.dumps(result, indent=1))
     print(f"consistent fraction {result['consistent_fraction']:.4f} -> {args.out}")
     return EXIT_OK

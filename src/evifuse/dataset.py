@@ -187,8 +187,17 @@ def zscore_apply(data: MultiViewDataset, stats: ZScoreStats) -> MultiViewDataset
 def _zscore_views(views: list, mask: np.ndarray, stats: ZScoreStats) -> list:
     """Standardized copies of the views, 0 in the slots that ``mask`` marks missing.
 
-    The mask column broadcasts over a view's rows, so views whose row count
-    disagrees with the mask reach the dataset checks unchanged."""
+    Here test data meets the model: the view count, mask width and feature
+    counts are checked against ``stats`` first. The mask column broadcasts
+    over a view's rows, so a row count that disagrees with the mask reaches
+    the dataset checks unchanged."""
+    if len(views) != len(stats.means):
+        raise ValueError(f"test data has {len(views)} views, the model {len(stats.means)}")
+    if mask.shape[1] != len(views):
+        raise ValueError(f"mask shape {mask.shape} != ({mask.shape[0]}, {len(views)})")
+    for i, (v, mean) in enumerate(zip(views, stats.means)):
+        if v.shape[1] != mean.size:
+            raise ValueError(f"view {i} has {v.shape[1]} features, the model {mean.size}")
     return [np.where(mask[:, i, None], (v - mean) / scale, 0.0)
             for i, (v, mean, scale) in enumerate(zip(views, stats.means, stats.scales()))]
 

@@ -105,7 +105,9 @@ def _write_atomic(path: Path, text: str, publish=os.replace) -> None:
 def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
           train_fraction: float = DEFAULT_TRAIN_FRACTION,
           workers: int = 1) -> list[dict]:
-    """Run every (eta, seed, mode) cell, skipping ones already on disk.
+    """Run every distinct (eta, seed, mode) cell, skipping ones already on disk.
+
+    Each cell sets ``cfg``'s ``mode``, and its ``seed`` from the cell's seed and eta.
 
     Failed cells are recorded with status "error" and, like any published
     row, are not rerun. Two sweeps on one ``out_dir`` may both compute a
@@ -118,7 +120,8 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
     out = Path(out_dir)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    todo = [(float(e), int(s), str(m)) for e in etas for s in seeds for m in modes]
+    todo = list(dict.fromkeys((float(e), int(s), str(m))
+                              for e in etas for s in seeds for m in modes))
     data = load_dataset(data_dir)  # a bad directory fails here, not in a worker
     if workers > 1:
         _run_cells_parallel(data_dir, todo, cfg, cells_dir, train_fraction, workers)

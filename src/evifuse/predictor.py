@@ -8,9 +8,9 @@ belief mass summed over completions, then toward the lower class index.
 Reported uncertainty is the fused uncertainty mass averaged over
 completions. Samplings whose fused evidence is not finite (it overflows,
 or a head gave NaN) are excluded from the vote and counted separately.
-``_vote`` is the one per-row aggregation that ``predict_sample``,
-``evaluate`` and ``stability_experiment`` read: it gives a sample with no
-valid sampling the vacuous opinion (zero beliefs, uncertainty 1).
+``_vote``, the one per-row aggregation, gives a sample with no valid
+sampling the vacuous opinion (zero beliefs, uncertainty 1). ``predict_sample``
+and ``evaluate`` read it; ``stability_experiment`` reads through ``evaluate``.
 
 Test-time completion is a stream, one missing view at a time:
 ``_test_draws`` yields view m's draws for every slot missing it, and
@@ -86,9 +86,6 @@ def _sampling_opinions(model: TrainedModel, std: MultiViewDataset, draws):
     samplings are then folded a few at a time, so neither step holds more
     than about ``_FORWARD_ROWS`` rows.
     """
-    if std.n_views != len(model.networks):
-        raise ValueError(f"test data has {std.n_views} views, the model "
-                         f"{len(model.networks)}")
     n = std.n_samples
     if n == 0:
         raise ValueError("test set has no rows")
@@ -164,8 +161,6 @@ def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> Predi
     """Classify one (possibly incomplete) raw sample as ``evaluate`` classifies a row."""
     mask = np.asarray(mask_row, dtype=bool).reshape(1, -1)
     raw = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views]
-    if mask.shape[1] != len(raw):
-        raise ValueError(f"mask shape {mask.shape} != (1, {len(raw)})")
     # standardized before the one dataset is built, which then checks the row
     std = MultiViewDataset(_zscore_views(raw, mask, model.stats),
                            np.zeros(1, dtype=np.int64), mask, model.class_count)
@@ -215,15 +210,13 @@ def stability_experiment(model: TrainedModel, test: MultiViewDataset,
                          seed: int = 0) -> dict:
     """Repeat prediction with fresh completion draws under a fixed mask.
 
-    A sample counts as consistent when all repeats agree on its label.
+    Repeat r is ``evaluate`` under seed ``_subseed(seed, r)``. A sample
+    counts as consistent when all repeats agree on its label.
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
-    all_labels = np.empty((n_repeats, test.n_samples), dtype=np.int64)
-    std = zscore_apply(test, model.stats)
-    for r in range(n_repeats):
-        draws = _test_draws(model, std, n_samplings, _subseed(seed, r))
-        all_labels[r] = _vote(*_sampling_opinions(model, std, draws))[0]
+    all_labels = np.array([evaluate(model, test, n_samplings, _subseed(seed, r))["predictions"]
+                           for r in range(n_repeats)], dtype=np.int64)
     consistent = (all_labels == all_labels[0]).all(axis=0)
     return {
         "consistent_fraction": float(consistent.mean()),

@@ -39,6 +39,7 @@ def test_ties_count_for_neither_side():
     for name in ("rate", "latency", "loss"):
         assert (got[name]["wins"], got[name]["losses"], got[name]["pairs"]) == (0, 0, 10)
         assert not got[name]["claim"] and got[name]["in_bound"]
+        assert not got[name]["unresolved"]
 
 
 def test_lower_is_better_wins_by_going_down():
@@ -86,3 +87,23 @@ def test_runs_pair_by_seed_and_failed_runs_are_flagged():
     assert bench_pairs.run_ok({"correct": True, "failed": 0})
     assert not bench_pairs.run_ok({"correct": True, "failed": 1})
     assert not bench_pairs.run_ok({"correct": False, "failed": 0})
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    """Relative parent IQR above the bound: unresolved, unless the change wins outright."""
+    parent = {"rate": [60.0, 80.0, 100.0, 120.0, 140.0] * 2,  # IQR 40 of median 100
+              "latency": [1.0, 1.5] * 5, "loss": [1.0, 1.05] * 5}
+    change = {"rate": [61.0, 81.0, 101.0, 121.0, 141.0] * 2,
+              "latency": [0.9] * 10, "loss": [1.0, 1.05] * 5}
+    got = by_name(bench_pairs.summarize(rows(parent, change), METRICS))
+    assert got["rate"]["unresolved"] and got["rate"]["in_bound"]
+    # latency's spread 0.5 of 1.25 also tops its bound, but every change run beats every parent run
+    assert not got["latency"]["unresolved"]
+    assert not got["loss"]["unresolved"]  # spread 0.05 of 1.025, bound 0.1
+    change["rate"] = [141.5] * 10  # above every parent run
+    change["latency"] = [0.9] * 9 + [1.0]  # ties the best parent run once
+    again = by_name(bench_pairs.summarize(rows(parent, change), METRICS))
+    assert not again["rate"]["unresolved"] and again["latency"]["unresolved"]
+    table = bench_pairs.report(list(got.values())).splitlines()
+    assert table[0].split()[-2:] == ["unresolved", "in_bound"]
+    assert table[1].split()[-2:] == ["yes", "yes"] and table[2].split()[-2:] == ["no", "yes"]

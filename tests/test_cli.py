@@ -70,6 +70,17 @@ def test_eval_on_fewer_views_than_the_model_exits_config(tmp_path, capsys):
                              tmp_path, capsys)
 
 
+def test_eval_on_a_view_one_feature_short_exits_config(tmp_path, capsys):
+    _, ckpt = train_tiny(tmp_path)
+    data = make_blobs_dataset(n=40, view_dims=(2, 2), seed=21)
+    capsys.readouterr()
+    out = tmp_path / "eval.json"
+    assert cli.main(["eval", "--model", str(ckpt), "--out", str(out), "--data",
+                     str(write_dataset_dir(tmp_path / "short", data))]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "error: view 0 has 2 features, the model 3\n"
+    assert not out.exists()
+
+
 def test_negative_jitter_exits_config(tmp_path, capsys):
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
@@ -383,10 +394,24 @@ def test_parallel_sweep_matches_serial(finished_sweep, tmp_path):
     assert len(rows(serial)) == 3
 
 
+def test_sweep_runs_a_repeated_cell_once(finished_sweep, tmp_path):
+    data_dir, config, serial = finished_sweep
+    out = tmp_path / "repeated"
+    assert cli.main(["sweep", "--data", str(data_dir), "--etas", "0.2,0.2", "--seeds", "0,0",
+                     "--modes", "uimc,uimc", "--config", str(config),
+                     "--out", str(out)]) == cli.EXIT_OK
+    rows = (out / "results.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].rsplit(",", 1)[0] == \
+        (serial / "results.csv").read_text().splitlines()[1].rsplit(",", 1)[0]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cells_ok"] == 1 and summary["summary"][0]["n_cells"] == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--model", "m.ckpt", "--data", "d", "--out", "e.json", "--config", "c.json"],
     ["train", "--data", "d", "--out", "m.ckpt", "--threads", "2"],
     ["report", "--results", "r.csv", "--seed", "1"],
+    ["sweep", "--data", "d", "--out", "s", "--seed", "1"],
 ])
 def test_flag_a_subcommand_does_not_read_exits_config(argv, capsys):
     with pytest.raises(SystemExit) as info:

@@ -220,6 +220,14 @@ class TestPredictSample:
         with pytest.raises(ValueError, match="test data has 1 views, the model 2"):
             predict_sample(model, [test.views[0][0]], [True], seed=0)
 
+    @pytest.mark.parametrize("mask_row", [[True, True], [True, False], [False, True]])
+    def test_view_one_feature_short_rejected(self, fitted, mask_row):
+        """Checked before any arithmetic, also where the short view is missing."""
+        model, test = fitted
+        views = [test.views[0][0][:-1], test.views[1][0]]
+        with pytest.raises(ValueError, match="^view 0 has 2 features, the model 3$"):
+            predict_sample(model, views, mask_row, seed=0)
+
 
 def first_view_only(data):
     """The data's first view alone, every row observing it."""
@@ -227,11 +235,22 @@ def first_view_only(data):
                             np.ones((data.n_samples, 1), dtype=bool), data.class_count)
 
 
+def first_view_one_feature_short(data):
+    """The data with the last feature of view 0 dropped."""
+    return MultiViewDataset([data.views[0][:, :-1], *data.views[1:]], data.labels,
+                            data.mask, data.class_count)
+
+
 class TestEvaluate:
     def test_fewer_views_than_model_rejected(self, fitted):
         model, test = fitted
         with pytest.raises(ValueError, match="test data has 1 views, the model 2"):
             evaluate(model, first_view_only(test), seed=0)
+
+    def test_view_one_feature_short_rejected(self, fitted):
+        model, test = fitted
+        with pytest.raises(ValueError, match="^view 0 has 2 features, the model 3$"):
+            evaluate(model, first_view_one_feature_short(test), seed=0)
 
     def test_empty_test_set_rejected(self, fitted):
         model, test = fitted
@@ -310,6 +329,12 @@ class TestStability:
         model, test = fitted
         with pytest.raises(ValueError, match="test data has 1 views, the model 2"):
             stability_experiment(model, first_view_only(test), n_repeats=2, seed=0)
+
+    def test_view_one_feature_short_rejected(self, fitted):
+        model, test = fitted
+        with pytest.raises(ValueError, match="^view 0 has 2 features, the model 3$"):
+            stability_experiment(model, first_view_one_feature_short(test), n_repeats=2,
+                                 seed=0)
 
     def test_empty_test_set_rejected(self, fitted):
         model, test = fitted

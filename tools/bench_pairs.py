@@ -14,6 +14,10 @@ each end-to-end metric of ``BENCHMARK.json`` it prints:
 - ``claim``: whether a gain could be claimed, that is at least ten pairs
   ran, the change won at least nine tenths of them and its median is
   better than the parent's by more than the parent's interquartile range;
+- ``unresolved``: whether the parent's interquartile range, relative to
+  its median, is wider than the metric's ``bound``, unless every change
+  run reads better than every parent run: then the pairs cannot show that
+  the metric held, whatever ``in_bound`` says;
 - ``in_bound``: whether the change's median is worse than the parent's
   by no more than the metric's relative ``bound``.
 
@@ -81,6 +85,8 @@ def summarize(rows: list, end_to_end: list) -> list:
             "wins": wins, "losses": int(np.count_nonzero(gain < 0)),
             "claim": bool(len(seeds) >= 10 and wins >= 0.9 * len(seeds)
                           and median_gain > p_q[2] - p_q[0]),
+            "unresolved": bool(p_q[2] - p_q[0] > spec["bound"] * abs(p_q[1])
+                               and not (sign * change).min() > (sign * parent).max()),
             "in_bound": bool(median_gain >= -spec["bound"] * abs(p_q[1])),
         })
     return out
@@ -90,12 +96,14 @@ def report(summary: list) -> str:
     """The summary as a fixed-width table, one line per metric."""
     lines = [f"{'metric':<18} {'unit':<8} {'better':<6} {'parent p25/p50/p75':>30} "
              f"{'change p25/p50/p75':>30} {'won':>4} {'lost':>4} {'pairs':>5} "
-             f"{'claim':>5} {'in_bound':>8}"]
+             f"{'claim':>5} {'unresolved':>10} {'in_bound':>8}"]
     for s in summary:
         quartiles = ["/".join(f"{q:.4g}" for q in s[side]) for side in SIDES]
         lines.append(f"{s['name']:<18} {s['unit']:<8} {s['better']:<6} {quartiles[0]:>30} "
                      f"{quartiles[1]:>30} {s['wins']:>4} {s['losses']:>4} {s['pairs']:>5} "
-                     f"{'yes' if s['claim'] else 'no':>5} {'yes' if s['in_bound'] else 'no':>8}")
+                     f"{'yes' if s['claim'] else 'no':>5} "
+                     f"{'yes' if s['unresolved'] else 'no':>10} "
+                     f"{'yes' if s['in_bound'] else 'no':>8}")
     return "\n".join(lines)
 
 
