@@ -14,10 +14,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from evifuse import experiments
-from evifuse.dataset import generate_missing_mask, load_dataset, load_mask
+from evifuse.dataset import (generate_missing_mask, load_dataset, load_mask,
+                             write_csv_matrix, write_json)
 from evifuse.imputer import sample_completions
 from evifuse.predictor import evaluate, stability_experiment
 from evifuse.trainer import (
@@ -125,7 +124,7 @@ def _load_config(args) -> TrainConfig:
 def _cmd_mask(args) -> int:
     data = load_dataset(args.data)
     mask = generate_missing_mask(data.n_samples, data.n_views, args.eta, seed=args.seed)
-    np.savetxt(args.out, mask.astype(int), fmt="%d", delimiter=",")
+    write_csv_matrix(args.out, mask.astype(int), "%d")
     print(f"wrote {args.out}: {(~mask).sum()} missing of {mask.size} slots")
     return EXIT_OK
 
@@ -159,7 +158,7 @@ def _cmd_train(args) -> int:
             "loss_history": model.loss_history,
             "wall_time": wall,
         }
-        Path(args.metrics).write_text(json.dumps(payload, indent=1))
+        write_json(args.metrics, payload)
     return EXIT_OK
 
 
@@ -167,7 +166,7 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     data = _load_data(args.data, args.mask)
     metrics = evaluate(model, data, n_samplings=args.ns, seed=args.seed)
-    Path(args.out).write_text(json.dumps(metrics, indent=1))
+    write_json(args.out, metrics)
     print(f"accuracy {metrics['accuracy']:.4f} on {metrics['n_test']} samples -> {args.out}")
     return EXIT_OK
 
@@ -177,7 +176,7 @@ def _cmd_stability(args) -> int:
     data = _load_data(args.data, args.mask)
     result = stability_experiment(model, data, n_repeats=args.repeats, n_samplings=args.ns,
                                   seed=args.seed)
-    Path(args.out).write_text(json.dumps(result, indent=1))
+    write_json(args.out, result)
     print(f"consistent fraction {result['consistent_fraction']:.4f} -> {args.out}")
     return EXIT_OK
 
@@ -187,15 +186,10 @@ def _parse_list(text: str, cast):
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    etas = _parse_list(args.etas, float)
-    seeds = _parse_list(args.seeds, int)
-    modes = _parse_list(args.modes, str)
-    experiments.sweep(
-        args.data, etas, seeds, modes, cfg, args.out,
-        train_fraction=args.train_fraction, workers=args.threads,
-    )
-    summary = json.loads((args.out / "summary.json").read_text())
+    summary = experiments.sweep(
+        args.data, _parse_list(args.etas, float), _parse_list(args.seeds, int),
+        _parse_list(args.modes, str), _load_config(args), args.out,
+        train_fraction=args.train_fraction, workers=args.threads)
     print(f"{summary['cells_ok']} cells ok, {summary['cells_failed']} failed, "
           f"{len(summary['cells_missing'])} missing -> {args.out}")
     return EXIT_OK

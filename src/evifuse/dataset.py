@@ -1,14 +1,19 @@
-"""Multi-view dataset loading, normalization, splitting, and synthetic missingness.
+"""Multi-view datasets and the files the package reads and writes.
 
 A dataset directory holds one headerless CSV per view (``view_0.csv`` ...
 ``view_{V-1}.csv``), an integer ``labels.csv``, and optionally a 0/1
 ``mask.csv`` marking which (sample, view) slots are observed. Missing
 entries carry arbitrary placeholder values and are never read; the mask
-is the single source of truth.
+is the single source of truth. This module also reads files from disk,
+and ``write_file`` is the one writer of every file the package writes;
+``write_json`` and ``write_csv_matrix`` give JSON and CSV one form each.
 """
 
 from __future__ import annotations
 
+import io
+import json
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -145,6 +150,32 @@ def _read_csv_matrix(path: Path) -> np.ndarray:
             raise ValueError(f"{path.name} holds no rows") from exc
         except ValueError as exc:
             raise ValueError(f"non-numeric cell in {path.name}: {exc}") from exc
+
+
+def write_file(path, content, overwrite: bool = True) -> None:
+    """Publish ``content`` (str or bytes) at ``path`` whole, with the mode a
+    plain ``open()`` gives: a new ``<name>.<random>.tmp`` beside ``path`` is
+    moved into place by ``os.replace``, or with ``overwrite`` false linked by
+    ``os.link``, which raises ``FileExistsError`` if ``path`` exists. No
+    reader sees a torn file; the temporary one is gone once the call ends."""
+    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(content.encode() if isinstance(content, str) else content)
+        (os.replace if overwrite else os.link)(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_json(path, payload, overwrite: bool = True) -> None:
+    write_file(path, json.dumps(payload, indent=1, sort_keys=True), overwrite)
+
+
+def write_csv_matrix(path, matrix, fmt: str) -> None:
+    """A headerless CSV of the layout that ``load_dataset`` reads."""
+    text = io.StringIO()
+    np.savetxt(text, matrix, fmt=fmt, delimiter=",")
+    write_file(path, text.getvalue())
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,23 @@
 """Experiment harness: missing-rate sweeps, reports, and completion export.
 
 A sweep runs one cell per (eta, seed, mode): generate per-split masks,
-train, evaluate, and record a row. All cell-level randomness derives from
-the cell's seed plus its coordinates, so a row is fixed apart from
-``wall_time`` and running a cell twice does no harm. A worker writes its
-row to a private temporary file and hard-links it to ``cells/<key>.json``;
-a link never replaces a file, so the first published row wins and a rerun
-skips the cell. A killed worker leaves at most a stray ``*.tmp`` file,
-which counts as no result. The output directory must support hard links,
-as every local POSIX filesystem does.
+train, evaluate, and record a row. A cell is its key, ``_cell_key``, which
+prints eta to 6 significant digits: etas that print alike are one cell,
+run under the first of them given. All cell-level randomness derives
+from the cell's seed plus its coordinates, so a row is fixed apart from
+``wall_time`` and running a cell twice does no harm. A worker publishes
+its row with ``dataset.write_json`` as ``cells/<key>.json``, hard-linked
+into place without overwrite, so the first published row wins and a
+rerun skips the cell. A killed worker leaves at most a stray ``*.tmp``
+file, which counts as no result. The output directory must support hard
+links, as every local POSIX filesystem does. A column of ``results.csv``
+is one ``RESULT_COLUMNS`` entry, its name and the parser that reads it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
-import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -27,12 +29,18 @@ from evifuse.dataset import (
     generate_missing_mask,
     load_dataset,
     split,
+    write_csv_matrix,
+    write_file,
+    write_json,
 )
 from evifuse.imputer import CompletionSet
 from evifuse.predictor import evaluate
 from evifuse.trainer import TrainConfig, _subseed, train
 
-RESULT_COLUMNS = ("eta", "seed", "mode", "accuracy", "mean_uncertainty", "wall_time")
+RESULT_COLUMNS = {"eta": float, "seed": int, "mode": str, "accuracy": float,
+                  "mean_uncertainty": float, "wall_time": float}
+_TIDY_COLUMNS = {"mode": str, "eta": float, "n_cells": int, "mean_accuracy": float,
+                 "std_accuracy": float}
 
 _TAG_SPLIT, _TAG_TRAIN_MASK, _TAG_TEST_MASK, _TAG_FIT, _TAG_EVAL = 11, 12, 13, 14, 15
 
@@ -85,52 +93,35 @@ def _cell_key(eta: float, seed: int, mode: str) -> str:
     return f"eta{eta:g}_seed{seed}_{mode}"
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=1, sort_keys=True)
-
-
-def _write_atomic(path: Path, text: str, publish=os.replace) -> None:
-    """Write ``text`` to a private temporary file beside ``path``, then
-    ``publish(tmp, path)``: ``os.replace`` overwrites, ``os.link`` raises
-    ``FileExistsError`` if ``path`` exists. Readers never see a torn file."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        publish(tmp, path)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
-
-
 def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
           train_fraction: float = DEFAULT_TRAIN_FRACTION,
-          workers: int = 1) -> list[dict]:
-    """Run every distinct (eta, seed, mode) cell, skipping ones already on disk.
+          workers: int = 1) -> dict:
+    """Run every distinct cell of (eta, seed, mode), skipping ones already on disk.
 
     Each cell sets ``cfg``'s ``mode``, and its ``seed`` from the cell's seed and eta.
 
     Failed cells are recorded with status "error" and, like any published
     row, are not rerun. Two sweeps on one ``out_dir`` may both compute a
     cell; the first row published wins. A worker process that dies ends a
-    parallel sweep early. Returns all completed rows and writes results.csv
-    plus summary.json, whose ``cells_missing`` lists the keys of cells with
-    no result yet, such as a killed worker's; a rerun runs them.
+    parallel sweep early. Writes results.csv and summary.json, and returns
+    the summary, whose ``cells_missing`` lists the keys of cells with no
+    result yet, such as a killed worker's; a rerun runs them.
     ``out_dir`` must support hard links.
     """
+    data = load_dataset(data_dir)  # a bad directory fails here, not in a worker
     out = Path(out_dir)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    todo = list(dict.fromkeys((float(e), int(s), str(m))
-                              for e in etas for s in seeds for m in modes))
-    data = load_dataset(data_dir)  # a bad directory fails here, not in a worker
+    todo = {}
+    for cell in itertools.product(map(float, etas), map(int, seeds), map(str, modes)):
+        todo.setdefault(_cell_key(*cell), cell)
     if workers > 1:
-        _run_cells_parallel(data_dir, todo, cfg, cells_dir, train_fraction, workers)
+        _run_cells_parallel(data_dir, todo.values(), cfg, cells_dir, train_fraction, workers)
     else:
-        for eta, seed, mode in todo:
+        for eta, seed, mode in todo.values():
             _run_cell_once(data, eta, seed, mode, cfg, cells_dir, train_fraction)
     rows, missing = [], []
-    for eta, seed, mode in todo:
-        key = _cell_key(eta, seed, mode)
+    for key in todo:
         path = cells_dir / f"{key}.json"
         if path.exists():
             rows.append(json.loads(path.read_text()))
@@ -139,8 +130,8 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
     write_results_csv(rows, out / "results.csv")
     summary = summarize(rows)
     summary["cells_missing"] = missing
-    _write_atomic(out / "summary.json", _json_text(summary))
-    return rows
+    write_json(out / "summary.json", summary)
+    return summary
 
 
 def _run_cell_once(data, eta, seed, mode, cfg, cells_dir: Path,
@@ -153,12 +144,10 @@ def _run_cell_once(data, eta, seed, mode, cfg, cells_dir: Path,
     try:
         row = run_cell(data, eta, seed, mode, cfg, train_fraction)
     except Exception as exc:  # record the failure, keep sweeping
-        row = {
-            "eta": eta, "seed": seed, "mode": mode, "status": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        row = {"eta": eta, "seed": seed, "mode": mode, "status": "error",
+               "error": f"{type(exc).__name__}: {exc}"}
     try:
-        _write_atomic(result_path, _json_text(row), os.link)
+        write_json(result_path, row, overwrite=False)
     except FileExistsError:
         pass  # another worker published this cell first; its row stands
 
@@ -171,20 +160,14 @@ def _worker_init(data_dir):
 
 
 def _worker_run(args):
-    eta, seed, mode, cfg_dict, cells_dir, train_fraction = args
-    cfg = TrainConfig.from_dict(cfg_dict)
-    _run_cell_once(_WORKER_DATA["data"], eta, seed, mode, cfg,
-                   Path(cells_dir), train_fraction)
+    _run_cell_once(_WORKER_DATA["data"], *args)
 
 
 def _run_cells_parallel(data_dir, todo, cfg, cells_dir, train_fraction, workers):
     import multiprocessing as mp
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    args = [
-        (eta, seed, mode, cfg.to_dict(), str(cells_dir), train_fraction)
-        for eta, seed, mode in todo
-    ]
+    args = [(eta, seed, mode, cfg, cells_dir, train_fraction) for eta, seed, mode in todo]
     try:
         with ProcessPoolExecutor(workers, mp_context=mp.get_context("spawn"),
                                  initializer=_worker_init, initargs=(data_dir,)) as pool:
@@ -193,18 +176,22 @@ def _run_cells_parallel(data_dir, todo, cfg, cells_dir, train_fraction, workers)
         pass  # a worker died, say killed by the OOM killer; unfinished cells stay missing
 
 
+def _write_table(path, columns: dict, rows) -> None:
+    """A CSV of ``columns``' names and a line per row. A float column prints
+    17 significant digits, which ``float`` reads back exactly, and None as
+    nan: an older file's cell, of an empty test split or without a valid sampling."""
+    lines = [",".join(columns)]
+    for r in rows:
+        lines.append(",".join(
+            f"{np.nan if r[name] is None else r[name]:.17g}" if parse is float
+            else str(r[name]) for name, parse in columns.items()))
+    write_file(path, "\n".join(lines) + "\n")
+
+
 def write_results_csv(rows: list[dict], path) -> None:
     ok = [r for r in rows if r.get("status") == "ok"]
     ok.sort(key=lambda r: (r["eta"], r["mode"], r["seed"]))
-    lines = [",".join(RESULT_COLUMNS)]
-    for r in ok:
-        # None (nan): an older file's cell, of an empty test split or without a valid sampling
-        uncertainty = np.nan if r["mean_uncertainty"] is None else r["mean_uncertainty"]
-        lines.append(
-            f'{r["eta"]:.17g},{r["seed"]},{r["mode"]},'
-            f'{r["accuracy"]:.17g},{uncertainty:.17g},{r["wall_time"]:.17g}'
-        )
-    _write_atomic(Path(path), "\n".join(lines) + "\n")
+    _write_table(path, RESULT_COLUMNS, ok)
 
 
 def summarize(rows: list[dict]) -> dict:
@@ -241,22 +228,15 @@ def read_results_csv(path) -> list[dict]:
         raise ValueError(f"empty results file {path}")
     lines = text.splitlines()
     header = lines[0].split(",")
-    if tuple(header) != RESULT_COLUMNS:
+    if header != list(RESULT_COLUMNS):
         raise ValueError(f"malformed results header in {path}: {header}")
     rows = []
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(RESULT_COLUMNS):
             raise ValueError(f"malformed results row in {path}: {line!r}")
-        rows.append({
-            "eta": float(parts[0]),
-            "seed": int(parts[1]),
-            "mode": parts[2],
-            "accuracy": float(parts[3]),
-            "mean_uncertainty": float(parts[4]),
-            "wall_time": float(parts[5]),
-            "status": "ok",
-        })
+        rows.append({name: parse(part) for (name, parse), part
+                     in zip(RESULT_COLUMNS.items(), parts)} | {"status": "ok"})
     if not rows:
         raise ValueError(f"no result rows in {path}")
     return rows
@@ -280,13 +260,7 @@ def report(rows: list[dict]) -> tuple[str, list[dict]]:
 
 
 def write_tidy_csv(summary: list[dict], path) -> None:
-    lines = ["mode,eta,n_cells,mean_accuracy,std_accuracy"]
-    for s in summary:
-        lines.append(
-            f'{s["mode"]},{s["eta"]:.17g},{s["n_cells"]},'
-            f'{s["mean_accuracy"]:.17g},{s["std_accuracy"]:.17g}'
-        )
-    _write_atomic(Path(path), "\n".join(lines) + "\n")
+    _write_table(path, _TIDY_COLUMNS, summary)
 
 
 def write_completion_directory(completions: CompletionSet, out_dir) -> None:
@@ -299,11 +273,11 @@ def write_completion_directory(completions: CompletionSet, out_dir) -> None:
         sub = out / f"sampling_{s:03d}"
         sub.mkdir(exist_ok=True)
         for v, mat in enumerate(completions.gather(rows, np.full(rows.size, s))):
-            np.savetxt(sub / f"view_{v}.csv", mat, fmt="%.10g", delimiter=",")
-        np.savetxt(sub / "labels.csv", data.labels[:, None], fmt="%d", delimiter=",")
+            write_csv_matrix(sub / f"view_{v}.csv", mat, "%.10g")
+        write_csv_matrix(sub / "labels.csv", data.labels[:, None], "%d")
     provenance = {
         "n_samplings": completions.n_samplings,
         "imputed_slots": [{"sample": int(n), "view": int(v)}
                           for n, v in np.argwhere(~data.mask)],
     }
-    _write_atomic(out / "provenance.json", _json_text(provenance))
+    write_json(out / "provenance.json", provenance)

@@ -18,14 +18,14 @@ mean_imputation    column-mean completion, cross-entropy heads
 
 from __future__ import annotations
 
+import io
 import json
-import os
 import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from evifuse.dataset import MultiViewDataset, ZScoreStats, zscore_fit_transform
+from evifuse.dataset import MultiViewDataset, ZScoreStats, write_file, zscore_fit_transform
 from evifuse.evidential import anneal_lambda, one_hot
 from evifuse.fusion import total_loss_alpha_grads
 from evifuse.imputer import CompletionSet, sample_completions
@@ -306,7 +306,7 @@ def _cross_entropy_step(networks, optimizer, xs, y):
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write a versioned checkpoint atomically (temp file, then rename)."""
+    """Publish a versioned checkpoint whole, through ``dataset.write_file``."""
     arrays = {}
     for v, net in enumerate(model.networks):
         for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -329,11 +329,9 @@ def save_model(model: TrainedModel, path) -> None:
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **arrays)
-    os.replace(tmp, path)
+    archive = io.BytesIO()
+    np.savez(archive, **arrays)
+    write_file(path, archive.getvalue())
 
 
 def load_model(path) -> TrainedModel:

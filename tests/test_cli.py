@@ -312,6 +312,7 @@ def test_parallel_sweep_of_missing_data_exits_config(tmp_path, capsys):
                      "--threads", "2"])
     assert code == cli.EXIT_CONFIG
     assert "not a dataset directory" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def run_sweep(data_dir, config, out, *extra):
@@ -356,6 +357,17 @@ def test_cell_without_mean_uncertainty_is_written_as_nan_and_reported(tmp_path, 
     assert np.isnan(back["mean_uncertainty"]) and back["accuracy"] == 0.5
     assert cli.main(["report", "--results", str(results)]) == cli.EXIT_OK
     assert "uimc" in capsys.readouterr().out
+
+
+def test_every_result_column_round_trips_exactly(tmp_path):
+    row = {"eta": 0.1 + 0.2, "seed": 12345678901, "mode": "naive_ce", "accuracy": 1 / 3,
+           "mean_uncertainty": 5e-324, "wall_time": 1.7976931348623157e308, "status": "ok"}
+    results = tmp_path / "results.csv"
+    experiments.write_results_csv([row], results)
+    [back] = experiments.read_results_csv(results)
+    for name, parse in experiments.RESULT_COLUMNS.items():
+        assert type(back[name]) is parse and back[name] == row[name]
+    assert back == row
 
 
 @pytest.mark.parametrize("text", [
@@ -405,6 +417,75 @@ def test_sweep_runs_a_repeated_cell_once(finished_sweep, tmp_path):
         (serial / "results.csv").read_text().splitlines()[1].rsplit(",", 1)[0]
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cells_ok"] == 1 and summary["summary"][0]["n_cells"] == 1
+
+
+def test_sweep_runs_etas_of_one_cell_key_once(finished_sweep, tmp_path, capsys):
+    data_dir, config, _ = finished_sweep
+    out = tmp_path / "close"
+    capsys.readouterr()
+    assert cli.main(["sweep", "--data", str(data_dir), "--etas", "0.1,0.1000001",
+                     "--seeds", "0", "--modes", "uimc", "--config", str(config),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert "1 cells ok, 0 failed, 0 missing" in capsys.readouterr().out
+    assert [p.name for p in (out / "cells").iterdir()] == ["eta0.1_seed0_uimc.json"]
+    rows = (out / "results.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0.10000000000000001,0,uimc,")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cells_ok"] == 1 and summary["summary"][0]["n_cells"] == 1
+
+
+@pytest.fixture
+def umask_027():
+    """Run a test under umask 027, under which a plain ``open()`` creates files ``0o640``."""
+    old = os.umask(0o027)
+    yield
+    os.umask(old)
+
+
+def test_every_published_file_has_the_mode_open_gives(umask_027, tmp_path):
+    data_dir = write_dataset_dir(tmp_path / "data", make_blobs_dataset(n=40, seed=21),
+                                 include_mask=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    ckpt, mask = tmp_path / "model.ckpt", tmp_path / "mask.csv"
+    data = ["--data", str(data_dir), "--mask", str(mask)]
+    for argv in (
+            ["mask", "--data", str(data_dir), "--eta", "0.3", "--out", str(mask)],
+            ["impute", *data, "--ns", "2", "--out", str(tmp_path / "imputed")],
+            ["train", *data, "--config", str(config), "--out", str(ckpt),
+             "--metrics", str(tmp_path / "metrics.json")],
+            ["eval", "--model", str(ckpt), *data, "--out", str(tmp_path / "eval.json")],
+            ["stability", "--model", str(ckpt), *data, "--repeats", "2",
+             "--out", str(tmp_path / "stability.json")],
+            ["sweep", "--data", str(data_dir), "--etas", "0.2", "--seeds", "0",
+             "--modes", "uimc", "--config", str(config), "--out", str(tmp_path / "sweep")],
+            ["report", "--results", str(tmp_path / "sweep" / "results.csv"),
+             "--out", str(tmp_path / "tidy.csv")]):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    names = {p.name for p in files}
+    assert {"model.ckpt", "results.csv", "summary.json", "tidy.csv", "provenance.json",
+            "eta0.2_seed0_uimc.json", "eval.json", "metrics.json"} <= names
+    assert not [p for p in files if p.suffix == ".tmp"]
+    assert {p.relative_to(tmp_path).as_posix(): oct(p.stat().st_mode & 0o777)
+            for p in files if p.stat().st_mode & 0o777 != 0o640} == {}
+
+
+def test_eval_whose_json_encoder_fails_leaves_old_output(tmp_path, monkeypatch):
+    data_dir, ckpt = train_tiny(tmp_path)
+    out = tmp_path / "eval.json"
+    argv = ["eval", "--model", str(ckpt), "--data", str(data_dir), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    before = out.read_bytes()
+
+    def encode_partway(self, o, _one_shot=False):
+        yield "{"
+        raise ValueError("encoder failed")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", encode_partway)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert out.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Dataset loading, standardization, masks, and splits."""
 
+import os
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from evifuse.dataset import (
     generate_missing_mask,
     load_dataset,
     split,
+    write_file,
     zscore_apply,
     zscore_fit_transform,
 )
@@ -83,6 +85,38 @@ class TestLoadDataset:
         assert data.n_views == 6
         assert data.class_count == 10
         assert data.view_dims == list(dims)
+
+
+class TestWriteFile:
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old")
+        write_file(path, "new")
+        write_file(tmp_path / "raw.bin", b"\x00\x01")
+        assert path.read_text() == "new"
+        assert (tmp_path / "raw.bin").read_bytes() == b"\x00\x01"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "raw.bin"]
+
+    def test_without_overwrite_an_existing_file_stands(self, tmp_path):
+        path = tmp_path / "cell.json"
+        write_file(path, "first", overwrite=False)
+        with pytest.raises(FileExistsError):
+            write_file(path, "second", overwrite=False)
+        assert path.read_text() == "first"
+        assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
+
+    def test_failed_publish_leaves_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_text("old")
+
+        def rename_fails(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", rename_fails)
+        with pytest.raises(OSError, match="rename failed"):
+            write_file(path, "new")
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 class TestZScore:

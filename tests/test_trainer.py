@@ -269,6 +269,23 @@ class TestCheckpoint:
             gc.collect()
         assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
+    def test_save_that_fails_partway_leaves_old_checkpoint(self, toy_model, tmp_path,
+                                                          monkeypatch):
+        _, _, model = toy_model
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        before = path.read_bytes()
+
+        def savez_until_disk_full(file, **arrays):
+            file.write(b"PK\x03\x04")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", savez_until_disk_full)
+        with pytest.raises(OSError, match="no space"):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_no_optimizer_or_shuffle_state_saved(self, toy_model, tmp_path):
         _, _, model = toy_model
         path = tmp_path / "model.ckpt"
