@@ -12,15 +12,15 @@ number of views, 1 + e_k/K = prod_v (1 + e_vk/K), that is
 
     alpha_k = K * prod_v r_vk - (K - 1),   r_vk = (alpha_vk + K - 1) / K.
 
-``_fuse_alphas`` computes this product and ``_fuse_alphas_vjp`` its
-vector-Jacobian product, d alpha_k / d alpha_vk = prod_{w != v} r_wk,
-with no cross-class terms. ``total_loss_alpha_grads`` chains them so that
-the gradient of the multi-task objective (fused-head loss plus every
-per-view loss) flows back into every per-view evidence head. With finite
-evidence 1 - C is at least the incoming view's u > 0, so the rule has no
-total-conflict case; only evidence large enough to overflow the product
-gives a non-finite fused alpha. Training reports that as a numerical
-failure; prediction (``_fold_with_exclusions``) drops the row from the vote.
+``_ratio`` and ``_fused_alpha`` write r and alpha once. Training's
+``_fuse_alphas`` takes the product over all views at once, and its
+vector-Jacobian product ``_fuse_alphas_vjp``, d alpha_k / d alpha_vk =
+prod_{w != v} r_wk, lets ``total_loss_alpha_grads`` reach every view's
+head. Prediction multiplies each view's ratios in as its head makes them,
+then ``_fold_with_exclusions`` reads the product. With finite evidence
+1 - C is at least the incoming view's u > 0, so there is no total conflict;
+only evidence that overflows the product gives a non-finite fused alpha,
+a numerical failure in training and a row left out of the vote in prediction.
 
 Everything here works on raw arrays batched over leading axes.
 """
@@ -36,14 +36,25 @@ from evifuse.evidential import _opinion_arrays, loss_and_grad
 from evifuse.evidential import view_loss, view_loss_grad  # noqa: F401
 
 
+def _ratio(alpha: np.ndarray) -> np.ndarray:
+    """r = (alpha + K - 1) / K, a view's factor in the pair-rule product."""
+    return (alpha + (alpha.shape[-1] - 1.0)) / alpha.shape[-1]
+
+
+def _fused_alpha(product: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Fused concentrations K * product - (K - 1), written to ``out`` if given."""
+    fused = np.multiply(product, product.shape[-1], out=out)
+    fused -= product.shape[-1] - 1.0
+    return fused
+
+
 def _fuse_alphas(alphas: list[np.ndarray]):
     """Per-view concentrations -> fused concentrations, with backward cache."""
-    k = alphas[0].shape[-1]
-    ratios = [(alpha + (k - 1.0)) / k for alpha in alphas]
+    ratios = [_ratio(alpha) for alpha in alphas]
     product = ratios[0]
     for ratio in ratios[1:]:
         product = product * ratio
-    return k * product - (k - 1.0), (ratios, product)
+    return _fused_alpha(product), (ratios, product)
 
 
 def _fuse_alphas_vjp(cache, grad_fused: np.ndarray) -> list[np.ndarray]:
@@ -52,8 +63,8 @@ def _fuse_alphas_vjp(cache, grad_fused: np.ndarray) -> list[np.ndarray]:
     return [scaled / ratio for ratio in ratios]
 
 
-def _fold_with_exclusions(alphas: list[np.ndarray]):
-    """Fused (beliefs, uncertainty, invalid) of per-view concentrations.
+def _fold_with_exclusions(product: np.ndarray):
+    """Fused (beliefs, uncertainty, invalid) of a pair-rule product, which it overwrites.
 
     ``invalid`` marks the rows whose fused alpha or its strength is not
     finite (evidence that overflows the product or its sum, or NaN
@@ -61,7 +72,7 @@ def _fold_with_exclusions(alphas: list[np.ndarray]):
     a vote can skip them.
     """
     with np.errstate(over="ignore"):
-        fused, _ = _fuse_alphas(alphas)
+        fused = _fused_alpha(product, out=product)
         invalid = ~np.isfinite(fused.sum(axis=-1))
     fused[invalid] = 1.0
     b, u = _opinion_arrays(fused)

@@ -14,9 +14,9 @@ and ``evaluate`` read it; ``stability_experiment`` reads through ``evaluate``.
 
 Test-time completion is a stream, one missing view at a time:
 ``_test_draws`` yields view m's draws for every slot missing it, and
-``_sampling_opinions`` runs head m on them and keeps only their
-(samplings, rows, classes) head outputs before it asks for view m + 1.
-So memory holds one view's draws at a time, never every view's.
+``_sampling_opinions`` folds head m's outputs on them into one (samplings,
+rows, classes) product before it asks for view m + 1. So memory holds one
+view's draws and one product, whatever the number of views.
 """
 
 from __future__ import annotations
@@ -27,16 +27,16 @@ import numpy as np
 
 from evifuse.dataset import MultiViewDataset, _zscore_views, zscore_apply
 from evifuse.evidential import SubjectiveOpinion
-from evifuse.fusion import _fold_with_exclusions
+from evifuse.fusion import _fold_with_exclusions, _ratio
 from evifuse.imputer import view_draws
 from evifuse.trainer import TrainedModel, _completion_options, _softmax, _subseed
 
 _SEED_TEST_IMPUTE = 201
-# Rows per forward call on the draws and per fold: bounds the activations
-# and opinion arrays of a chunk of samplings. With OpenBLAS, a forward call
-# on fewer than ~800 rows may round the last bit differently from one on
-# all rows; at ~600 imputed rows per view, 2048 rows (3 samplings) a call
-# kept evaluate() output bit-equal to the per-sampling forward.
+# Rows per forward call on the draws: bounds the activations of a chunk of
+# samplings, and nothing else. With OpenBLAS, a forward call on fewer than
+# ~800 rows may round the last bit differently from one on all rows; at
+# ~600 imputed rows per view, 2048 rows (3 samplings) a call kept
+# evaluate() output bit-equal to the per-sampling forward.
 _FORWARD_ROWS = 2048
 
 
@@ -77,57 +77,43 @@ def _sampling_opinions(model: TrainedModel, std: MultiViewDataset, draws):
 
     ``draws`` gives, in view order, each view's (rows missing it,
     samplings, features) completions of ``std``'s missing rows, such as
-    ``_test_draws`` or a ``CompletionSet``'s ``draws``. Observed inputs are
-    the same in every sampling, so each view's network runs once on all
-    rows and then only on the view's draws, a chunk of whole samplings at
-    a time; only its outputs are kept, and a view's draws are let go
-    before the next view's are asked for. A view that no row observes is
-    all draws, so its network does not run on the observed inputs. The
-    samplings are then folded a few at a time, so neither step holds more
-    than about ``_FORWARD_ROWS`` rows.
+    ``_test_draws`` or a ``CompletionSet``'s ``draws``. One pass per view:
+    its head runs once on the observed inputs (the same in every sampling)
+    and on its draws, a chunk of whole samplings at a time, and each output
+    goes straight into one (S, N, K) fold before the next view's draws are
+    asked for: evidential heads multiply their pair-rule ratios into a
+    product, cross-entropy heads add their softmax. A view that no row
+    observes is all draws, so its head does not run on the inputs.
     """
     n = std.n_samples
     if n == 0:
         raise ValueError("test set has no rows")
-    k = model.class_count
-    heads = [net.forward if model.config.uses_evidence else net.forward_logits
-             for net in model.networks]
+    k, evidential = model.class_count, model.config.uses_evidence
+    fold = np.multiply if evidential else np.add
+
+    def head(net, x):
+        return _ratio(net.forward(x) + 1.0) if evidential else _softmax(net.forward_logits(x))
     missing = ~std.mask.T
-    shared = [np.empty((n, k)) if miss.all() else head(np.where(miss[:, None], 0.0, x))
-              for head, miss, x in zip(heads, missing, std.views)]
     per_forward = max(1, _FORWARD_ROWS // max(int(missing.sum(axis=1).max()), 1))
-    imputed = []
-    # A plain loop that deletes its variable: zip or enumerate over
-    # ``draws`` would keep view m's draws in their result tuple, and the
-    # loop variable would keep them, while view m + 1's are made.
-    for view in draws:
-        head, s_count = heads[len(imputed)], view.shape[1]
-        out = np.empty((s_count, view.shape[0], k))
-        if view.shape[0]:
-            for first in range(0, s_count, per_forward):
-                last = min(first + per_forward, s_count)
-                out[first:last] = head(
-                    view[:, first:last].transpose(1, 0, 2).reshape(-1, view.shape[-1])
-                ).reshape(last - first, view.shape[0], k)
-        imputed.append(out)
+    views, acc = iter(draws), None
+    # ``next`` and ``del``: a loop variable would keep view m's draws as m + 1's are made
+    for net, miss, x in zip(model.networks, missing, std.views):
+        view = next(views)
+        acc = np.full((view.shape[1], n, k), fold.identity, dtype=float) if acc is None else acc
+        if not miss.all():
+            out = head(net, np.where(miss[:, None], 0.0, x))
+            with np.errstate(over="ignore"):
+                fold(acc, out, out=acc, where=~miss[:, None])
+        for first in range(0, len(acc), per_forward) if view.shape[0] else ():
+            part = slice(first, first + per_forward)
+            out = head(net, view[:, part].transpose(1, 0, 2).reshape(-1, view.shape[-1]))
+            with np.errstate(over="ignore"):
+                acc[part, miss] = fold(acc[part, miss], out.reshape(-1, view.shape[0], k))
         del view
-    per_fold = max(1, _FORWARD_ROWS // n)
-    all_b = np.empty((s_count, n, k))
-    all_u = np.zeros((s_count, n))
-    all_bad = np.zeros((s_count, n), dtype=bool)
-    for start in range(0, s_count, per_fold):
-        part = slice(start, min(start + per_fold, s_count))
-        outs = []
-        for out, miss, new in zip(shared, missing, imputed):
-            full = np.broadcast_to(out, (part.stop - start, n, k)).copy()
-            full[:, miss] = new[part]
-            outs.append(full)
-        if model.config.uses_evidence:
-            all_b[part], all_u[part], all_bad[part] = _fold_with_exclusions(
-                [e + 1.0 for e in outs])
-        else:
-            all_b[part] = np.mean([_softmax(logits) for logits in outs], axis=0)
-    return all_b, all_u, all_bad
+    if evidential:
+        return _fold_with_exclusions(acc)
+    acc /= len(model.networks)
+    return acc, np.zeros(acc.shape[:2]), np.zeros(acc.shape[:2], dtype=bool)
 
 
 def _vote(all_b: np.ndarray, all_u: np.ndarray, all_bad: np.ndarray):

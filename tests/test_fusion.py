@@ -18,6 +18,7 @@ from evifuse.fusion import (
     _fold_with_exclusions,
     _fuse_alphas,
     _fuse_alphas_vjp,
+    _ratio,
     total_loss_alpha_grads,
 )
 
@@ -41,6 +42,15 @@ def reference_alpha(alphas):
 def fused_opinion(alphas):
     """(b, u) of the fused concentrations."""
     return _opinion_arrays(_fuse_alphas(alphas)[0])
+
+
+def ratio_product(alphas):
+    """The views' ratios folded into one product a view at a time, as prediction folds them."""
+    product = np.ones(np.shape(alphas[0]))
+    with np.errstate(over="ignore"):
+        for alpha in alphas:
+            product *= _ratio(alpha)
+    return product
 
 
 def random_opinions(rng, count, k, min_u=0.0):
@@ -165,7 +175,7 @@ class TestSharedKernel:
 
     def test_fold_flags_overflow_row_and_leaves_it_vacuous(self):
         alphas = self.overflowing_alphas()
-        b, u, invalid = _fold_with_exclusions(alphas)
+        b, u, invalid = _fold_with_exclusions(ratio_product(alphas))
         assert invalid.tolist() == [False, False, True, False, False]
         np.testing.assert_array_equal(b[2], 0.0)
         assert u[2] == 1.0
@@ -179,11 +189,29 @@ class TestSharedKernel:
         """Row 1 has NaN evidence; row 2 a finite fused alpha whose strength overflows."""
         alphas = [np.array([[2.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [1.5e308, 1.5e308, 1.0]]),
                   np.array([[1.0, 3.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])]
-        b, u, invalid = _fold_with_exclusions(alphas)
+        b, u, invalid = _fold_with_exclusions(ratio_product(alphas))
         assert invalid.tolist() == [False, True, True]
         np.testing.assert_array_equal(b[1:], 0.0)
         np.testing.assert_array_equal(u[1:], 1.0)
         SubjectiveOpinion(b, u)
+
+    def test_fold_of_a_view_at_a_time_is_training_fusion_bit_for_bit(self):
+        """Prediction's product, folded a view at a time, gives exactly the opinions
+        and exclusions of training's fused alpha, overflowing rows included."""
+        rng = np.random.default_rng(47)
+        for v, k in ((1, 2), (2, 3), (3, 10), (6, 4)):
+            alphas = 1.0 + rng.exponential(20.0, (v, 200, k))
+            alphas[:, :10, 0] = 1e120  # these rows overflow the product in 3 or more views
+            b, u, invalid = _fold_with_exclusions(ratio_product(list(alphas)))
+            with np.errstate(over="ignore"):
+                fused = _fuse_alphas(list(alphas))[0]
+                ref_invalid = ~np.isfinite(fused.sum(axis=-1))
+            fused[ref_invalid] = 1.0
+            ref_b, ref_u = _opinion_arrays(fused)
+            assert ref_invalid[:10].all() == (v >= 3) and not ref_invalid[10:].any()
+            np.testing.assert_array_equal(invalid, ref_invalid)
+            np.testing.assert_array_equal(b, ref_b)
+            np.testing.assert_array_equal(u, ref_u)
 
     def test_training_fusion_raises_on_the_same_row(self):
         """Training fuses the same row to a non-finite alpha, and its loss refuses it."""
@@ -202,13 +230,14 @@ class TestFusedDirichlet:
     """Prediction's opinions are the projections of the fused concentrations."""
 
     def test_vacuous_inverts_to_uniform(self):
-        b, u, invalid = _fold_with_exclusions([np.ones((1, 3))] * 2)
+        b, u, invalid = _fold_with_exclusions(ratio_product([np.ones((1, 3))] * 2))
         np.testing.assert_array_equal(b, [[0.0, 0.0, 0.0]])
         np.testing.assert_array_equal(u, [1.0])
         assert not invalid.any()
 
     def test_hand_example_strength(self):
-        b, u, _ = _fold_with_exclusions([np.array([[7.0, 3.0]]), np.array([[6.0, 4.0]])])
+        b, u, _ = _fold_with_exclusions(ratio_product([np.array([[7.0, 3.0]]),
+                                                       np.array([[6.0, 4.0]])]))
         np.testing.assert_allclose(b, [[13 / 18, 4 / 18]], rtol=1e-12)
         np.testing.assert_allclose(2 / u, [36.0], rtol=1e-12)
 
@@ -222,7 +251,7 @@ class TestFusedDirichlet:
         """The opinions prediction votes on are the pair rule's on the views' opinions."""
         rng = np.random.default_rng(19)
         opinions = [random_opinions(rng, 300, 4, min_u=1e-3) for _ in range(3)]
-        b, u, invalid = _fold_with_exclusions([alpha_of(*o) for o in opinions])
+        b, u, invalid = _fold_with_exclusions(ratio_product([alpha_of(*o) for o in opinions]))
         ref_b, ref_u = reference_fold(opinions)
         assert not invalid.any()
         np.testing.assert_allclose(b, ref_b, rtol=1e-10, atol=1e-15)

@@ -10,8 +10,8 @@ import pytest
 
 from evifuse import predictor
 from evifuse.dataset import MultiViewDataset, ZScoreStats, zscore_apply
-from evifuse.evidential import SubjectiveOpinion
-from evifuse.fusion import _fold_with_exclusions
+from evifuse.evidential import SubjectiveOpinion, _opinion_arrays
+from evifuse.fusion import _fuse_alphas
 from evifuse.imputer import CompletionSet, view_draws
 from evifuse.network import EvidenceNetwork
 from evifuse.predictor import (
@@ -375,14 +375,19 @@ class TestStability:
 
 
 def per_sampling_opinions(model, completions):
-    """Every network on every row of every materialized completion."""
+    """Every network on every row of every materialized completion, fused as training
+    fuses, with non-finite fused evidence excluded as the vacuous opinion."""
     all_b, all_u, all_bad = [], [], []
     rows = np.arange(completions.data.n_samples)
     for s in range(completions.n_samplings):
         views = completions.gather(rows, np.full(rows.size, s))
         if model.config.uses_evidence:
-            b, u, bad = _fold_with_exclusions([net.forward(x) + 1.0
-                                               for net, x in zip(model.networks, views)])
+            with np.errstate(over="ignore"):
+                fused = _fuse_alphas([net.forward(x) + 1.0
+                                      for net, x in zip(model.networks, views)])[0]
+                bad = ~np.isfinite(fused.sum(axis=-1))
+            fused[bad] = 1.0
+            b, u = _opinion_arrays(fused)
         else:
             b = np.mean([_softmax(net.forward_logits(x))
                          for net, x in zip(model.networks, views)], axis=0)
@@ -435,8 +440,8 @@ def far_predictor(evidence, huge_classes, n_samplings):
 
 class TestObservedOnce:
     @pytest.mark.parametrize("mode", ["uimc", "naive_ce"])
-    # 40 rows, at most 13 imputed per view: samplings per forward call and
-    # per fold are (1, 1), (2, 1), (7, 2) and (7, 7)
+    # 40 rows, at most 13 imputed per view: 1, 2, 7 and 7 samplings per
+    # forward call on the draws
     @pytest.mark.parametrize("forward_rows", [5, 30, 100, 4096])
     def test_matches_per_sampling_loop(self, mode, forward_rows, monkeypatch):
         monkeypatch.setattr(predictor, "_FORWARD_ROWS", forward_rows)
@@ -547,7 +552,7 @@ class TestObservedOnce:
         data = pool.with_mask(np.tile([True, False], (n, 1)))  # every row misses view 1
         completions = CompletionSet(data, [view_draws(data, m, k=4, n_samplings=7, seed=1,
                                                       reference=pool) for m in range(2)])
-        # one sampling per forward call and per fold, as the reference loop runs them
+        # one sampling per forward call on the draws, as the reference loop runs them
         monkeypatch.setattr(predictor, "_FORWARD_ROWS", n)
         ref = per_sampling_opinions(model, completions)
         rows = []
@@ -599,3 +604,22 @@ class TestStream:
         finally:
             tracemalloc.stop()
         assert peak < 0.6 * draw_bytes
+
+    def test_evaluate_peak_stays_below_three_opinion_arrays(self):
+        """Many views and classes: each view's head outputs fold into one (S, N, K)
+        product as they are made, so no per-view copy of the opinions is held."""
+        dims = (4,) * 6
+        train_set = make_blobs_dataset(n=600, class_count=20, view_dims=dims, eta=0.5,
+                                       seed=91, mask_seed=92)
+        test = make_blobs_dataset(n=600, class_count=20, view_dims=dims, eta=0.5,
+                                  seed=91, mask_seed=93)
+        cfg = TrainConfig(epochs=1, hidden=(16,), early_stop=False, seed=1, n_samplings=30)
+        model = train(train_set, cfg)
+        opinion_bytes = cfg.n_samplings * test.n_samples * test.class_count * 8
+        tracemalloc.start()
+        try:
+            evaluate(model, test, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * opinion_bytes
