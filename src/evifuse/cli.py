@@ -17,13 +17,13 @@ from pathlib import Path
 from evifuse import experiments
 from evifuse.dataset import (generate_missing_mask, load_dataset, load_mask,
                              write_csv_matrix, write_json)
-from evifuse.imputer import sample_completions
 from evifuse.predictor import evaluate, stability_experiment
 from evifuse.trainer import (
     MODES,
     CheckpointError,
     NonFiniteLossError,
     TrainConfig,
+    build_completions,
     load_model,
     save_model,
     train,
@@ -50,23 +50,20 @@ def _build_parser() -> argparse.ArgumentParser:
     seed = _flag("--seed", type=int, default=0, help="default 0")
     config = _flag("--config", type=Path, default=None,
                    help="training config JSON (schema 3)")
+    config_seed = _flag("--seed", type=int, default=None, help="overrides the config's seed")
 
     p = sub.add_parser("mask", parents=[seed], help="generate a missingness mask")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("impute", parents=[seed],
-                       help="write sampled completions of a dataset")
+    p = sub.add_parser("impute", parents=[config, config_seed],
+                       help="write completions of a dataset, filled as the config's mode fills")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--mask", type=Path, default=None)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--ns", type=int, default=30)
-    p.add_argument("--jitter", type=float, default=1e-3)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("train", parents=[config], help="train a model")
-    p.add_argument("--seed", type=int, default=None, help="overrides the config's seed")
+    p = sub.add_parser("train", parents=[config, config_seed], help="train a model")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--mask", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True, help="checkpoint path")
@@ -96,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--etas", default="0,0.1,0.2,0.3,0.4,0.5")
     p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--modes", default="uimc")
+    p.add_argument("--modes", default=TrainConfig.mode)
     p.add_argument("--train-fraction", type=float,
                    default=experiments.DEFAULT_TRAIN_FRACTION)
     p.add_argument("--threads", type=int, default=1, help="worker processes for sweep cells")
@@ -116,9 +113,12 @@ def _load_data(data_path: Path, mask_path: Path | None):
 
 
 def _load_config(args) -> TrainConfig:
-    if args.config is not None:
-        return TrainConfig.from_dict(json.loads(Path(args.config).read_text()))
-    return TrainConfig()
+    """The ``--config`` file's config, or the defaults; a ``--seed`` flag overrides its seed."""
+    cfg = (TrainConfig() if args.config is None
+           else TrainConfig.from_dict(json.loads(Path(args.config).read_text())))
+    if getattr(args, "seed", None) is not None:
+        cfg = replace(cfg, seed=args.seed)
+    return cfg
 
 
 def _cmd_mask(args) -> int:
@@ -130,10 +130,7 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    completions = sample_completions(
-        _load_data(args.data, args.mask), k=args.k, n_samplings=args.ns,
-        jitter=args.jitter, seed=args.seed,
-    )
+    completions = build_completions(_load_data(args.data, args.mask), _load_config(args))
     experiments.write_completion_directory(completions, args.out)
     print(f"wrote {completions.n_samplings} samplings to {args.out}")
     return EXIT_OK
@@ -142,8 +139,6 @@ def _cmd_impute(args) -> int:
 def _cmd_train(args) -> int:
     data = _load_data(args.data, args.mask)
     cfg = _load_config(args)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     if args.mode is not None:
         cfg = replace(cfg, mode=args.mode)
     started = time.perf_counter()

@@ -106,7 +106,10 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
     parallel sweep early. Writes results.csv and summary.json, and returns
     the summary, whose ``cells_missing`` lists the keys of cells with no
     result yet, such as a killed worker's; a rerun runs them.
-    ``out_dir`` must support hard links.
+    ``out_dir`` must support hard links. With ``workers`` > 1 each worker
+    process starts by re-importing the caller's ``__main__`` module, so the
+    caller must be importable: from a script on stdin no worker starts, and
+    every cell is reported missing.
     """
     data = load_dataset(data_dir)  # a bad directory fails here, not in a worker
     out = Path(out_dir)

@@ -131,7 +131,7 @@ def _vote(all_b: np.ndarray, all_u: np.ndarray, all_bad: np.ndarray):
     # one bin per (row, class): exact integer counts of the valid votes
     cells = np.arange(n) * k + sampling_labels
     counts = np.bincount(cells[valid], minlength=n * k).reshape(n, k)
-    summed_belief = (all_b * valid[..., None]).sum(axis=0)
+    summed_belief = all_b.sum(axis=0, where=valid[..., None])
     top = counts.max(axis=1, keepdims=True)
     tied = counts == top
     # rank ties by summed belief; zero out non-tied classes first

@@ -7,13 +7,10 @@ its (rows, features) input, fuses their opinions, and takes one Adam step
 over all heads on the summed objective: fused-head loss plus every
 per-view loss, each annealed by lambda = min(1, epoch / anneal_epochs).
 
-Modes
------
-uimc               multi-sample completions, evidential losses, belief fusion
-single_imputation  neighbor-mean completion (one per sample), evidential losses
-naive_ce           multi-sample completions, softmax + cross-entropy heads,
-                   fusion replaced by probability averaging
-mean_imputation    column-mean completion, cross-entropy heads
+``MODES`` is the one table of what each mode does: the ``fill`` by which
+the imputer completes a missing view, and whether the heads are evidential,
+fused by the pair rule, or softmax heads trained by cross-entropy on their
+averaged probabilities. The first row is the paper's method, the rest baselines.
 """
 
 from __future__ import annotations
@@ -31,7 +28,9 @@ from evifuse.fusion import total_loss_alpha_grads
 from evifuse.imputer import CompletionSet, sample_completions
 from evifuse.network import Adam, EvidenceNetwork
 
-MODES = ("uimc", "single_imputation", "naive_ce", "mean_imputation")
+# mode -> (``imputer.view_draws`` fill, evidential heads)
+MODES = {"uimc": ("draws", True), "single_imputation": ("neighbor_mean", True),
+         "naive_ce": ("draws", False), "mean_imputation": ("column_mean", False)}
 
 CHECKPOINT_VERSION = 2
 CONFIG_SCHEMA = 3
@@ -83,8 +82,10 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (np.isfinite(self.plateau_tol) and self.plateau_tol >= 0.0):
             raise ValueError(f"plateau_tol must be finite and >= 0, got {self.plateau_tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ValueError(f"hidden must be widths >= 1, got {list(self.hidden)}")
@@ -92,7 +93,7 @@ class TrainConfig:
     @property
     def uses_evidence(self) -> bool:
         """Whether the mode trains evidential heads fused by belief fusion."""
-        return self.mode in ("uimc", "single_imputation")
+        return MODES[self.mode][1]
 
     def to_dict(self) -> dict:
         out = {"schema": CONFIG_SCHEMA}
@@ -160,20 +161,18 @@ def _subseed(seed: int, *path: int) -> int:
 
 
 def _completion_options(cfg: TrainConfig, n_samplings: int | None = None) -> dict:
-    """Imputer keyword arguments of the config's mode: how its missing views are filled.
+    """Imputer keyword arguments of the config: k, jitter and its mode's ``MODES`` fill.
 
-    uimc and naive_ce draw ``n_samplings`` completions (the config's count
-    unless given), single_imputation takes the neighbor mean and
-    mean_imputation the column means, one completion each. An override
-    below 1 is rejected in every mode.
+    The ``"draws"`` fill makes ``n_samplings`` completions (the config's
+    count unless given); the other fills make one. An override below 1 is
+    rejected whatever the fill.
     """
     count = cfg.n_samplings if n_samplings is None else int(n_samplings)
     if count < 1:
         raise ValueError(f"n_samplings must be >= 1, got {count}")
-    if cfg.mode in ("uimc", "naive_ce"):
-        return dict(k=cfg.k, n_samplings=count, jitter=cfg.jitter, fill="draws")
-    fill = "neighbor_mean" if cfg.mode == "single_imputation" else "column_mean"
-    return dict(k=cfg.k, n_samplings=1, jitter=cfg.jitter, fill=fill)
+    fill = MODES[cfg.mode][0]
+    return dict(k=cfg.k, n_samplings=count if fill == "draws" else 1, jitter=cfg.jitter,
+                fill=fill)
 
 
 def build_completions(data: MultiViewDataset, cfg: TrainConfig,
@@ -235,12 +234,14 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
             y = labels_hot[rows]
             # a diverging step overflows to inf and nan; the finite checks on
             # alpha, the gradients and the epoch loss report it as an error
-            with np.errstate(over="ignore", invalid="ignore"):
-                if cfg.uses_evidence:
-                    fused_sum, view_sums = _evidential_step(networks, optimizer, xs, y, lam,
-                                                            epoch)
-                else:
-                    fused_sum, view_sums = _cross_entropy_step(networks, optimizer, xs, y)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if cfg.uses_evidence:
+                        fused_sum, view_sums = _evidential_step(networks, optimizer, xs, y, lam)
+                    else:
+                        fused_sum, view_sums = _cross_entropy_step(networks, optimizer, xs, y)
+            except FloatingPointError as exc:
+                raise NonFiniteLossError(f"training diverged at epoch {epoch}: {exc}") from exc
             fused_total += fused_sum
             view_totals += view_sums
         total = fused_total + view_totals.sum()
@@ -268,17 +269,14 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
     )
 
 
-def _evidential_step(networks, optimizer, xs, y, lam, epoch):
+def _evidential_step(networks, optimizer, xs, y, lam):
     batch_size = y.shape[0]
     alphas, caches = [], []
     for net, x in zip(networks, xs):
         evidence, cache = net.forward(x, return_cache=True)
         alphas.append(evidence + 1.0)
         caches.append(cache)
-    try:
-        fused_term, view_terms, grads = total_loss_alpha_grads(alphas, y, lam)
-    except FloatingPointError as exc:
-        raise NonFiniteLossError(f"training diverged at epoch {epoch}: {exc}") from exc
+    fused_term, view_terms, grads = total_loss_alpha_grads(alphas, y, lam)
     optimizer.step([g for net, cache, grad in zip(networks, caches, grads)
                     for g in net.backward(cache, grad / batch_size)])
     sums = np.sum([fused_term, *view_terms], axis=-1)

@@ -7,6 +7,7 @@ import signal
 import threading
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from evifuse import cli, experiments
 from evifuse.dataset import load_dataset
-from evifuse.trainer import TrainConfig
+from evifuse.trainer import TrainConfig, build_completions
 from conftest import (make_blobs_dataset, rewrite_checkpoint_meta, write_checkpoint_version,
                       write_dataset_dir)
 
@@ -86,7 +87,7 @@ def test_negative_jitter_exits_config(tmp_path, capsys):
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY, "jitter": -1}))
-    assert cli.main(["impute", "--data", str(data_dir), "--jitter", "-1",
+    assert cli.main(["impute", "--data", str(data_dir), "--config", str(config),
                      "--out", str(tmp_path / "imputed")]) == cli.EXIT_CONFIG
     assert cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.ckpt"),
                      "--config", str(config)]) == cli.EXIT_CONFIG
@@ -127,6 +128,7 @@ def test_wrongly_typed_config_value_exits_config(key, value, tmp_path, capsys):
     ("patience", 0, "patience"),
     ("plateau_tol", -1.0, "plateau_tol"),
     ("plateau_tol", float("inf"), "plateau_tol"),
+    ("seed", -1, "seed"),
 ])
 def test_out_of_range_config_value_exits_config(key, value, field, tmp_path, capsys):
     data_dir = write_dataset_dir(tmp_path / "data",
@@ -178,8 +180,10 @@ def test_train_on_dataset_without_rows_exits_config_and_names_the_file(tmp_path,
 def test_impute_output_loads_as_dataset(tmp_path):
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 3, "n_samplings": 2}))
     out = tmp_path / "imputed"
-    assert cli.main(["impute", "--data", str(data_dir), "--k", "3", "--ns", "2",
+    assert cli.main(["impute", "--data", str(data_dir), "--config", str(config),
                      "--out", str(out)]) == cli.EXIT_OK
     source = load_dataset(data_dir)
     completed = load_dataset(out / "sampling_000")
@@ -189,6 +193,29 @@ def test_impute_output_loads_as_dataset(tmp_path):
         observed = source.mask[:, v]
         np.testing.assert_array_equal(completed.views[v][observed],
                                       source.views[v][observed])
+
+
+@pytest.mark.parametrize("seed_flag", [[], ["--seed", "4"]])
+@pytest.mark.parametrize("overrides", [{"k": 3, "n_samplings": 2, "jitter": 0.01, "seed": 2},
+                                       {"mode": "mean_imputation", "n_samplings": 5}])
+def test_impute_writes_the_train_time_completions_of_its_config(overrides, seed_flag,
+                                                                  tmp_path):
+    data_dir = write_dataset_dir(tmp_path / "data",
+                                 make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overrides))
+    out = tmp_path / "imputed"
+    assert cli.main(["impute", "--data", str(data_dir), "--config", str(config), *seed_flag,
+                     "--out", str(out)]) == cli.EXIT_OK
+    cfg = TrainConfig(**overrides)
+    if seed_flag:
+        cfg = replace(cfg, seed=int(seed_flag[1]))
+    expected = tmp_path / "expected"
+    experiments.write_completion_directory(build_completions(load_dataset(data_dir), cfg),
+                                           expected)
+    files = sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
+    assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
+    assert all((out / f).read_bytes() == (expected / f).read_bytes() for f in files)
 
 
 def test_diverged_training_exits_numeric(tmp_path, capsys):
@@ -451,7 +478,7 @@ def test_every_published_file_has_the_mode_open_gives(umask_027, tmp_path):
     data = ["--data", str(data_dir), "--mask", str(mask)]
     for argv in (
             ["mask", "--data", str(data_dir), "--eta", "0.3", "--out", str(mask)],
-            ["impute", *data, "--ns", "2", "--out", str(tmp_path / "imputed")],
+            ["impute", *data, "--config", str(config), "--out", str(tmp_path / "imputed")],
             ["train", *data, "--config", str(config), "--out", str(ckpt),
              "--metrics", str(tmp_path / "metrics.json")],
             ["eval", "--model", str(ckpt), *data, "--out", str(tmp_path / "eval.json")],
@@ -493,6 +520,9 @@ def test_eval_whose_json_encoder_fails_leaves_old_output(tmp_path, monkeypatch):
     ["train", "--data", "d", "--out", "m.ckpt", "--threads", "2"],
     ["report", "--results", "r.csv", "--seed", "1"],
     ["sweep", "--data", "d", "--out", "s", "--seed", "1"],
+    ["impute", "--data", "d", "--out", "o", "--k", "3"],
+    ["impute", "--data", "d", "--out", "o", "--ns", "2"],
+    ["impute", "--data", "d", "--out", "o", "--jitter", "0.1"],
 ])
 def test_flag_a_subcommand_does_not_read_exits_config(argv, capsys):
     with pytest.raises(SystemExit) as info:

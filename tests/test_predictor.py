@@ -98,6 +98,20 @@ class TestVote:
             np.testing.assert_allclose(mean_u[i], u[valid, i].mean(), rtol=1e-15)
         assert mean_b[0].tolist() == [0.0] * 4 and mean_u[0] == 1.0
 
+    def test_vote_makes_no_copy_of_the_beliefs(self):
+        """The valid beliefs are summed in place: no second (S, N, K) array is made."""
+        rng = np.random.default_rng(15)
+        b = rng.uniform(size=(30, 600, 20))
+        bad = rng.uniform(size=(30, 600)) < 0.1
+        u = rng.uniform(size=(30, 600))
+        tracemalloc.start()
+        try:
+            _vote(b, u, bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * b.nbytes
+
 
 class TestPredictSample:
     def test_complete_sample_unanimous(self, fitted):

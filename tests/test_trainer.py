@@ -15,6 +15,7 @@ from evifuse.network import EvidenceNetwork
 from evifuse.predictor import evaluate
 from evifuse.trainer import (
     CONFIG_SCHEMA,
+    MODES,
     CheckpointError,
     NonFiniteLossError,
     TrainConfig,
@@ -86,13 +87,12 @@ class TestTrainBasics:
         h2 = train(data, cfg).loss_history
         assert h1 == h2
 
-    @pytest.mark.parametrize("mode, error", [("uimc", NonFiniteLossError),
-                                             ("naive_ce", FloatingPointError)])
-    def test_diverged_run_fails_without_warnings(self, mode, error):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_diverged_run_fails_without_warnings(self, mode):
         data = make_blobs_dataset(n=60, eta=0.3, seed=21, mask_seed=22)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error):
+            with pytest.raises(NonFiniteLossError, match="at epoch"):
                 train(data, TrainConfig(learning_rate=1e200, epochs=3, mode=mode))
 
     def test_complete_data_single_pair_per_sample(self, blobs):
@@ -156,6 +156,10 @@ class TestModes:
     def test_invalid_jitter_rejected(self, jitter):
         with pytest.raises(ValueError, match="jitter"):
             TrainConfig(jitter=jitter)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
 
     def test_zero_jitter_accepted(self):
         assert TrainConfig(jitter=0.0).jitter == 0.0
