@@ -17,9 +17,9 @@ from pathlib import Path
 from evifuse import experiments
 from evifuse.dataset import (generate_missing_mask, load_dataset, load_mask,
                              write_csv_matrix, write_json)
+from evifuse.imputer import CompletionSet
 from evifuse.predictor import evaluate, stability_experiment
 from evifuse.trainer import (
-    MODES,
     CheckpointError,
     NonFiniteLossError,
     TrainConfig,
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("impute", parents=[config, config_seed],
-                       help="write completions of a dataset, filled as the config's mode fills")
+                       help="write the completions `train` fits on, in the data's units")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--mask", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True)
@@ -68,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask", type=Path, default=None)
     p.add_argument("--out", type=Path, required=True, help="checkpoint path")
     p.add_argument("--metrics", type=Path, default=None, help="training metrics JSON")
-    p.add_argument("--mode", default=None, choices=MODES,
-                   help="objective/imputation variant (overrides the config)")
 
     p = sub.add_parser("eval", parents=[seed], help="evaluate a trained model")
     p.add_argument("--model", type=Path, required=True)
@@ -130,17 +128,18 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    completions = build_completions(_load_data(args.data, args.mask), _load_config(args))
-    experiments.write_completion_directory(completions, args.out)
-    print(f"wrote {completions.n_samplings} samplings to {args.out}")
+    data = _load_data(args.data, args.mask)
+    std, stats = build_completions(data, _load_config(args))
+    # each draw back in the data's units; observed entries come from the raw arrays
+    draws = [d * s + m for d, s, m in zip(std.draws, stats.scales(), stats.means)]
+    experiments.write_completion_directory(CompletionSet(data, draws), args.out)
+    print(f"wrote {std.n_samplings} samplings to {args.out}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
     data = _load_data(args.data, args.mask)
     cfg = _load_config(args)
-    if args.mode is not None:
-        cfg = replace(cfg, mode=args.mode)
     started = time.perf_counter()
     model = train(data, cfg)
     save_model(model, args.out)

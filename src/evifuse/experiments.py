@@ -99,6 +99,8 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
     """Run every distinct cell of (eta, seed, mode), skipping ones already on disk.
 
     Each cell sets ``cfg``'s ``mode``, and its ``seed`` from the cell's seed and eta.
+    An eta outside [0, 1), a ``train_fraction`` outside (0, 1) or ``workers``
+    below 1 raises ``ValueError`` before ``out_dir`` is made.
 
     Failed cells are recorded with status "error" and, like any published
     row, are not rerun. Two sweeps on one ``out_dir`` may both compute a
@@ -111,12 +113,19 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
     caller must be importable: from a script on stdin no worker starts, and
     every cell is reported missing.
     """
+    etas = [float(eta) for eta in etas]
+    if not all(0.0 <= eta < 1.0 for eta in etas):
+        raise ValueError("eta must lie in [0, 1)")
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     data = load_dataset(data_dir)  # a bad directory fails here, not in a worker
     out = Path(out_dir)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
     todo = {}
-    for cell in itertools.product(map(float, etas), map(int, seeds), map(str, modes)):
+    for cell in itertools.product(etas, map(int, seeds), map(str, modes)):
         todo.setdefault(_cell_key(*cell), cell)
     if workers > 1:
         _run_cells_parallel(data_dir, todo.values(), cfg, cells_dir, train_fraction, workers)
@@ -267,7 +276,8 @@ def write_tidy_csv(summary: list[dict], path) -> None:
 
 
 def write_completion_directory(completions: CompletionSet, out_dir) -> None:
-    """Dataset-layout export: one subdirectory per sampling plus provenance JSON."""
+    """Dataset-layout export, one subdirectory per sampling plus provenance JSON: how
+    ``evifuse impute`` writes the completions ``train`` fits on, in the data's units."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = completions.data

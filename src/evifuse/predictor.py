@@ -163,6 +163,9 @@ def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> Predi
 def evaluate(model: TrainedModel, test: MultiViewDataset,
              n_samplings: int | None = None, seed: int = 0) -> dict:
     """Accuracy and uncertainty metrics of voted predictions on a test set."""
+    if np.any(test.labels >= model.class_count):
+        raise ValueError(f"test label {test.labels.max()} is outside the model's "
+                         f"{model.class_count} classes")
     std = zscore_apply(test, model.stats)
     all_b, all_u, all_bad = _sampling_opinions(model, std,
                                                _test_draws(model, std, n_samplings, seed))

@@ -1,11 +1,11 @@
 """Training orchestration: impute once, then fit V evidence heads jointly.
 
-Completions are drawn before the epoch loop. Each epoch flattens the
-data into (sample, sampling) pairs (complete samples contribute a single
-pair), shuffles them, and for every minibatch runs each per-view head on
-its (rows, features) input, fuses their opinions, and takes one Adam step
-over all heads on the summed objective: fused-head loss plus every
-per-view loss, each annealed by lambda = min(1, epoch / anneal_epochs).
+``build_completions``, what ``train`` fits on, runs before the epoch loop. Each
+epoch flattens the data into (sample, sampling) pairs (complete samples
+contribute a single pair), shuffles them, and for every minibatch runs each
+per-view head on its (rows, features) input, fuses their opinions, and takes
+one Adam step over all heads on the summed objective: fused-head loss plus
+every per-view loss, each annealed by lambda = min(1, epoch / anneal_epochs).
 
 ``MODES`` is the one table of what each mode does: the ``fill`` by which
 the imputer completes a missing view, and whether the heads are evidential,
@@ -175,11 +175,12 @@ def _completion_options(cfg: TrainConfig, n_samplings: int | None = None) -> dic
                 fill=fill)
 
 
-def build_completions(data: MultiViewDataset, cfg: TrainConfig,
-                      seed: int | None = None) -> CompletionSet:
-    """Train-time completions of ``data`` from its own rows, for the config's mode."""
-    return sample_completions(data, seed=cfg.seed if seed is None else seed,
-                              **_completion_options(cfg))
+def build_completions(data: MultiViewDataset, cfg: TrainConfig):
+    """What ``train`` fits on: ``(completions, stats)``, where ``stats`` standardize ``data``
+    and ``completions`` fill its standardized rows as the config's mode and seed say."""
+    std, stats = zscore_fit_transform(data)
+    return sample_completions(std, seed=_subseed(cfg.seed, _SEED_IMPUTE),
+                              **_completion_options(cfg)), stats
 
 
 def _flatten_pairs(completions: CompletionSet):
@@ -203,8 +204,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
     """Run the full training procedure on an incomplete dataset."""
-    std_train, stats = zscore_fit_transform(data)
-    completions = build_completions(std_train, cfg, seed=_subseed(cfg.seed, _SEED_IMPUTE))
+    completions, stats = build_completions(data, cfg)
     pair_rows, pair_slots = _flatten_pairs(completions)
     n_pairs = pair_rows.size
 
@@ -212,10 +212,10 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
     networks = [
         EvidenceNetwork([dim, *cfg.hidden, k_classes],
                         seed=_subseed(cfg.seed, _SEED_INIT, v))
-        for v, dim in enumerate(std_train.view_dims)
+        for v, dim in enumerate(data.view_dims)
     ]
     optimizer = Adam.over(networks, cfg.learning_rate)
-    labels_hot = one_hot(std_train.labels, k_classes)
+    labels_hot = one_hot(data.labels, k_classes)
 
     history = []
     best = np.inf
@@ -265,7 +265,7 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
         stats=stats,
         config=cfg,
         loss_history=history,
-        train_pool=std_train,
+        train_pool=completions.data,
     )
 
 

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evifuse import cli, experiments
-from evifuse.dataset import load_dataset
-from evifuse.trainer import TrainConfig, build_completions
+from evifuse import cli, experiments, trainer
+from evifuse.dataset import load_dataset, zscore_fit_transform
+from evifuse.imputer import sample_completions
+from evifuse.trainer import TrainConfig
 from conftest import (make_blobs_dataset, rewrite_checkpoint_meta, write_checkpoint_version,
                       write_dataset_dir)
 
@@ -154,6 +155,19 @@ def test_samplings_override_below_one_exits_config(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "stability"])
+def test_label_the_model_cannot_predict_exits_config(command, tmp_path, capsys):
+    _, ckpt = train_tiny(tmp_path)
+    four_classes = write_dataset_dir(tmp_path / "four",
+                                     make_blobs_dataset(n=40, class_count=4, eta=0.3, seed=64))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--model", str(ckpt), "--data", str(four_classes),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "error: test label 3 is outside the model's 3 classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_numeric_mask_file_exits_config_and_names_it(tmp_path, capsys):
     data = make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22)
     data_dir = write_dataset_dir(tmp_path / "data", data, include_mask=False)
@@ -195,11 +209,33 @@ def test_impute_output_loads_as_dataset(tmp_path):
                                       source.views[v][observed])
 
 
+class _Drawn(Exception):
+    """Stops ``train`` once it has drawn its completions."""
+
+
+def train_time_completions(data, cfg, monkeypatch):
+    """The completions ``train(data, cfg)`` fits on, caught before its first epoch."""
+    drawn = []
+
+    def catch(*args, **kwargs):
+        drawn.append(sample_completions(*args, **kwargs))
+        raise _Drawn
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "sample_completions", catch)
+        with pytest.raises(_Drawn):
+            trainer.train(data, cfg)
+    return drawn[0]
+
+
 @pytest.mark.parametrize("seed_flag", [[], ["--seed", "4"]])
 @pytest.mark.parametrize("overrides", [{"k": 3, "n_samplings": 2, "jitter": 0.01, "seed": 2},
-                                       {"mode": "mean_imputation", "n_samplings": 5}])
+                                       {"mode": "mean_imputation", "n_samplings": 5},
+                                       {"mode": "single_imputation", "k": 4, "seed": 3}])
 def test_impute_writes_the_train_time_completions_of_its_config(overrides, seed_flag,
-                                                                  tmp_path):
+                                                                  tmp_path, monkeypatch):
+    """Standardized by the data's own statistics, the export's imputed entries are
+    the draws ``train`` fits on; its observed entries are the data's."""
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
     config = tmp_path / "config.json"
@@ -210,12 +246,20 @@ def test_impute_writes_the_train_time_completions_of_its_config(overrides, seed_
     cfg = TrainConfig(**overrides)
     if seed_flag:
         cfg = replace(cfg, seed=int(seed_flag[1]))
-    expected = tmp_path / "expected"
-    experiments.write_completion_directory(build_completions(load_dataset(data_dir), cfg),
-                                           expected)
-    files = sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
-    assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
-    assert all((out / f).read_bytes() == (expected / f).read_bytes() for f in files)
+    data = load_dataset(data_dir)
+    drawn = train_time_completions(data, cfg, monkeypatch)
+    stats = zscore_fit_transform(data)[1]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "provenance.json", *(f"sampling_{s:03d}" for s in range(drawn.n_samplings))]
+    for s in range(drawn.n_samplings):
+        exported = load_dataset(out / f"sampling_{s:03d}")
+        np.testing.assert_array_equal(exported.labels, data.labels)
+        for v, (x, mean, scale) in enumerate(zip(exported.views, stats.means, stats.scales())):
+            missing = ~data.mask[:, v]
+            np.testing.assert_allclose((x[missing] - mean) / scale, drawn.draws[v][:, s],
+                                       rtol=0, atol=1e-6)
+            # the data files hold 10 significant digits, as the export prints them
+            np.testing.assert_array_equal(x[~missing], data.views[v][~missing])
 
 
 def test_diverged_training_exits_numeric(tmp_path, capsys):
@@ -340,6 +384,26 @@ def test_parallel_sweep_of_missing_data_exits_config(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "not a dataset directory" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    pytest.param(["--etas", "0.2,1.5"], "eta must lie in [0, 1)", id="eta-1.5"),
+    pytest.param(["--etas", "nan"], "eta must lie in [0, 1)", id="eta-nan"),
+    pytest.param(["--train-fraction", "1.5"], "train_fraction must lie in (0, 1)",
+                 id="train-fraction-1.5"),
+    pytest.param(["--train-fraction", "0"], "train_fraction must lie in (0, 1)",
+                 id="train-fraction-0"),
+    pytest.param(["--threads", "-3"], "workers must be >= 1, got -3", id="threads-minus-3"),
+])
+def test_sweep_of_a_bad_grid_exits_config_before_writing(grid, message, tmp_path, capsys):
+    data_dir = write_dataset_dir(tmp_path / "data", make_blobs_dataset(n=40, seed=21),
+                                 include_mask=False)
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--data", str(data_dir), "--etas", "0.2", "--seeds", "0",
+                     "--modes", "uimc", "--out", str(out), *grid])
+    assert code == cli.EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def run_sweep(data_dir, config, out, *extra):
@@ -523,6 +587,7 @@ def test_eval_whose_json_encoder_fails_leaves_old_output(tmp_path, monkeypatch):
     ["impute", "--data", "d", "--out", "o", "--k", "3"],
     ["impute", "--data", "d", "--out", "o", "--ns", "2"],
     ["impute", "--data", "d", "--out", "o", "--jitter", "0.1"],
+    ["train", "--data", "d", "--out", "m.ckpt", "--mode", "uimc"],
 ])
 def test_flag_a_subcommand_does_not_read_exits_config(argv, capsys):
     with pytest.raises(SystemExit) as info:

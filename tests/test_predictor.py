@@ -271,6 +271,25 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="test set has no rows"):
             evaluate(model, test.subset(np.array([], dtype=int)), seed=0)
 
+    def test_label_the_model_cannot_predict_rejected(self, fitted):
+        model, _ = fitted
+        four_classes = make_blobs_dataset(n=40, class_count=4, eta=0.3, seed=64)
+        assert four_classes.labels.max() == 3
+        with pytest.raises(ValueError, match="^test label 3 is outside the model's 3 classes$"):
+            evaluate(model, four_classes, seed=0)
+        with pytest.raises(ValueError, match="^test label 3 is outside the model's 3 classes$"):
+            stability_experiment(model, four_classes, n_repeats=2, seed=0)
+
+    def test_test_set_without_the_top_class_accepted(self, fitted):
+        """A split may lack the model's top class, as a set that counts fewer classes."""
+        model, test = fitted
+        rows = np.nonzero(test.labels != 2)[0]
+        two_classes = MultiViewDataset([v[rows] for v in test.views], test.labels[rows],
+                                       test.mask[rows], 2)
+        metrics = evaluate(model, two_classes, seed=0)
+        assert metrics["n_test"] == rows.size
+        assert len(metrics["per_class_accuracy"]) == 2
+
     def test_perfect_prediction_upper_bound(self, fitted):
         model, _ = fitted
         easy = make_blobs_dataset(n=30, eta=0.0, seed=61)

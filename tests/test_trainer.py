@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-from evifuse.dataset import zscore_fit_transform
 from evifuse.evidential import loss_and_grad, one_hot
 from evifuse.fusion import _fuse_alphas
 from evifuse.network import EvidenceNetwork
@@ -21,7 +20,6 @@ from evifuse.trainer import (
     TrainConfig,
     _flatten_pairs,
     _subseed,
-    _SEED_IMPUTE,
     build_completions,
     load_model,
     save_model,
@@ -97,15 +95,14 @@ class TestTrainBasics:
 
     def test_complete_data_single_pair_per_sample(self, blobs):
         cfg = TrainConfig(seed=0, **FAST)
-        completions = build_completions(blobs, cfg)
+        completions, _ = build_completions(blobs, cfg)
         rows, slots = _flatten_pairs(completions)
         assert rows.size == blobs.n_samples
         assert np.all(slots == 0)
 
     def test_incomplete_samples_expand_by_n_samplings(self, blobs_incomplete):
         cfg = TrainConfig(seed=0, **FAST)
-        std, _ = zscore_fit_transform(blobs_incomplete)
-        completions = build_completions(std, cfg)
+        completions, _ = build_completions(blobs_incomplete, cfg)
         rows, _ = _flatten_pairs(completions)
         n_incomplete = int((~blobs_incomplete.mask.all(axis=1)).sum())
         n_complete = blobs_incomplete.n_samples - n_incomplete
@@ -122,13 +119,12 @@ class TestModes:
             assert 0.0 <= metrics["accuracy"] <= 1.0
 
     def test_single_imputation_uses_neighbor_mean(self, blobs_incomplete):
-        std, _ = zscore_fit_transform(blobs_incomplete)
         cfg_multi = TrainConfig(seed=2, mode="uimc", **FAST)
         cfg_point = TrainConfig(seed=2, mode="single_imputation", **FAST)
-        multi = build_completions(std, cfg_multi, seed=0)
-        point = build_completions(std, cfg_point, seed=0)
+        multi, _ = build_completions(blobs_incomplete, cfg_multi)
+        point, _ = build_completions(blobs_incomplete, cfg_point)
         assert point.n_samplings == 1
-        for v in range(std.n_views):
+        for v in range(blobs_incomplete.n_views):
             if multi.draws[v].size == 0:
                 continue
             # the sampled draws scatter around the point estimate (their mean)
@@ -139,7 +135,7 @@ class TestModes:
         base = None
         for mode in ("uimc", "single_imputation", "naive_ce", "mean_imputation"):
             cfg = TrainConfig(seed=3, mode=mode, **FAST)
-            cs = build_completions(blobs, cfg, seed=0)
+            cs, _ = build_completions(blobs, cfg)
             rows = np.arange(blobs.n_samples)
             mats = cs.gather(rows, np.zeros(rows.size, dtype=np.int64))
             if base is None:
@@ -176,8 +172,8 @@ class TestAccounting:
         reported = model.loss_history[0]
 
         # recompute with identically re-initialized networks on the same completions
-        std, _ = zscore_fit_transform(data)
-        completions = build_completions(std, cfg, seed=_subseed(cfg.seed, _SEED_IMPUTE))
+        completions, _ = build_completions(data, cfg)
+        std = completions.data
         rows, slots = _flatten_pairs(completions)
         nets = [EvidenceNetwork([d, *cfg.hidden, data.class_count],
                                 seed=_subseed(cfg.seed, 101, v))

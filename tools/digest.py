@@ -36,17 +36,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from evifuse.dataset import zscore_fit_transform  # noqa: E402
 from evifuse.experiments import prepare_cell_data  # noqa: E402
 from evifuse.predictor import evaluate, predict_sample, stability_experiment  # noqa: E402
-from evifuse.trainer import (  # noqa: E402
-    _SEED_IMPUTE,
-    MODES,
-    TrainConfig,
-    _subseed,
-    build_completions,
-    train,
-)
+from evifuse.trainer import MODES, TrainConfig, build_completions, train  # noqa: E402
 
 PREDICT_ROWS = 32
 STABILITY_REPEATS = 2
@@ -70,9 +62,7 @@ def digests(seed: int, mode: str) -> dict:
                                             workloads.TRAIN_FRACTION)
     cfg = TrainConfig(epochs=workloads.EPOCHS, early_stop=False, seed=seed, mode=mode)
     model = train(train_set, cfg)
-    # train() draws its completions of the standardized rows under this seed
-    completions = build_completions(zscore_fit_transform(train_set)[0], cfg,
-                                    seed=_subseed(cfg.seed, _SEED_IMPUTE))
+    completions, _ = build_completions(train_set, cfg)
     predictions = []
     for row in np.nonzero(~test_set.mask.all(axis=1))[0][:PREDICT_ROWS]:
         res = predict_sample(model, [v[row] for v in test_set.views], test_set.mask[row],
