@@ -1,8 +1,9 @@
 """Command-line experiment driver.
 
 Subcommands: mask, impute, train, eval, stability, sweep, report. Exit
-codes: 0 on success, 2 for configuration or validation problems, 3 for
-numerical failures at runtime.
+codes: 0 on success, 1 for a sweep that left cells missing (a rerun runs
+them), 2 for configuration or validation problems, 3 for numerical
+failures at runtime.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from evifuse.trainer import (
 )
 
 EXIT_OK = 0
+EXIT_MISSING = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
@@ -104,10 +106,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_data(data_path: Path, mask_path: Path | None):
+    """The dataset directory's data, with ``mask_path``'s mask if given. That
+    mask may hide slots but not reveal one that the directory's mask.csv marks
+    missing, whose entry is a placeholder: that raises ``ValueError``."""
     data = load_dataset(data_path)
-    if mask_path is not None:
-        data = data.with_mask(load_mask(mask_path))
-    return data
+    if mask_path is None:
+        return data
+    masked = data.with_mask(load_mask(mask_path))
+    revealed = int((masked.mask & ~data.mask).sum())
+    if revealed:
+        raise ValueError(f"{mask_path} marks observed {revealed} slots that "
+                         f"{data_path / 'mask.csv'} marks missing")
+    return masked
 
 
 def _load_config(args) -> TrainConfig:
@@ -181,11 +191,14 @@ def _parse_list(text: str, cast):
 
 def _cmd_sweep(args) -> int:
     summary = experiments.sweep(
-        args.data, _parse_list(args.etas, float), _parse_list(args.seeds, int),
+        load_dataset(args.data), _parse_list(args.etas, float), _parse_list(args.seeds, int),
         _parse_list(args.modes, str), _load_config(args), args.out,
         train_fraction=args.train_fraction, workers=args.threads)
     print(f"{summary['cells_ok']} cells ok, {summary['cells_failed']} failed, "
           f"{len(summary['cells_missing'])} missing -> {args.out}")
+    if summary["cells_missing"]:
+        print(f"{len(summary['cells_missing'])} missing, rerun to finish them", file=sys.stderr)
+        return EXIT_MISSING
     return EXIT_OK
 
 

@@ -66,6 +66,10 @@ class MultiViewDataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mask", mask)
 
+    def __reduce__(self):
+        # unpickle through the constructor, which checks the arrays and makes them read-only
+        return MultiViewDataset, (self.views, self.labels, self.mask, self.class_count)
+
     @property
     def n_samples(self) -> int:
         return self.views[0].shape[0]

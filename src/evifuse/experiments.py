@@ -1,25 +1,31 @@
 """Experiment harness: missing-rate sweeps, reports, and completion export.
 
-A sweep runs one cell per (eta, seed, mode): generate per-split masks,
-train, evaluate, and record a row. A cell is its key, ``_cell_key``, which
-prints eta to 6 significant digits: etas that print alike are one cell,
-run under the first of them given. All cell-level randomness derives
-from the cell's seed plus its coordinates, so a row is fixed apart from
-``wall_time`` and running a cell twice does no harm. A worker publishes
-its row with ``dataset.write_json`` as ``cells/<key>.json``, hard-linked
-into place without overwrite, so the first published row wins and a
-rerun skips the cell. A killed worker leaves at most a stray ``*.tmp``
-file, which counts as no result. The output directory must support hard
-links, as every local POSIX filesystem does. A column of ``results.csv``
-is one ``RESULT_COLUMNS`` entry, its name and the parser that reads it.
+A sweep runs one cell per (eta, seed, mode) on one fully observed
+dataset, loaded once and held in memory: generate per-split masks,
+train, evaluate, and record a row. An output directory holds one sweep:
+its first run writes the spec, the config apart from each cell's seed
+and mode, the train fraction and a digest of the data, to
+``sweep.json``. A cell is its key, ``_cell_key``, which prints eta to 6
+significant digits: etas that print alike are one cell, run under the
+first of them given. All cell-level randomness derives from the cell's
+seed plus its coordinates, so a row is fixed apart from ``wall_time``
+and running a cell twice does no harm. A worker publishes its row with
+``dataset.write_json`` as ``cells/<key>.json``, hard-linked into place
+without overwrite, so the first published row wins and a rerun skips the
+cell. A killed worker leaves at most a stray ``*.tmp`` file, which
+counts as no result. The output directory must support hard links, as
+every local POSIX filesystem does. A column of ``results.csv`` is one
+``RESULT_COLUMNS`` entry, its name and the parser that reads it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +33,6 @@ import numpy as np
 from evifuse.dataset import (
     MultiViewDataset,
     generate_missing_mask,
-    load_dataset,
     split,
     write_csv_matrix,
     write_file,
@@ -93,14 +98,18 @@ def _cell_key(eta: float, seed: int, mode: str) -> str:
     return f"eta{eta:g}_seed{seed}_{mode}"
 
 
-def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
+def sweep(data: MultiViewDataset, etas, seeds, modes, cfg: TrainConfig, out_dir,
           train_fraction: float = DEFAULT_TRAIN_FRACTION,
           workers: int = 1) -> dict:
-    """Run every distinct cell of (eta, seed, mode), skipping ones already on disk.
+    """Run every distinct cell of (eta, seed, mode) on ``data``, skipping ones already on disk.
 
     Each cell sets ``cfg``'s ``mode``, and its ``seed`` from the cell's seed and eta.
-    An eta outside [0, 1), a ``train_fraction`` outside (0, 1) or ``workers``
-    below 1 raises ``ValueError`` before ``out_dir`` is made.
+    ``data`` must be fully observed, as each cell makes its own masks. Missing
+    slots, an eta outside [0, 1), a ``train_fraction`` outside (0, 1) or
+    ``workers`` below 1 raise ``ValueError`` before ``out_dir`` is made.
+    ``out_dir`` holds one sweep: its first run publishes ``sweep.json``, the
+    config without seed and mode, ``train_fraction`` and a sha256 of
+    ``data``, and a run of another spec raises ``ValueError`` before any cell.
 
     Failed cells are recorded with status "error" and, like any published
     row, are not rerun. Two sweeps on one ``out_dir`` may both compute a
@@ -108,10 +117,11 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
     parallel sweep early. Writes results.csv and summary.json, and returns
     the summary, whose ``cells_missing`` lists the keys of cells with no
     result yet, such as a killed worker's; a rerun runs them.
-    ``out_dir`` must support hard links. With ``workers`` > 1 each worker
-    process starts by re-importing the caller's ``__main__`` module, so the
-    caller must be importable: from a script on stdin no worker starts, and
-    every cell is reported missing.
+    ``out_dir`` must support hard links. With ``workers`` > 1 each cell goes
+    to a spawned worker process with a pickled copy of ``data``. A worker
+    starts by re-importing the caller's ``__main__`` module, so the caller
+    must be importable: from a script on stdin no worker starts, and every
+    cell is reported missing.
     """
     etas = [float(eta) for eta in etas]
     if not all(0.0 <= eta < 1.0 for eta in etas):
@@ -120,18 +130,30 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
         raise ValueError("train_fraction must lie in (0, 1)")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    data = load_dataset(data_dir)  # a bad directory fails here, not in a worker
+    if not data.mask.all():
+        raise ValueError(f"sweep needs fully observed data; {int((~data.mask).sum())} "
+                         "slots are missing")
+    spec = {"config": {k: v for k, v in cfg.to_dict().items() if k not in ("seed", "mode")},
+            "train_fraction": train_fraction, "data_sha256": _data_sha256(data)}
     out = Path(out_dir)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        write_json(out / "sweep.json", spec, overwrite=False)
+    except FileExistsError:
+        if json.loads((out / "sweep.json").read_text()) != spec:
+            raise ValueError(f"{out} holds a sweep of another config, train fraction or "
+                             "data (its sweep.json); give another out directory") from None
     todo = {}
     for cell in itertools.product(etas, map(int, seeds), map(str, modes)):
         todo.setdefault(_cell_key(*cell), cell)
+    run = partial(_run_cell_once, data, cfg=cfg, cells_dir=cells_dir,
+                  train_fraction=train_fraction)
     if workers > 1:
-        _run_cells_parallel(data_dir, todo.values(), cfg, cells_dir, train_fraction, workers)
+        _run_cells_parallel(run, todo.values(), workers)
     else:
-        for eta, seed, mode in todo.values():
-            _run_cell_once(data, eta, seed, mode, cfg, cells_dir, train_fraction)
+        for cell in todo.values():
+            run(*cell)
     rows, missing = [], []
     for key in todo:
         path = cells_dir / f"{key}.json"
@@ -144,6 +166,14 @@ def sweep(data_dir, etas, seeds, modes, cfg: TrainConfig, out_dir,
     summary["cells_missing"] = missing
     write_json(out / "summary.json", summary)
     return summary
+
+
+def _data_sha256(data: MultiViewDataset) -> str:
+    digest = hashlib.sha256(f"{data.class_count}".encode())
+    for arr in (*data.views, data.labels, data.mask):
+        digest.update(f"{arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
 
 
 def _run_cell_once(data, eta, seed, mode, cfg, cells_dir: Path,
@@ -164,26 +194,15 @@ def _run_cell_once(data, eta, seed, mode, cfg, cells_dir: Path,
         pass  # another worker published this cell first; its row stands
 
 
-_WORKER_DATA: dict = {}
-
-
-def _worker_init(data_dir):
-    _WORKER_DATA["data"] = load_dataset(data_dir)
-
-
-def _worker_run(args):
-    _run_cell_once(_WORKER_DATA["data"], *args)
-
-
-def _run_cells_parallel(data_dir, todo, cfg, cells_dir, train_fraction, workers):
+def _run_cells_parallel(run, cells, workers):
+    """``run(eta, seed, mode)`` for each cell in spawned worker processes; each
+    task pickles ``run`` and so the dataset bound in it."""
     import multiprocessing as mp
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    args = [(eta, seed, mode, cfg, cells_dir, train_fraction) for eta, seed, mode in todo]
     try:
-        with ProcessPoolExecutor(workers, mp_context=mp.get_context("spawn"),
-                                 initializer=_worker_init, initargs=(data_dir,)) as pool:
-            list(pool.map(_worker_run, args))
+        with ProcessPoolExecutor(workers, mp_context=mp.get_context("spawn")) as pool:
+            list(pool.map(run, *zip(*cells)))
     except BrokenProcessPool:
         pass  # a worker died, say killed by the OOM killer; unfinished cells stay missing
 

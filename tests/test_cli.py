@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import threading
 import time
@@ -329,8 +330,8 @@ def test_sweep_publishes_error_row_and_does_not_retry_it(tmp_path, monkeypatch):
     error_row = (out / "cells" / f"{key}.json").read_text()
     assert json.loads(error_row)["error"] == "RuntimeError: cell blew up"
     assert sorted(Path(dst).name for dst in links) == sorted(
-        p.name for p in (out / "cells").iterdir())
-    assert len(links) == 2
+        ["sweep.json", *(p.name for p in (out / "cells").iterdir())])
+    assert len(links) == 3
     calls = []
     monkeypatch.setattr(experiments, "run_cell", lambda *a, **k: calls.append(a))
     sweep_two_cells(tmp_path)
@@ -362,7 +363,7 @@ def test_sweep_with_killed_worker_returns_and_rerun_completes(tmp_path, capsys):
     killer = threading.Thread(target=kill_a_worker)
     killer.start()
     try:
-        assert cli.main([*argv, "--threads", "2"]) == cli.EXIT_OK
+        assert cli.main([*argv, "--threads", "2"]) == cli.EXIT_MISSING
     finally:
         swept.set()
         killer.join(timeout=30)
@@ -371,7 +372,9 @@ def test_sweep_with_killed_worker_returns_and_rerun_completes(tmp_path, capsys):
     missing = summary["cells_missing"]
     assert missing and summary["cells_ok"] + len(missing) == 4
     assert not any((out / "cells" / f"{key}.json").exists() for key in missing)
-    assert f"{len(missing)} missing" in capsys.readouterr().out
+    printed = capsys.readouterr()
+    assert f"{len(missing)} missing" in printed.out
+    assert f"{len(missing)} missing, rerun to finish them" in printed.err
     assert cli.main(argv) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cells_missing"] == [] and summary["cells_ok"] == 4
@@ -384,6 +387,44 @@ def test_parallel_sweep_of_missing_data_exits_config(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert "not a dataset directory" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_of_data_with_missing_slots_exits_config_before_writing(tmp_path, capsys):
+    """Each cell makes its own masks, so a missing slot's placeholder would read as data."""
+    data_dir = write_dataset_dir(tmp_path / "data", make_blobs_dataset(n=40, eta=0.25, seed=21))
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--data", str(data_dir), "--etas", "0.0", "--seeds", "0",
+                     "--modes", "uimc", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "error: sweep needs fully observed data; 20 slots are missing" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "stability", "impute"])
+def test_mask_flag_that_reveals_a_missing_slot_exits_config(command, tmp_path, capsys):
+    data_dir, ckpt = train_tiny(tmp_path)  # its mask.csv misses 24 of 80 slots
+    mask = tmp_path / "all_observed.csv"
+    np.savetxt(mask, np.ones((40, 2)), fmt="%d", delimiter=",")
+    out = tmp_path / "out"
+    model = ["--model", str(ckpt)] if command in ("eval", "stability") else []
+    capsys.readouterr()
+    assert cli.main([command, *model, "--data", str(data_dir), "--mask", str(mask),
+                     "--out", str(out)]) == cli.EXIT_CONFIG
+    assert (f"error: {mask} marks observed 24 slots that {data_dir / 'mask.csv'} marks "
+            "missing") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mask_flag_that_hides_more_slots_is_read(tmp_path):
+    data_dir, ckpt = train_tiny(tmp_path)
+    hidden = np.loadtxt(data_dir / "mask.csv", delimiter=",").astype(bool)
+    hidden[np.nonzero(hidden.all(axis=1))[0][0], 1] = False
+    mask = tmp_path / "hide_one.csv"
+    np.savetxt(mask, hidden, fmt="%d", delimiter=",")
+    np.testing.assert_array_equal(cli._load_data(data_dir, mask).mask, hidden)
+    assert cli.main(["eval", "--model", str(ckpt), "--data", str(data_dir), "--mask", str(mask),
+                     "--out", str(tmp_path / "eval.json")]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -495,6 +536,61 @@ def test_parallel_sweep_matches_serial(finished_sweep, tmp_path):
 
     assert rows(tmp_path / "par") == rows(serial)
     assert len(rows(serial)) == 3
+
+
+def test_parallel_sweep_of_data_only_in_memory_matches_serial(tmp_path):
+    data = make_blobs_dataset(n=40, seed=21)
+
+    def rows(workers):  # every column but the trailing wall_time
+        out = tmp_path / f"workers_{workers}"
+        summary = experiments.sweep(data, [0.2], [0, 1], ["uimc"], TrainConfig.from_dict(TINY),
+                                    out, workers=workers)
+        assert summary["cells_ok"] == 2 and summary["cells_missing"] == []
+        return [line.rsplit(",", 1)[0] for line in (out / "results.csv").read_text().splitlines()]
+
+    assert rows(2) == rows(1)
+
+
+@pytest.mark.parametrize("change", ["train_fraction", "config", "data"])
+def test_sweep_rerun_of_another_spec_exits_config_before_any_cell(
+        change, finished_sweep, tmp_path, monkeypatch, capsys):
+    data_dir, config, serial = finished_sweep
+    out = tmp_path / "sweep"
+    shutil.copytree(serial, out)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    extra = []
+    if change == "train_fraction":
+        extra = ["--train-fraction", "0.5"]
+    elif change == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY, "hidden": [4]}))
+    else:
+        data_dir = write_dataset_dir(tmp_path / "data", make_blobs_dataset(n=40, seed=22),
+                                     include_mask=False)
+    calls = []
+    monkeypatch.setattr(experiments, "run_cell", lambda *a, **k: calls.append(a))
+    capsys.readouterr()
+    assert run_sweep(data_dir, config, out, *extra) == cli.EXIT_CONFIG
+    assert f"error: {out} holds a sweep of another" in capsys.readouterr().err
+    assert calls == []
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_sweep_rerun_under_another_seed_and_mode_reuses_its_cells(finished_sweep, tmp_path,
+                                                                   monkeypatch):
+    """Each cell sets the seed and mode, so they are no part of a sweep's spec; a
+    directory without sweep.json, as an older sweep left it, gets one."""
+    data_dir, _, serial = finished_sweep
+    out = tmp_path / "sweep"
+    shutil.copytree(serial, out)
+    spec = (out / "sweep.json").read_text()
+    (out / "sweep.json").unlink()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, "seed": 5, "mode": "naive_ce"}))
+    calls = []
+    monkeypatch.setattr(experiments, "run_cell", lambda *a, **k: calls.append(a))
+    assert run_sweep(data_dir, config, out) == cli.EXIT_OK
+    assert calls == [] and (out / "sweep.json").read_text() == spec
 
 
 def test_sweep_runs_a_repeated_cell_once(finished_sweep, tmp_path):

@@ -1,6 +1,7 @@
 """Dataset loading, standardization, masks, and splits."""
 
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -250,6 +251,15 @@ class TestDatasetInvariants:
     def test_immutable_after_construction(self, blobs):
         with pytest.raises(ValueError):
             blobs.views[0][0, 0] = 99.0
+
+    def test_pickle_round_trip_stays_read_only(self):
+        data = make_blobs_dataset(n=20, eta=0.2, seed=3)
+        back = pickle.loads(pickle.dumps(data))
+        assert back.class_count == data.class_count
+        for arr, got in zip((*data.views, data.labels, data.mask),
+                            (*back.views, back.labels, back.mask)):
+            np.testing.assert_array_equal(got, arr)
+            assert got.dtype == arr.dtype and not got.flags.writeable
 
     def test_view_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
