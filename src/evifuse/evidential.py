@@ -5,9 +5,12 @@ A head's evidence maps to Dirichlet concentrations alpha = evidence + 1;
 b = (alpha - 1) / alpha0 plus an uncertainty mass u = K / alpha0). The
 training objective per head is an expected cross-entropy (ACE) under the
 Dirichlet plus an annealed KL pull toward the uniform Dirichlet on the
-non-label classes; ``_loss_parts`` computes both terms and their
-alpha-gradients for a stack of heads at once, and ``loss_and_grad``
-combines them under the annealing weight.
+non-label classes. ``_loss_parts`` computes both terms and their
+alpha-gradients for a stack of heads at once, with one call of each
+polygamma on the columns [label concentration, alpha0] and, only when KL
+is asked for, [masked concentrations (K), their strength] after them.
+``loss_and_grad`` combines the terms under the annealing weight and asks
+for KL only when that weight is nonzero.
 
 All kernels broadcast over leading axes: ``alpha`` may be ``(K,)`` or
 ``(heads, batch, K)``, losses come back as scalars or arrays without the
@@ -92,33 +95,48 @@ def _log_gamma_of(k: int) -> np.floating:
     return gammaln(float(k))
 
 
-def _loss_parts(alpha, label):
+def _loss_parts(alpha, label, with_kl: bool = True):
     """(ace, kl, ace_grad, kl_grad) of every head stacked on alpha's leading axes.
 
-    Each polygamma runs once, on one array whose last axis holds the masked
-    concentrations, their strength, the label concentration and alpha0."""
+    Each polygamma runs once, on one array whose last axis holds the ACE
+    columns [label concentration, alpha0] and then, only ``with_kl``, the KL
+    columns [masked concentrations (K), their strength]; gammaln reads only
+    the KL columns. Without KL, ``kl`` and ``kl_grad`` are None. ACE and its
+    gradient read columns 0-1 either way, and every element's polygamma is
+    the same whatever the other columns are (``special``), so the ACE parts
+    do not depend on ``with_kl``."""
     alpha = _checked_alpha(alpha)
     y = np.asarray(label, dtype=np.float64)
+    columns = [(y * alpha).sum(axis=-1, keepdims=True), alpha.sum(axis=-1, keepdims=True)]
+    if with_kl:
+        wrong = 1.0 - y
+        # label class reset to 1: the KL term sees only evidence on wrong classes
+        masked = y + wrong * alpha
+        columns += [masked, masked.sum(axis=-1, keepdims=True)]
+    z = np.concatenate(columns, axis=-1)
+    dg, tg = digamma(z), trigamma(z)
+    ace = dg[..., 1] - dg[..., 0]
+    ace_grad = tg[..., 1:2] - y * tg[..., 0:1]
+    if not with_kl:
+        return ace, None, ace_grad, None
     k = alpha.shape[-1]
-    wrong = 1.0 - y
-    # label class reset to 1: the KL term sees only evidence on wrong classes
-    masked = y + wrong * alpha
+    z, dg, tg = z[..., 2:], dg[..., 2:], tg[..., 2:]
+    lg = gammaln(z)
     excess = masked - 1.0
-    z = np.concatenate([masked, masked.sum(axis=-1, keepdims=True),
-                        (y * alpha).sum(axis=-1, keepdims=True),
-                        alpha.sum(axis=-1, keepdims=True)], axis=-1)
-    lg, dg, tg = gammaln(z[..., :k + 1]), digamma(z), trigamma(z)
-    ace = dg[..., k + 2] - dg[..., k + 1]
     kl = (lg[..., k] - lg[..., :k].sum(axis=-1) - _log_gamma_of(k)
           + (excess * (dg[..., :k] - dg[..., k:k + 1])).sum(axis=-1))
-    ace_grad = tg[..., k + 2:] - y * tg[..., k + 1:k + 2]
     kl_grad = wrong * (excess * tg[..., :k] - (z[..., k:k + 1] - k) * tg[..., k:k + 1])
     return ace, kl, ace_grad, kl_grad
 
 
 def loss_and_grad(alpha, label, lam: float):
-    """Per-head objective ACE + lam * KL and its alpha-gradient, for stacked heads."""
-    ace, kl, ace_grad, kl_grad = _loss_parts(alpha, label)
+    """Per-head objective ACE + lam * KL and its alpha-gradient, for stacked heads.
+
+    At lam == 0 the KL parts are not computed and (ace, ace_grad) come back
+    as they are: ace + 0.0 * kl == ace for any finite KL."""
+    ace, kl, ace_grad, kl_grad = _loss_parts(alpha, label, with_kl=lam != 0)
+    if kl is None:
+        return ace, ace_grad
     return ace + lam * kl, ace_grad + lam * kl_grad
 
 

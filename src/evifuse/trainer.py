@@ -5,7 +5,8 @@ epoch flattens the data into (sample, sampling) pairs (complete samples
 contribute a single pair), shuffles them, and for every minibatch runs each
 per-view head on its (rows, features) input, fuses their opinions, and takes
 one Adam step over all heads on the summed objective: fused-head loss plus
-every per-view loss, each annealed by lambda = min(1, epoch / anneal_epochs).
+every per-view loss, each ACE + lambda * KL with lambda = min(1, epoch /
+anneal_epochs). A step at lambda = 0 (epoch 0) computes ACE only.
 
 ``MODES`` is the one table of what each mode does: the ``fill`` by which
 the imputer completes a missing view, and whether the heads are evidential,

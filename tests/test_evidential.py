@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 from scipy import special as sp
 
+from evifuse import evidential
 from evifuse.evidential import (
     SubjectiveOpinion,
     _loss_parts,
@@ -251,6 +253,51 @@ class TestStackedKernel:
             loss_and_grad(np.array([[2.0, np.inf], [1.0, 1.0]]), y, 0.5)
         with pytest.raises(ValueError):
             loss_and_grad(np.array([[2.0, 0.5], [1.0, 1.0]]), y, 0.5)
+
+
+@st.composite
+def stacked_heads(draw):
+    """(heads, batch, K) concentrations, exact 1.0s among values in [1, 1e6], and one-hot labels."""
+    heads, batch, k = draw(st.integers(1, 4)), draw(st.integers(1, 16)), draw(st.integers(2, 12))
+    entries = st.one_of(st.just(1.0), st.floats(1.0, 1e6))
+    alpha = draw(hnp.arrays(np.float64, (heads, batch, k), elements=entries))
+    labels = draw(hnp.arrays(np.int64, (batch,), elements=st.integers(0, k - 1)))
+    return alpha, one_hot(labels, k)
+
+
+class TestKLSkippedAtZeroWeight:
+    """loss_and_grad builds the KL columns only when the KL weight is nonzero."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_heads(), st.sampled_from([0.0, 0.37, 1.0]))
+    def test_matches_kl_bearing_parts_byte_for_byte(self, heads, lam):
+        alpha, y = heads
+        ace, kl, ace_grad, kl_grad = _loss_parts(alpha, y)
+        loss, grad = loss_and_grad(alpha, y, lam)
+        if lam == 0.0:
+            expect_loss, expect_grad = ace, ace_grad
+        else:
+            expect_loss, expect_grad = ace + lam * kl, ace_grad + lam * kl_grad
+        assert loss.tobytes() == expect_loss.tobytes()
+        assert grad.tobytes() == expect_grad.tobytes()
+
+    def test_zero_weight_runs_only_the_ace_columns(self, monkeypatch):
+        """The names the benchmark hooks: no gammaln, one digamma and one
+        trigamma on the two ACE columns."""
+        shapes = {name: [] for name in ("gammaln", "digamma", "trigamma")}
+        for name, seen in shapes.items():
+            def record(z, real=getattr(evidential, name), seen=seen):
+                seen.append(np.shape(z))
+                return real(z)
+            monkeypatch.setattr(evidential, name, record)
+        rng = np.random.default_rng(13)
+        alpha = random_heads(rng, (4, 128, 10))
+        y = one_hot(rng.integers(0, 10, 128), 10)
+        loss_and_grad(alpha, y, 0.0)
+        assert shapes == {"gammaln": [], "digamma": [(4, 128, 2)], "trigamma": [(4, 128, 2)]}
+        loss_and_grad(alpha, y, 0.37)
+        assert shapes["digamma"][1:] == shapes["trigamma"][1:] == [(4, 128, 13)]
+        assert (4, 128, 11) in shapes["gammaln"]
 
 
 class TestAnnealSchedule:

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from evifuse.evidential import loss_and_grad, one_hot
+from evifuse import fusion
+from evifuse.evidential import _loss_parts, loss_and_grad, one_hot
 from evifuse.fusion import _fuse_alphas
 from evifuse.network import EvidenceNetwork
 from evifuse.predictor import evaluate
@@ -189,6 +190,25 @@ class TestAccounting:
             total += float(loss_and_grad(fused[0], y, lam)[0])
             total += sum(float(loss_and_grad(a[0], y, lam)[0]) for a in alphas)
         assert reported["total"] == pytest.approx(total, rel=1e-6)
+
+    def test_zero_weight_batches_train_as_with_kl_always_computed(self, monkeypatch):
+        """Skipping the KL parts where lambda is 0 leaves a 2-epoch fit bit for bit."""
+        data = make_blobs_dataset(n=60, eta=0.3, seed=41, mask_seed=42)
+        cfg = TrainConfig(seed=3, **{**FAST, "epochs": 2})
+        fast = train(data, cfg)
+        lams = []
+
+        def always_kl(alpha, label, lam):
+            lams.append(lam)
+            ace, kl, ace_grad, kl_grad = _loss_parts(alpha, label)
+            return ace + lam * kl, ace_grad + lam * kl_grad
+
+        monkeypatch.setattr(fusion, "loss_and_grad", always_kl)
+        reference = train(data, cfg)
+        assert sorted(set(lams)) == [0.0, 1.0 / cfg.anneal_epochs]
+        assert fast.loss_history == reference.loss_history
+        for net, ref in zip(fast.networks, reference.networks, strict=True):
+            assert [p.tobytes() for p in net.params] == [p.tobytes() for p in ref.params]
 
 
 def damaged_header(raw: bytes, offset: int, value: int) -> bytes:
