@@ -21,6 +21,7 @@ from evifuse.dataset import (generate_missing_mask, load_dataset, load_mask,
 from evifuse.imputer import CompletionSet
 from evifuse.predictor import evaluate, stability_experiment
 from evifuse.trainer import (
+    CONFIG_SCHEMA,
     CheckpointError,
     NonFiniteLossError,
     TrainConfig,
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     seed = _flag("--seed", type=int, default=0, help="default 0")
     config = _flag("--config", type=Path, default=None,
-                   help="training config JSON (schema 3)")
+                   help=f"training config JSON (schema {CONFIG_SCHEMA})")
     config_seed = _flag("--seed", type=int, default=None, help="overrides the config's seed")
 
     p = sub.add_parser("mask", parents=[seed], help="generate a missingness mask")
@@ -197,7 +198,9 @@ def _cmd_sweep(args) -> int:
     print(f"{summary['cells_ok']} cells ok, {summary['cells_failed']} failed, "
           f"{len(summary['cells_missing'])} missing -> {args.out}")
     if summary["cells_missing"]:
-        print(f"{len(summary['cells_missing'])} missing, rerun to finish them", file=sys.stderr)
+        reason = "" if summary["pool_error"] is None else f" (worker pool: {summary['pool_error']})"
+        print(f"{len(summary['cells_missing'])} missing, rerun to finish them{reason}",
+              file=sys.stderr)
         return EXIT_MISSING
     return EXIT_OK
 

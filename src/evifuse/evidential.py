@@ -83,10 +83,10 @@ def anneal_lambda(epoch: int, decay_epochs: int) -> float:
 
 
 def _opinion_arrays(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-array projection: b = (alpha - 1)/alpha0, u = K/alpha0."""
+    """Beliefs b = (alpha - 1)/alpha0, written over ``alpha``, and u = K/alpha0."""
     strength = alpha.sum(axis=-1, keepdims=True)
-    beliefs = alpha - 1.0  # divided in place: one array the size of alpha, not two
-    return np.divide(beliefs, strength, out=beliefs), alpha.shape[-1] / strength[..., 0]
+    alpha -= 1.0
+    return np.divide(alpha, strength, out=alpha), alpha.shape[-1] / strength[..., 0]
 
 
 @lru_cache

@@ -116,7 +116,8 @@ def sweep(data: MultiViewDataset, etas, seeds, modes, cfg: TrainConfig, out_dir,
     cell; the first row published wins. A worker process that dies ends a
     parallel sweep early. Writes results.csv and summary.json, and returns
     the summary, whose ``cells_missing`` lists the keys of cells with no
-    result yet, such as a killed worker's; a rerun runs them.
+    result yet, such as a killed worker's; a rerun runs them; its
+    ``pool_error`` says why the worker pool broke, or is None.
     ``out_dir`` must support hard links. With ``workers`` > 1 each cell goes
     to a spawned worker process with a pickled copy of ``data``. A worker
     starts by re-importing the caller's ``__main__`` module, so the caller
@@ -149,8 +150,9 @@ def sweep(data: MultiViewDataset, etas, seeds, modes, cfg: TrainConfig, out_dir,
         todo.setdefault(_cell_key(*cell), cell)
     run = partial(_run_cell_once, data, cfg=cfg, cells_dir=cells_dir,
                   train_fraction=train_fraction)
+    pool_error = None
     if workers > 1:
-        _run_cells_parallel(run, todo.values(), workers)
+        pool_error = _run_cells_parallel(run, todo.values(), workers)
     else:
         for cell in todo.values():
             run(*cell)
@@ -164,6 +166,7 @@ def sweep(data: MultiViewDataset, etas, seeds, modes, cfg: TrainConfig, out_dir,
     write_results_csv(rows, out / "results.csv")
     summary = summarize(rows)
     summary["cells_missing"] = missing
+    summary["pool_error"] = pool_error
     write_json(out / "summary.json", summary)
     return summary
 
@@ -196,15 +199,16 @@ def _run_cell_once(data, eta, seed, mode, cfg, cells_dir: Path,
 
 def _run_cells_parallel(run, cells, workers):
     """``run(eta, seed, mode)`` for each cell in spawned worker processes; each
-    task pickles ``run`` and so the dataset bound in it."""
+    task pickles ``run`` and so the dataset bound in it. Returns why the pool broke, or None."""
     import multiprocessing as mp
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     try:
         with ProcessPoolExecutor(workers, mp_context=mp.get_context("spawn")) as pool:
             list(pool.map(run, *zip(*cells)))
-    except BrokenProcessPool:
-        pass  # a worker died, say killed by the OOM killer; unfinished cells stay missing
+    except BrokenProcessPool as exc:
+        return str(exc)  # a worker died (say OOM-killed) or none started; cells stay missing
+    return None
 
 
 def _write_table(path, columns: dict, rows) -> None:

@@ -26,9 +26,9 @@ takes the column means of view m as mu and an empty factor (c = 0). The
 slot draws one ``standard_normal((n_samplings, c + d))`` array z from its
 generator, and its draws are
 
-    x = mu + z[:, :c] @ F + sqrt(jitter) * z[:, c:]
+    x = mu + z[:, :c] @ F + sqrt(_JITTER) * z[:, c:]
 
-(added in that order), an exact sample of N(mu, S + jitter * I): no d x d
+(added in that order), an exact sample of N(mu, S + _JITTER * I): no d x d
 matrix is formed or factored. A draw is computed in float64 and stored
 once, rounded to float32, as are the means of the other fills; the keyed
 contract still fixes every stored value exactly.
@@ -62,6 +62,9 @@ from evifuse.dataset import MultiViewDataset
 # Slots searched and drawn together: bounds the distance block
 # (slots x candidates) and the factor and normal stacks.
 _SLOT_BLOCK = 128
+
+# Variance added to every feature of a draw; ROADMAP item 12 decides whether it stays.
+_JITTER = 1e-3
 
 
 @dataclass(frozen=True)
@@ -265,7 +268,6 @@ def view_draws(
     m: int,
     k: int = 10,
     n_samplings: int = 30,
-    jitter: float = 1e-3,
     seed: int = 0,
     *,
     reference: MultiViewDataset | None = None,
@@ -281,7 +283,6 @@ def view_draws(
     Gaussian (see the module doc), ``"neighbor_mean"`` the Gaussian's mean,
     the single-imputation baseline, or ``"column_mean"`` the column means
     of view m over the pool's rows observing it, with no neighbor search.
-    ``jitter`` is the variance added to every feature of a draw.
 
     Fallbacks: a slot searches every label if no row of its own label
     observes view m and one of its views; only a slot whose union is still
@@ -291,8 +292,6 @@ def view_draws(
         raise ValueError("n_samplings must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not (np.isfinite(jitter) and jitter >= 0.0):
-        raise ValueError(f"jitter must be finite and >= 0, got {jitter}")
     if fill not in _FILLS:
         raise ValueError(f"fill must be one of {_FILLS}, got {fill!r}")
     if seed < 0:
@@ -310,7 +309,6 @@ def view_draws(
     states = _slot_states(seed, m, data, rows) if fill == "draws" else None
     index, size = _slot_distribution(data, ref, rows, m, k, use_labels)
     first = np.cumsum(size) - size
-    scale = np.sqrt(jitter)
     for count in np.unique(size):
         of_size = np.flatnonzero(size == count)
         for start in range(0, of_size.size, _SLOT_BLOCK):
@@ -329,7 +327,7 @@ def view_draws(
                     out=normals)
             x = np.matmul(z[:, :, :count], factor)
             x += mu[:, None, :]
-            x += scale * z[:, :, count:]
+            x += np.sqrt(_JITTER) * z[:, :, count:]
             out[slots] = x
     return out
 
@@ -338,14 +336,13 @@ def sample_completions(
     data: MultiViewDataset,
     k: int = 10,
     n_samplings: int = 30,
-    jitter: float = 1e-3,
     seed: int = 0,
     *,
     fill: str = "draws",
 ) -> CompletionSet:
     """Every view's ``view_draws`` of ``data`` from its own rows, by label, in one
     ``CompletionSet``: the train-time completions."""
-    return CompletionSet(data, [view_draws(data, m, k, n_samplings, jitter, seed, fill=fill)
+    return CompletionSet(data, [view_draws(data, m, k, n_samplings, seed, fill=fill)
                                 for m in range(data.n_views)])
 
 

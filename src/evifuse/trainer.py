@@ -34,7 +34,7 @@ MODES = {"uimc": ("draws", True), "single_imputation": ("neighbor_mean", True),
          "naive_ce": ("draws", False), "mean_imputation": ("column_mean", False)}
 
 CHECKPOINT_VERSION = 2
-CONFIG_SCHEMA = 3
+CONFIG_SCHEMA = 4
 
 # fixed subkeys carving independent RNG streams out of the config seed
 _SEED_INIT, _SEED_IMPUTE, _SEED_SHUFFLE = 101, 102, 103
@@ -54,7 +54,6 @@ class TrainConfig:
     batch_size: int = 128
     k: int = 10
     n_samplings: int = 30
-    jitter: float = 1e-3
     anneal_epochs: int = 50
     learning_rate: float = 1e-3
     seed: int = 0
@@ -77,8 +76,6 @@ class TrainConfig:
             raise ValueError("k must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
-            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (np.isfinite(self.plateau_tol) and self.plateau_tol >= 0.0):
@@ -162,7 +159,7 @@ def _subseed(seed: int, *path: int) -> int:
 
 
 def _completion_options(cfg: TrainConfig, n_samplings: int | None = None) -> dict:
-    """Imputer keyword arguments of the config: k, jitter and its mode's ``MODES`` fill.
+    """Imputer keyword arguments of the config: k and its mode's ``MODES`` fill.
 
     The ``"draws"`` fill makes ``n_samplings`` completions (the config's
     count unless given); the other fills make one. An override below 1 is
@@ -172,8 +169,7 @@ def _completion_options(cfg: TrainConfig, n_samplings: int | None = None) -> dic
     if count < 1:
         raise ValueError(f"n_samplings must be >= 1, got {count}")
     fill = MODES[cfg.mode][0]
-    return dict(k=cfg.k, n_samplings=count if fill == "draws" else 1, jitter=cfg.jitter,
-                fill=fill)
+    return dict(k=cfg.k, n_samplings=count if fill == "draws" else 1, fill=fill)
 
 
 def build_completions(data: MultiViewDataset, cfg: TrainConfig):

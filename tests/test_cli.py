@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -84,16 +86,16 @@ def test_eval_on_a_view_one_feature_short_exits_config(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_negative_jitter_exits_config(tmp_path, capsys):
+def test_jitter_in_config_exits_config(tmp_path, capsys):
     data_dir = write_dataset_dir(tmp_path / "data",
                                  make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({**TINY, "jitter": -1}))
+    config.write_text(json.dumps({**TINY, "jitter": 1e-3}))
     assert cli.main(["impute", "--data", str(data_dir), "--config", str(config),
                      "--out", str(tmp_path / "imputed")]) == cli.EXIT_CONFIG
     assert cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.ckpt"),
                      "--config", str(config)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.count("jitter must be") == 2
+    assert capsys.readouterr().err.count("unknown config keys: ['jitter']") == 2
     assert not (tmp_path / "imputed").exists() and not (tmp_path / "m.ckpt").exists()
 
 
@@ -230,7 +232,7 @@ def train_time_completions(data, cfg, monkeypatch):
 
 
 @pytest.mark.parametrize("seed_flag", [[], ["--seed", "4"]])
-@pytest.mark.parametrize("overrides", [{"k": 3, "n_samplings": 2, "jitter": 0.01, "seed": 2},
+@pytest.mark.parametrize("overrides", [{"k": 3, "n_samplings": 2, "seed": 2},
                                        {"mode": "mean_imputation", "n_samplings": 5},
                                        {"mode": "single_imputation", "k": 4, "seed": 3}])
 def test_impute_writes_the_train_time_completions_of_its_config(overrides, seed_flag,
@@ -378,6 +380,38 @@ def test_sweep_with_killed_worker_returns_and_rerun_completes(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cells_missing"] == [] and summary["cells_ok"] == 4
+
+
+STDIN_SWEEP = """
+import json, sys
+from pathlib import Path
+from conftest import make_blobs_dataset, write_dataset_dir
+from evifuse import cli, experiments
+from evifuse.trainer import TrainConfig
+
+data = make_blobs_dataset(n=40, seed=21)
+summary = experiments.sweep(data, [0.2], [0, 1], ["uimc"], TrainConfig.from_dict(TINY),
+                            "library", workers=2)
+print(json.dumps(summary))
+write_dataset_dir(Path("data"), data, include_mask=False)
+sys.exit(cli.main(["sweep", "--data", "data", "--etas", "0.2", "--seeds", "0,1",
+                   "--modes", "uimc", "--out", "cli", "--threads", "2"]))
+"""
+
+
+def test_sweep_whose_workers_cannot_start_says_why(tmp_path):
+    """A spawned worker re-imports ``__main__``, which a script on stdin has not."""
+    tests = Path(__file__).resolve().parent
+    script = f"TINY = {TINY!r}\n{STDIN_SWEEP}"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    run = subprocess.run([sys.executable, "-"], input=script, cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == cli.EXIT_MISSING, run.stderr
+    summary = json.loads(run.stdout.splitlines()[0])
+    assert summary["cells_missing"] == ["eta0.2_seed0_uimc", "eta0.2_seed1_uimc"]
+    assert summary["pool_error"]
+    assert f"2 missing, rerun to finish them (worker pool: {summary['pool_error']})" in run.stderr
 
 
 def test_parallel_sweep_of_missing_data_exits_config(tmp_path, capsys):

@@ -439,15 +439,14 @@ class TestSampleCompletions:
         mask[0, 1] = False
         data = MultiViewDataset([v0, v1], labels, mask, 2)
 
-        jitter = 1e-3
         draws = 10_000
-        cs = sample_completions(data, k=10, n_samplings=draws, seed=7, jitter=jitter)
+        cs = sample_completions(data, k=10, n_samplings=draws, seed=7)
         sample = cs.draws[1][0]  # (draws, d)
 
         idx = slot_union(data, 0, 1, 10, data.labels[0])
         neighbors = data.views[1][idx]
         mu = neighbors.mean(axis=0)
-        sigma = np.cov(neighbors, rowvar=False) + jitter * np.eye(d)
+        sigma = np.cov(neighbors, rowvar=False) + imputer._JITTER * np.eye(d)
         # mean within 3 standard errors per coordinate
         se_mean = np.sqrt(np.diag(sigma) / draws)
         assert np.all(np.abs(sample.mean(axis=0) - mu) < 3 * se_mean)
@@ -482,11 +481,6 @@ class TestSampleCompletions:
     def test_k_validation(self, blobs_incomplete):
         with pytest.raises(ValueError):
             sample_completions(blobs_incomplete, k=0, n_samplings=2)
-
-    @pytest.mark.parametrize("jitter", [-0.5, -1e-300, np.inf, np.nan])
-    def test_jitter_validation(self, blobs_incomplete, jitter):
-        with pytest.raises(ValueError, match="jitter"):
-            sample_completions(blobs_incomplete, k=3, n_samplings=2, jitter=jitter)
 
     def test_provenance_tracks_mask(self, blobs_incomplete, tmp_path):
         cs = sample_completions(blobs_incomplete, k=4, n_samplings=2, seed=5)
@@ -532,7 +526,7 @@ class TestSampleCompletions:
                                   reference=train).tobytes())
 
 
-def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labels=True,
+def reference_completions(data, k, n_samplings, seed, ref=None, use_labels=True,
                           fill="draws"):
     """Draws slot by slot: full-scan search, keyed RNG, the imputer docstring's low-rank draw."""
     ref = data if ref is None else ref
@@ -554,7 +548,7 @@ def reference_completions(data, k, n_samplings, jitter, seed, ref=None, use_labe
                 draws[m].append(np.broadcast_to(mu, (n_samplings, d)).copy())
                 continue
             z = slot_rng(seed, m, data, n).standard_normal((n_samplings, c + d))
-            draws[m].append(mu + z[:, :c] @ factor + np.sqrt(jitter) * z[:, c:])
+            draws[m].append(mu + z[:, :c] @ factor + np.sqrt(imputer._JITTER) * z[:, c:])
     return [np.stack(blocks) if blocks else np.empty((0, n_samplings, d))
             for blocks, d in zip(draws, data.view_dims)]
 
@@ -594,12 +588,12 @@ def fallback_dataset():
     return MultiViewDataset([v0, v1, v2], labels, mask, 5)
 
 
-def every_view_draws(data, k, n_samplings, jitter, seed, use_labels=True, fill="draws"):
+def every_view_draws(data, k, n_samplings, seed, use_labels=True, fill="draws"):
     """Each view's ``view_draws`` of ``data`` from its own rows: by label as
     ``sample_completions`` draws them, or label-free with ``data`` as the reference."""
     if use_labels:
-        return sample_completions(data, k, n_samplings, jitter, seed, fill=fill).draws
-    return [view_draws(data, m, k, n_samplings, jitter, seed, reference=data, fill=fill)
+        return sample_completions(data, k, n_samplings, seed, fill=fill).draws
+    return [view_draws(data, m, k, n_samplings, seed, reference=data, fill=fill)
             for m in range(data.n_views)]
 
 
@@ -630,9 +624,9 @@ class TestBatchedDraws:
         data = make_blobs_dataset(n=70, class_count=3, view_dims=(2, 3, 2), eta=0.35,
                                   seed=4, mask_seed=104)
         monkeypatch.setattr(imputer, "_SLOT_BLOCK", block)
-        got = every_view_draws(data, 3, 5, 1e-3, 8, **options)
+        got = every_view_draws(data, 3, 5, 8, **options)
         self.assert_same_draws(data, got,
-                               reference_completions(data, 3, 5, 1e-3, 8, **options))
+                               reference_completions(data, 3, 5, 8, **options))
 
     def test_reference_pool(self):
         train = make_blobs_dataset(n=60, class_count=3, view_dims=(2, 3, 2), eta=0.3,
@@ -642,21 +636,20 @@ class TestBatchedDraws:
         got = [view_draws(test, m, k=4, n_samplings=6, seed=2, reference=train)
                for m in range(test.n_views)]
         self.assert_same_draws(
-            test, got, reference_completions(test, 4, 6, 1e-3, 2, ref=train, use_labels=False))
+            test, got, reference_completions(test, 4, 6, 2, ref=train, use_labels=False))
 
     @pytest.mark.parametrize("use_labels", [True, False])
     def test_fallbacks_and_escalation(self, use_labels):
         data = fallback_dataset()
-        got = every_view_draws(data, 4, 5, 0.0, 3, use_labels=use_labels)
+        got = every_view_draws(data, 4, 5, 3, use_labels=use_labels)
         self.assert_same_draws(
-            data, got, reference_completions(data, 4, 5, 0.0, 3, use_labels=use_labels))
+            data, got, reference_completions(data, 4, 5, 3, use_labels=use_labels))
         sizes = [len(exhaustive_union(data, data, n, 1, 4, use_labels)) for n in (30, 39, 37)]
         assert sizes == ([0, 1, 4] if use_labels else [0, 4, 4])
-        row_37 = int(np.searchsorted(np.nonzero(~data.mask[:, 1])[0], 37))
-        # a zero covariance at jitter 0 draws the mean itself
-        np.testing.assert_array_equal(got[1][row_37], np.full((5, 3), 5.0))
         column_mean = data.views[2][30:32].mean(axis=0)  # the rows observing view 2
-        np.testing.assert_allclose(got[2][0], np.tile(column_mean, (5, 1)), atol=1e-2)
+        # an empty union draws around the column means, c = 0
+        noise = np.sqrt(imputer._JITTER) * slot_rng(3, 2, data, 0).standard_normal((5, 2))
+        np.testing.assert_allclose(got[2][0], column_mean + noise, rtol=1e-6)
 
     # ids: <dataset>-<use_labels>
     @pytest.mark.parametrize("use_labels", [True, False])
