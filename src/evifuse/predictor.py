@@ -38,6 +38,8 @@ _SEED_TEST_IMPUTE = 201
 # ~600 imputed rows per view, 2048 rows (3 samplings) a call kept
 # evaluate() output bit-equal to the per-sampling forward.
 _FORWARD_ROWS = 2048
+# equal-width confidence bins of the expected calibration error, as in Guo et al. (2017)
+_ECE_BINS = 15
 
 
 @dataclass(frozen=True)
@@ -162,15 +164,25 @@ def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> Predi
 
 def evaluate(model: TrainedModel, test: MultiViewDataset,
              n_samplings: int | None = None, seed: int = 0) -> dict:
-    """Accuracy and uncertainty metrics of voted predictions on a test set."""
+    """Accuracy and uncertainty metrics of voted predictions on a test set.
+
+    ``auroc`` and ``aurc`` rate three per-row scores, each higher when a row
+    looks less sure, as rankers of its errors: ``u``, the fused uncertainty;
+    ``projected``, 1 - the largest mean projected probability b + u / K; and
+    ``disagreement``, 1 - the top class's share of the valid votes. ``ece``
+    is the calibration error of that largest projected probability.
+    """
     if np.any(test.labels >= model.class_count):
         raise ValueError(f"test label {test.labels.max()} is outside the model's "
                          f"{model.class_count} classes")
     std = zscore_apply(test, model.stats)
     all_b, all_u, all_bad = _sampling_opinions(model, std,
                                                _test_draws(model, std, n_samplings, seed))
-    labels, counts, _, mean_u = _vote(all_b, all_u, all_bad)
+    labels, counts, mean_b, mean_u = _vote(all_b, all_u, all_bad)
     correct = labels == test.labels
+    confidence = (mean_b + mean_u[:, None] / model.class_count).max(axis=1)
+    scores = {"u": mean_u, "projected": 1.0 - confidence,
+              "disagreement": 1.0 - counts.max(axis=1) / np.maximum(counts.sum(axis=1), 1)}
 
     def _mean(values):
         """Mean of the values; None (JSON null) for an empty group."""
@@ -185,6 +197,9 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
         "mean_uncertainty": float(mean_u.mean()),
         "mean_uncertainty_correct": _mean(mean_u[correct]),
         "mean_uncertainty_incorrect": _mean(mean_u[~correct]),
+        "auroc": {name: _auroc(score, ~correct) for name, score in scores.items()},
+        "aurc": {name: _aurc(score, ~correct) for name, score in scores.items()},
+        "ece": _ece(confidence, correct),
         "excluded_samplings": int(all_bad.sum()),
         "predictions": labels.tolist(),
         "vote_counts": counts.tolist(),
@@ -192,6 +207,36 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
         "n_samplings": int(all_b.shape[0]),
         "seed": int(seed),
     }
+
+
+def _auroc(score: np.ndarray, wrong: np.ndarray):
+    """The probability that a wrong row scores above a right one, ties counting one
+    half (Hendrycks & Gimpel, 2017); None unless some rows are wrong and some right."""
+    n_wrong = int(wrong.sum())
+    n_right = wrong.size - n_wrong
+    if not (n_wrong and n_right):
+        return None
+    _, group, counts = np.unique(score, return_inverse=True, return_counts=True)
+    mid_rank = np.cumsum(counts) - (counts - 1) / 2.0  # a tie group's mean rank, from 1
+    return float((mid_rank[group][wrong].sum() - n_wrong * (n_wrong + 1) / 2.0)
+                 / (n_wrong * n_right))
+
+
+def _aurc(score: np.ndarray, wrong: np.ndarray) -> float:
+    """Area under the risk-coverage curve (Geifman & El-Yaniv, 2017): rows enter by
+    increasing score, rows of equal score together, and each row counts the error
+    rate among the rows admitted by the time it enters."""
+    _, group, counts = np.unique(score, return_inverse=True, return_counts=True)
+    errors = np.bincount(group, weights=wrong.astype(float), minlength=counts.size)
+    return float((counts * np.cumsum(errors) / np.cumsum(counts)).sum() / score.size)
+
+
+def _ece(confidence: np.ndarray, correct: np.ndarray) -> float:
+    """Expected calibration error over ``_ECE_BINS`` equal-width bins of confidence,
+    [i / B, (i + 1) / B) with 1.0 in the last (Guo et al., 2017)."""
+    bins = np.minimum((confidence * _ECE_BINS).astype(np.int64), _ECE_BINS - 1)
+    gaps = np.bincount(bins, weights=correct - confidence, minlength=_ECE_BINS)
+    return float(np.abs(gaps).sum() / confidence.size)
 
 
 def stability_experiment(model: TrainedModel, test: MultiViewDataset,

@@ -34,10 +34,12 @@ MODES = {"uimc": ("draws", True), "single_imputation": ("neighbor_mean", True),
          "naive_ce": ("draws", False), "mean_imputation": ("column_mean", False)}
 
 CHECKPOINT_VERSION = 2
-CONFIG_SCHEMA = 4
+CONFIG_SCHEMA = 5
 
 # fixed subkeys carving independent RNG streams out of the config seed
 _SEED_INIT, _SEED_IMPUTE, _SEED_SHUFFLE = 101, 102, 103
+# the train-loss early stop: the settings of a rule that validation stopping is to replace
+_PATIENCE, _PLATEAU_TOL = 20, 1e-3
 
 
 class NonFiniteLossError(RuntimeError):
@@ -60,8 +62,6 @@ class TrainConfig:
     mode: str = "uimc"
     hidden: tuple = (128,)
     early_stop: bool = True
-    patience: int = 20
-    plateau_tol: float = 1e-3
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -74,12 +74,8 @@ class TrainConfig:
             raise ValueError("anneal_epochs must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (np.isfinite(self.plateau_tol) and self.plateau_tol >= 0.0):
-            raise ValueError(f"plateau_tol must be finite and >= 0, got {self.plateau_tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
@@ -249,12 +245,12 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
              "views": view_totals.tolist(), "lambda": float(lam)}
         )
         if cfg.early_stop and epoch >= cfg.anneal_epochs:
-            if total < best * (1.0 - cfg.plateau_tol):
+            if total < best * (1.0 - _PLATEAU_TOL):
                 best = total
                 stale = 0
             else:
                 stale += 1
-                if stale >= cfg.patience:
+                if stale >= _PATIENCE:
                     break
 
     return TrainedModel(

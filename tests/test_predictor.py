@@ -15,6 +15,9 @@ from evifuse.fusion import _fuse_alphas
 from evifuse.imputer import CompletionSet, view_draws
 from evifuse.network import EvidenceNetwork
 from evifuse.predictor import (
+    _aurc,
+    _auroc,
+    _ece,
     _sampling_opinions,
     _test_draws,
     _vote,
@@ -355,6 +358,51 @@ class TestEvaluate:
         # counts sum to n_samplings minus exclusions (none here)
         np.testing.assert_array_equal(counts.sum(axis=1), expected)
         assert complete.shape == (test.n_samples,)
+
+
+class TestErrorRanking:
+    """AUROC, AURC and ECE on cases worked by hand."""
+
+    WRONG = np.array([False, False, True, True])
+
+    def test_auroc_ranks_wrong_rows_above_right_ones(self):
+        assert _auroc(np.array([0.1, 0.2, 0.3, 0.4]), self.WRONG) == 1.0
+        assert _auroc(np.array([0.4, 0.3, 0.2, 0.1]), self.WRONG) == 0.0
+        assert _auroc(np.zeros(4), self.WRONG) == 0.5
+        # one wrong-right pair of four ties: (3 + 0.5) / 4
+        assert _auroc(np.array([0.1, 0.3, 0.3, 0.4]), self.WRONG) == 0.875
+        assert _auroc(np.arange(4.0), np.zeros(4, dtype=bool)) is None
+        assert _auroc(np.arange(4.0), np.ones(4, dtype=bool)) is None
+
+    def test_aurc_admits_tied_rows_together(self):
+        score, wrong = np.array([0.1, 0.1, 0.2, 0.3]), np.array([False, True, False, True])
+        # risks 1/2 (two rows enter at once), 1/3 and 2/4, weighted by rows entering
+        assert _aurc(score, wrong) == pytest.approx((2 * 1 / 2 + 1 / 3 + 2 / 4) / 4, rel=1e-15)
+        assert _aurc(score[::-1], wrong[::-1]) == _aurc(score, wrong)
+        assert _aurc(np.zeros(4), wrong) == 0.5  # a constant score gives the error rate
+        assert _aurc(np.array([0.1, 0.2, 0.3, 0.4]), self.WRONG) == pytest.approx(
+            (0 + 0 + 1 / 3 + 2 / 4) / 4, rel=1e-15)
+
+    def test_ece_bins_confidence_in_fifteenths(self):
+        confidence = np.array([0.95, 0.95, 0.3, 1.0])
+        correct = np.array([True, False, False, True])
+        # bin 14 holds 0.95, 0.95 and 1.0: |2 - 2.9|; bin 4 holds 0.3: |0 - 0.3|
+        assert _ece(confidence, correct) == pytest.approx((0.9 + 0.3) / 4, rel=1e-12)
+        assert _ece(np.array([0.5, 0.5]), np.array([True, False])) == 0.0
+        assert _ece(np.ones(3), np.ones(3, dtype=bool)) == 0.0
+
+    def test_cross_entropy_uncertainty_ranks_nothing(self):
+        """A cross-entropy mode's u is 0 on every row: all ties."""
+        data = make_blobs_dataset(n=90, noise=2.5, eta=0.3, seed=61, mask_seed=62)
+        model = train(data, TrainConfig(seed=3, mode="naive_ce", **dict(FAST, epochs=2)))
+        test = make_blobs_dataset(n=60, noise=2.5, eta=0.3, seed=61, mask_seed=63)
+        metrics = evaluate(model, test, seed=0)
+        assert 0.0 < metrics["accuracy"] < 1.0
+        assert metrics["auroc"]["u"] == 0.5
+        assert metrics["aurc"]["u"] == pytest.approx(1.0 - metrics["accuracy"], rel=1e-12)
+        for table in ("auroc", "aurc"):
+            assert set(metrics[table]) == {"u", "projected", "disagreement"}
+        assert 0.0 <= metrics["ece"] <= 1.0
 
 
 class TestStability:

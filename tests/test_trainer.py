@@ -19,6 +19,7 @@ from evifuse.trainer import (
     CheckpointError,
     NonFiniteLossError,
     TrainConfig,
+    _PATIENCE,
     _flatten_pairs,
     _subseed,
     build_completions,
@@ -29,11 +30,12 @@ from evifuse.trainer import (
 from conftest import make_blobs_dataset, rewrite_checkpoint_meta, write_checkpoint_version
 
 # fields each older config schema held that the current one no longer has
-SCHEMA_3_FIELDS = {"jitter": 1e-3}
+SCHEMA_4_FIELDS = {"patience": 20, "plateau_tol": 1e-3}
+SCHEMA_3_FIELDS = {**SCHEMA_4_FIELDS, "jitter": 1e-3}
 SCHEMA_2_FIELDS = {**SCHEMA_3_FIELDS, "anneal_final": 1.0, "beta1": 0.9, "beta2": 0.999,
                    "eps": 1e-8, "weight_decay": 1e-5}
 OLD_SCHEMA_FIELDS = {1: {**SCHEMA_2_FIELDS, "detach_fusion": False, "diag_cov": False},
-                     2: SCHEMA_2_FIELDS, 3: SCHEMA_3_FIELDS}
+                     2: SCHEMA_2_FIELDS, 3: SCHEMA_3_FIELDS, 4: SCHEMA_4_FIELDS}
 
 FAST = dict(epochs=12, batch_size=32, n_samplings=4, hidden=(12,), anneal_epochs=5,
             early_stop=False)
@@ -353,16 +355,15 @@ class TestCheckpoint:
                 load_model(path)
 
     def test_config_accepts_int_for_float_fields(self):
-        cfg = TrainConfig.from_dict({"learning_rate": 1, "plateau_tol": 0})
-        assert (cfg.learning_rate, cfg.plateau_tol) == (1, 0)
+        assert TrainConfig.from_dict({"learning_rate": 1}).learning_rate == 1
 
 
 class TestEarlyStop:
     def test_plateau_stops_before_budget(self):
         data = make_blobs_dataset(n=60, eta=0.0, seed=51)
+        # a step of 1e-12 moves no epoch's loss by the 1e-3 the rule demands
         cfg = TrainConfig(epochs=300, batch_size=64, n_samplings=2, hidden=(8,),
-                          anneal_epochs=3, seed=1, early_stop=True, patience=5,
-                          plateau_tol=0.5)  # absurdly strict improvement demand
+                          anneal_epochs=3, learning_rate=1e-12, seed=1, early_stop=True)
         model = train(data, cfg)
-        assert model.epochs_run < 300
+        assert model.epochs_run == cfg.anneal_epochs + _PATIENCE + 1 == 24
         assert len(model.loss_history) == model.epochs_run
