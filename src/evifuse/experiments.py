@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -125,9 +124,8 @@ def sweep(data: MultiViewDataset, etas, seeds, modes, cfg: TrainConfig, out_dir,
     the summary, whose ``cells_missing`` lists the keys of cells with no
     result yet, such as a killed worker's; a rerun runs them; its
     ``pool_error`` says why the worker pool broke, or is None.
-    ``out_dir`` must support hard links. With ``workers`` > 1 the cells go, in
-    one chunk per worker, to spawned worker processes, each with a pickled
-    copy of ``data``. A worker starts by re-importing the caller's
+    ``out_dir`` must support hard links. With ``workers`` > 1 each cell goes
+    to a spawned worker process with a pickled copy of ``data``. A worker starts by re-importing the caller's
     ``__main__`` module, so the caller must be importable: from a script on
     stdin no worker starts, every cell is reported missing, and
     ``pool_error`` names ``__main__``'s path.
@@ -206,28 +204,25 @@ def _run_cell_once(data, eta, seed, mode, cfg, cells_dir: Path,
 
 
 def _run_cells_parallel(run, cells, workers):
-    """``run(eta, seed, mode)`` for each cell in spawned worker processes. The cells
-    go in one chunk per worker, so ``run``, and the dataset bound in it, is pickled
-    once per worker, not once per cell. Returns why the pool broke, or could not
-    start, or None."""
+    """``run(eta, seed, mode)`` for each cell in spawned worker processes; each
+    task pickles ``run`` and so the dataset bound in it. Returns why the pool broke, or None."""
     import multiprocessing as mp
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    # a spawned worker re-imports __main__ by module name or else from its file,
-    # as multiprocessing.spawn does, before it runs any cell
-    main = sys.modules["__main__"]
-    path = getattr(main, "__file__", None)
-    if getattr(main.__spec__, "name", None) is None and path is not None:
-        path = os.path.join(mp.process.ORIGINAL_DIR or "", path)
-        if not os.path.isfile(path):
-            return (f"no worker can start: each re-imports __main__ from {path}, "
-                    "which is not a file")
-    chunk = max(1, math.ceil(len(cells) / workers))
     try:
         with ProcessPoolExecutor(workers, mp_context=mp.get_context("spawn")) as pool:
-            list(pool.map(run, *zip(*cells), chunksize=chunk))
-    except BrokenProcessPool as exc:
-        return str(exc)  # a worker died (say OOM-killed) or none started; cells stay missing
+            list(pool.map(run, *zip(*cells)))
+    except BrokenProcessPool as exc:  # a worker died (say OOM-killed) or none started
+        # a spawned worker re-imports __main__ by module name or else from its file,
+        # as multiprocessing.spawn does; name that file if it is not there
+        main = sys.modules["__main__"]
+        path = getattr(main, "__file__", None)
+        if getattr(main.__spec__, "name", None) is None and path is not None:
+            path = os.path.join(mp.process.ORIGINAL_DIR or "", path)
+            if not os.path.isfile(path):
+                return (f"{exc} No worker can start: each re-imports __main__ "
+                        f"from {path}, which is not a file")
+        return str(exc)  # cells stay missing
     return None
 
 
