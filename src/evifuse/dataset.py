@@ -125,8 +125,10 @@ def load_dataset(root_path) -> MultiViewDataset:
     class_count = int(labels.max()) + 1
     present = np.unique(labels)
     if present.size != class_count:
-        missing = sorted(set(range(class_count)) - set(present.tolist()))
-        raise ValueError(f"labels must cover a contiguous range; classes {missing} absent")
+        # the smallest absent class is the first place where the sorted labels skip one
+        first = int(np.flatnonzero(present != np.arange(present.size))[0])
+        raise ValueError(f"labels must cover a contiguous range; {class_count - present.size} "
+                         f"of classes 0..{class_count - 1} absent, the smallest {first}")
 
     mask_path = root / "mask.csv"
     if mask_path.exists():

@@ -48,7 +48,10 @@ RESULT_COLUMNS = {"eta": float, "seed": int, "mode": str, "accuracy": float,
                   "mean_uncertainty": float, "auroc_u": float, "aurc_u": float, "ece": float,
                   "wall_time": float}
 _TIDY_COLUMNS = {"mode": str, "eta": float, "n_cells": int, "mean_accuracy": float,
-                 "std_accuracy": float}
+                 "std_accuracy": float, "mean_auroc_u": float, "mean_aurc_u": float,
+                 "mean_ece": float}
+# error-ranking metrics of a cell that ``summarize`` averages over the cells holding one
+_CARRIED = ("auroc_u", "aurc_u", "ece")
 
 _TAG_SPLIT, _TAG_TRAIN_MASK, _TAG_TEST_MASK, _TAG_FIT, _TAG_EVAL = 11, 12, 13, 14, 15
 
@@ -110,8 +113,9 @@ def sweep(data: MultiViewDataset, etas, seeds, modes, cfg: TrainConfig, out_dir,
     """Run every distinct cell of (eta, seed, mode) on ``data``, skipping ones already on disk.
 
     Each cell sets ``cfg``'s ``mode``, and its ``seed`` from the cell's seed and eta.
-    ``data`` must be fully observed, as each cell makes its own masks. Missing
-    slots, an eta outside [0, 1), a ``train_fraction`` outside (0, 1) or
+    ``data`` must be fully observed, as each cell makes its own masks. An
+    empty grid, an eta outside [0, 1), a seed or mode that ``TrainConfig``
+    rejects, missing slots, a ``train_fraction`` outside (0, 1) or
     ``workers`` below 1 raise ``ValueError`` before ``out_dir`` is made.
     ``out_dir`` holds one sweep: its first run publishes ``sweep.json``, the
     config without seed and mode, ``train_fraction`` and a sha256 of
@@ -130,9 +134,16 @@ def sweep(data: MultiViewDataset, etas, seeds, modes, cfg: TrainConfig, out_dir,
     stdin no worker starts, every cell is reported missing, and
     ``pool_error`` names ``__main__``'s path.
     """
-    etas = [float(eta) for eta in etas]
+    etas, seeds, modes = [float(e) for e in etas], [int(s) for s in seeds], [str(m) for m in modes]
+    if not (etas and seeds and modes):
+        raise ValueError("the sweep grid is empty: give at least one eta, seed and mode")
     if not all(0.0 <= eta < 1.0 for eta in etas):
         raise ValueError("eta must lie in [0, 1)")
+    # TrainConfig's own checks of each cell's seed and mode
+    for seed in seeds:
+        replace(cfg, seed=seed)
+    for mode in modes:
+        replace(cfg, mode=mode)
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
     if workers < 1:
@@ -152,7 +163,7 @@ def sweep(data: MultiViewDataset, etas, seeds, modes, cfg: TrainConfig, out_dir,
             raise ValueError(f"{out} holds a sweep of another config, train fraction or "
                              "data (its sweep.json); give another out directory") from None
     todo = {}
-    for cell in itertools.product(etas, map(int, seeds), map(str, modes)):
+    for cell in itertools.product(etas, seeds, modes):
         todo.setdefault(_cell_key(*cell), cell)
     run = partial(_run_cell_once, data, cfg=cfg, cells_dir=cells_dir,
                   train_fraction=train_fraction)
@@ -249,17 +260,17 @@ def summarize(rows: list[dict]) -> dict:
     failed = [r for r in rows if r.get("status") != "ok"]
     groups: dict = {}
     for r in ok:
-        groups.setdefault((r["mode"], r["eta"]), []).append(r["accuracy"])
+        groups.setdefault((r["mode"], r["eta"]), []).append(r)
     summary = []
-    for (mode, eta), accs in sorted(groups.items()):
-        arr = np.asarray(accs)
+    for (mode, eta), cells in sorted(groups.items()):
+        accs = np.asarray([r["accuracy"] for r in cells])
         summary.append({
             "mode": mode,
             "eta": eta,
-            "n_cells": len(accs),
-            "mean_accuracy": float(arr.mean()),
-            "std_accuracy": float(arr.std()),
-        })
+            "n_cells": len(cells),
+            "mean_accuracy": float(accs.mean()),
+            "std_accuracy": float(accs.std()),
+        } | {f"mean_{name}": _mean_held([r.get(name) for r in cells]) for name in _CARRIED})
     return {
         "cells_ok": len(ok),
         "cells_failed": len(failed),
@@ -270,6 +281,12 @@ def summarize(rows: list[dict]) -> dict:
         ],
         "summary": summary,
     }
+
+
+def _mean_held(values) -> float | None:
+    """The mean of the values that are neither None nor nan, or None if none is."""
+    held = [v for v in values if v is not None and not np.isnan(v)]
+    return float(np.mean(held)) if held else None
 
 
 def read_results_csv(path) -> list[dict]:
@@ -300,12 +317,14 @@ def report(rows: list[dict]) -> tuple[str, list[dict]]:
     if not summary:
         raise ValueError("no successful cells to report")
     width = max(len(s["mode"]) for s in summary)
-    lines = [f'{"mode":<{width}}  {"eta":>5}  {"cells":>5}  accuracy (mean+/-std)']
+    lines = [f'{"mode":<{width}}  {"eta":>5}  {"cells":>5}  accuracy (mean+/-std)  '
+             + "  ".join(f"{name:>7}" for name in _CARRIED)]
     for s in summary:
-        lines.append(
-            f'{s["mode"]:<{width}}  {s["eta"]:>5g}  {s["n_cells"]:>5d}  '
-            f'{s["mean_accuracy"]:.4f}+/-{s["std_accuracy"]:.4f}'
-        )
+        accuracy = f'{s["mean_accuracy"]:.4f}+/-{s["std_accuracy"]:.4f}'
+        carried = (np.nan if s[f"mean_{name}"] is None else s[f"mean_{name}"]
+                   for name in _CARRIED)
+        lines.append(f'{s["mode"]:<{width}}  {s["eta"]:>5g}  {s["n_cells"]:>5d}  '
+                     f'{accuracy:<21}  ' + "  ".join(f"{value:>7.4f}" for value in carried))
     return "\n".join(lines), summary
 
 
@@ -315,8 +334,11 @@ def write_tidy_csv(summary: list[dict], path) -> None:
 
 def write_completion_directory(completions: CompletionSet, out_dir) -> None:
     """Dataset-layout export, one subdirectory per sampling plus provenance JSON: how
-    ``evifuse impute`` writes the completions ``train`` fits on, in the data's units."""
+    ``evifuse impute`` writes the completions ``train`` fits on, in the data's units.
+    An ``out_dir`` that already holds files raises ``ValueError`` before any write."""
     out = Path(out_dir)
+    if out.exists() and any(out.iterdir()):
+        raise ValueError(f"{out} already holds files; give an empty or new out directory")
     out.mkdir(parents=True, exist_ok=True)
     data = completions.data
     rows = np.arange(data.n_samples)

@@ -48,19 +48,19 @@ def _fused_alpha(product: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return fused
 
 
-def _fuse_alphas(alphas: list[np.ndarray]):
-    """Per-view concentrations -> fused concentrations, with backward cache."""
-    ratios = [_ratio(alpha) for alpha in alphas]
-    product = ratios[0]
-    for ratio in ratios[1:]:
-        product = product * ratio
+def _fuse_alphas(alphas):
+    """(views, ..., K) concentrations -> fused (..., K) concentrations, with backward cache.
+
+    The product multiplies the views' ratios in view order."""
+    ratios = _ratio(np.asarray(alphas))
+    product = np.multiply.reduce(ratios)
     return _fused_alpha(product), (ratios, product)
 
 
-def _fuse_alphas_vjp(cache, grad_fused: np.ndarray) -> list[np.ndarray]:
+def _fuse_alphas_vjp(cache, grad_fused: np.ndarray) -> np.ndarray:
+    """The (views, ..., K) gradient of every view's concentrations."""
     ratios, product = cache
-    scaled = grad_fused * product
-    return [scaled / ratio for ratio in ratios]
+    return grad_fused * product / ratios
 
 
 def _fold_with_exclusions(product: np.ndarray):
@@ -79,17 +79,15 @@ def _fold_with_exclusions(product: np.ndarray):
     return b, u, invalid
 
 
-def total_loss_alpha_grads(view_alphas: list[np.ndarray], label, lam: float):
-    """Losses and d(total)/d(alpha^v) for every view, fusing internally.
+def total_loss_alpha_grads(view_alphas, label, lam: float):
+    """Losses and d(total)/d(alpha^v) for a (views, ..., K) stack, fusing internally.
 
     Returns (fused_term, view_terms, grads) where fused_term is the fused
-    head's loss, view_terms is a list of per-view losses, and grads[v] is
+    head's loss, view_terms stacks the per-view losses, and grads[v] is
     the gradient of the summed objective with respect to view v's
     concentrations.
     """
     fused, cache = _fuse_alphas(view_alphas)
-    losses, grads = loss_and_grad(np.stack([fused, *view_alphas]), label, lam)
-    view_grads = list(grads[1:])
-    for g, extra in zip(view_grads, _fuse_alphas_vjp(cache, grads[0])):
-        g += extra
-    return losses[0], list(losses[1:]), view_grads
+    losses, grads = loss_and_grad(np.concatenate([fused[None], view_alphas]), label, lam)
+    grads[1:] += _fuse_alphas_vjp(cache, grads[0])
+    return losses[0], losses[1:], grads[1:]

@@ -264,35 +264,34 @@ def train(data: MultiViewDataset, cfg: TrainConfig) -> TrainedModel:
 
 def _evidential_step(networks, optimizer, xs, y, lam):
     batch_size = y.shape[0]
-    alphas, caches = [], []
-    for net, x in zip(networks, xs):
+    alphas = np.empty((len(networks), *y.shape))
+    caches = []
+    for net, x, alpha in zip(networks, xs, alphas):
         evidence, cache = net.forward(x, return_cache=True)
-        alphas.append(evidence + 1.0)
+        np.add(evidence, 1.0, out=alpha)
         caches.append(cache)
     fused_term, view_terms, grads = total_loss_alpha_grads(alphas, y, lam)
     optimizer.step([g for net, cache, grad in zip(networks, caches, grads)
                     for g in net.backward(cache, grad / batch_size)])
-    sums = np.sum([fused_term, *view_terms], axis=-1)
-    return float(sums[0]), sums[1:]
+    return float(fused_term.sum()), view_terms.sum(axis=-1)
 
 
 def _cross_entropy_step(networks, optimizer, xs, y):
     batch_size, v_count = y.shape[0], len(networks)
-    probs, caches = [], []
-    for net, x in zip(networks, xs):
+    probs = np.empty((v_count, *y.shape))
+    caches = []
+    for net, x, p in zip(networks, xs, probs):
         logits, cache = net.forward_logits(x, return_cache=True)
-        probs.append(_softmax(logits))
+        p[...] = _softmax(logits)
         caches.append(cache)
-    avg = np.mean(probs, axis=0)
+    avg = probs.mean(axis=0)
     fused_sum = float(-(y * np.log(np.maximum(avg, 1e-12))).sum())
     grad_avg = -(y / np.maximum(avg, 1e-12)) / (v_count * batch_size)
-    view_sums = np.zeros(v_count)
-    grads = []
-    for i, (net, p, cache) in enumerate(zip(networks, probs, caches)):
-        view_sums[i] = float(-(y * np.log(np.maximum(p, 1e-12))).sum())
-        fused_part = p * (grad_avg - (grad_avg * p).sum(axis=-1, keepdims=True))
-        grads.extend(net.backward_logits(cache, (p - y) / batch_size + fused_part))
-    optimizer.step(grads)
+    view_sums = -(y * np.log(np.maximum(probs, 1e-12))).sum(axis=(1, 2))
+    fused_part = probs * (grad_avg - (grad_avg * probs).sum(axis=-1, keepdims=True))
+    grads = (probs - y) / batch_size + fused_part
+    optimizer.step([g for net, cache, grad in zip(networks, caches, grads)
+                    for g in net.backward_logits(cache, grad)])
     return fused_sum, view_sums
 
 

@@ -211,6 +211,29 @@ def test_impute_output_loads_as_dataset(tmp_path):
                                       source.views[v][observed])
 
 
+def test_impute_into_a_directory_that_holds_files_exits_config(tmp_path, capsys):
+    """A second export would leave the first one's extra samplings beside its provenance."""
+    data_dir = write_dataset_dir(tmp_path / "data",
+                                 make_blobs_dataset(n=40, eta=0.3, seed=21, mask_seed=22))
+    out = tmp_path / "imputed"
+
+    def impute(n_samplings):
+        config = tmp_path / f"config{n_samplings}.json"
+        config.write_text(json.dumps({"k": 3, "n_samplings": n_samplings}))
+        return cli.main(["impute", "--data", str(data_dir), "--config", str(config),
+                         "--out", str(out)])
+
+    def files():
+        return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    assert impute(4) == cli.EXIT_OK
+    first = files()
+    assert len(first) == 4 * 3 + 1  # two views and labels per sampling, and provenance
+    assert impute(2) == cli.EXIT_CONFIG
+    assert f"error: {out} already holds files" in capsys.readouterr().err
+    assert files() == first
+
+
 class _Drawn(Exception):
     """Stops ``train`` once it has drawn its completions."""
 
@@ -468,6 +491,9 @@ def test_mask_flag_that_hides_more_slots_is_read(tmp_path):
     pytest.param(["--train-fraction", "0"], "train_fraction must lie in (0, 1)",
                  id="train-fraction-0"),
     pytest.param(["--threads", "-3"], "workers must be >= 1, got -3", id="threads-minus-3"),
+    pytest.param(["--modes", "uimcc"], "mode must be one of", id="mode-uimcc"),
+    pytest.param(["--seeds", "-1"], "seed must be >= 0, got -1", id="seed-minus-1"),
+    pytest.param(["--modes", ","], "the sweep grid is empty", id="no-modes"),
 ])
 def test_sweep_of_a_bad_grid_exits_config_before_writing(grid, message, tmp_path, capsys):
     data_dir = write_dataset_dir(tmp_path / "data", make_blobs_dataset(n=40, seed=21),
@@ -507,10 +533,15 @@ def test_report_writes_tidy_csv(finished_sweep, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", "--results", str(out / "results.csv"),
                      "--out", str(tidy)]) == cli.EXIT_OK
-    assert "uimc" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "uimc" in text and "auroc_u" in text and "ece" in text
+    # a cell that gets every test row right or every one wrong ranks none: auroc_u None
+    means = [np.mean([v for cell in cells if (v := cell[name]) is not None])
+             for name in ("auroc_u", "aurc_u", "ece")]
     assert tidy.read_text() == (
-        "mode,eta,n_cells,mean_accuracy,std_accuracy\n"
-        f"uimc,0.20000000000000001,2,{np.mean(accs):.17g},{np.std(accs):.17g}\n")
+        "mode,eta,n_cells,mean_accuracy,std_accuracy,mean_auroc_u,mean_aurc_u,mean_ece\n"
+        f"uimc,0.20000000000000001,2,{np.mean(accs):.17g},{np.std(accs):.17g},"
+        + ",".join(f"{m:.17g}" for m in means) + "\n")
 
 
 def test_cell_without_mean_uncertainty_is_written_as_nan_and_reported(tmp_path, capsys):
@@ -526,7 +557,11 @@ def test_cell_without_mean_uncertainty_is_written_as_nan_and_reported(tmp_path, 
     assert np.isnan(back["mean_uncertainty"]) and back["accuracy"] == 0.5
     assert np.isnan(back["auroc_u"])
     assert cli.main(["report", "--results", str(results)]) == cli.EXIT_OK
-    assert "uimc" in capsys.readouterr().out
+    # a mean over no cell that holds a value is None, and the table prints it as nan
+    text = capsys.readouterr().out
+    assert "uimc" in text and "    nan" in text
+    [group] = experiments.summarize([back])["summary"]
+    assert (group["mean_auroc_u"], group["mean_aurc_u"], group["mean_ece"]) == (None, 0.5, 0.25)
 
 
 def test_every_result_column_round_trips_exactly(tmp_path):

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -56,6 +57,23 @@ class TestLoadDataset:
         np.savetxt(tmp_path / "labels.csv", np.array([[0], [2], [0]]), fmt="%d")
         with pytest.raises(ValueError, match="contiguous"):
             load_dataset(tmp_path)
+
+    def test_label_gap_costs_what_the_rows_cost(self, tmp_path):
+        """A far label does not cost memory or message length in proportion to itself."""
+        np.savetxt(tmp_path / "view_0.csv", np.ones((3, 2)), delimiter=",")
+        np.savetxt(tmp_path / "labels.csv", np.array([[0], [100_000], [0]]), fmt="%d")
+        with pytest.raises(ValueError):
+            load_dataset(tmp_path)  # warm up: a first read allocates for its own set-up
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="contiguous") as raised:
+                load_dataset(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(str(raised.value)) < 200
+        assert "99999 of classes 0..100000 absent, the smallest 1" in str(raised.value)
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("empty", ["labels.csv", "view_0.csv"])
     def test_file_without_rows_named(self, empty, tmp_path):
