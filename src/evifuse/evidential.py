@@ -139,14 +139,3 @@ def loss_and_grad(alpha, label, lam: float):
         return ace, ace_grad
     return ace + lam * kl, ace_grad + lam * kl_grad
 
-
-# The program calls loss_and_grad; these two remain as the benchmark's loss
-# span names (hooked through fusion) until it is re-hooked on the kernels.
-def view_loss(alpha, label, lam: float) -> np.ndarray | float:
-    """Per-head objective: expected cross-entropy plus lam times the KL pull."""
-    return loss_and_grad(alpha, label, lam)[0]
-
-
-def view_loss_grad(alpha: np.ndarray, label: np.ndarray, lam: float) -> np.ndarray:
-    """d view_loss / d alpha."""
-    return loss_and_grad(alpha, label, lam)[1]

@@ -31,10 +31,6 @@ import numpy as np
 
 from evifuse.evidential import _opinion_arrays, loss_and_grad
 
-# Imported only so that the benchmark's span hooks on fusion.view_loss and
-# fusion.view_loss_grad resolve, until the bench is re-hooked on the kernels.
-from evifuse.evidential import view_loss, view_loss_grad  # noqa: F401
-
 
 def _ratio(alpha: np.ndarray) -> np.ndarray:
     """r = (alpha + K - 1) / K, a view's factor in the pair-rule product."""
@@ -91,3 +87,8 @@ def total_loss_alpha_grads(view_alphas, label, lam: float):
     losses, grads = loss_and_grad(np.concatenate([fused[None], view_alphas]), label, lam)
     grads[1:] += _fuse_alphas_vjp(cache, grads[0])
     return losses[0], losses[1:], grads[1:]
+
+
+# No code calls these two names: the benchmark's loss spans hook them, and
+# ROADMAP item 11's bench re-hook on the kernels deletes them.
+view_loss = view_loss_grad = loss_and_grad

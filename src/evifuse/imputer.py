@@ -67,20 +67,6 @@ _SLOT_BLOCK = 128
 _JITTER = 1e-3
 
 
-@dataclass(frozen=True)
-class NeighborQuery:
-    """One lookup: which sample, which missing view, how many neighbors per view."""
-
-    sample_index: int
-    missing_view: int
-    k: int = 10
-    use_labels: bool = True
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
 def _nearest(queries: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
     """Positions of each query row's k nearest candidate rows, ties to the lowest.
 
@@ -141,24 +127,6 @@ def _neighbor_unions(data, ref, rows, m, k, keys):
     return index, np.bincount(slot, minlength=rows.size)
 
 
-def neighbor_union(
-    query: NeighborQuery,
-    data: MultiViewDataset,
-    reference: MultiViewDataset | None = None,
-) -> np.ndarray:
-    """Union of one slot (query.sample_index, query.missing_view): ``_neighbor_unions``' index.
-
-    No code path calls it; the benchmark's search span hooks this name
-    until it is re-hooked on ``_neighbor_unions``.
-    """
-    ref = reference if reference is not None else data
-    n, m = query.sample_index, query.missing_view
-    if data.mask[n, m]:
-        raise ValueError(f"view {m} of sample {n} is observed, nothing to impute")
-    key = data.labels[n] if query.use_labels else -1
-    return _neighbor_unions(data, ref, np.array([n]), m, query.k, np.array([key]))[0]
-
-
 def _moments(neighbors: np.ndarray):
     """Means (B, d) and covariance factors (B, c, d) of B row sets of c rows each.
 
@@ -171,15 +139,6 @@ def _moments(neighbors: np.ndarray):
     if count > 1:
         factor /= np.sqrt(count - 1)
     return mu, factor
-
-
-def _stable_cholesky(cov: np.ndarray, jitter: float):
-    """Cholesky factor of cov + jitter * I, and the jitter used.
-
-    No code path calls it; the benchmark's Cholesky span hooks this name
-    until it is re-hooked on the low-rank draw.
-    """
-    return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0])), jitter
 
 
 class _SeedState(np.random.bit_generator.ISeedSequence):
@@ -369,3 +328,9 @@ def _slot_distribution(data, ref, rows, m, k, use_labels):
         covered = np.eye(ref.class_count, dtype=bool)[ref.labels[on_m]].T @ ref.mask[on_m]
         keys = np.where((covered[labels] & data.mask[rows]).any(axis=1), labels, -1)
     return _neighbor_unions(data, ref, rows, m, k, keys)
+
+
+# No code calls these two names: the benchmark's search and Cholesky spans hook
+# them, and ROADMAP item 11's bench re-hook on the kernels deletes them.
+neighbor_union = _neighbor_unions
+_stable_cholesky = view_draws

@@ -146,7 +146,11 @@ def _vote(all_b: np.ndarray, all_u: np.ndarray, all_bad: np.ndarray):
 
 
 def predict_sample(model: TrainedModel, views, mask_row, seed: int = 0) -> PredictionResult:
-    """Classify one (possibly incomplete) raw sample as ``evaluate`` classifies a row."""
+    """Classify one (possibly incomplete) raw sample as ``evaluate`` classifies a row.
+
+    The two agree on labels, not on every bit: a head's forward of a row can
+    change in its last bits with the number of rows in the call (2.1e-14
+    relative on the bench fixture)."""
     mask = np.asarray(mask_row, dtype=bool).reshape(1, -1)
     raw = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in views]
     # standardized before the one dataset is built, which then checks the row

@@ -181,12 +181,10 @@ def _flatten_pairs(completions: CompletionSet):
     incomplete = ~completions.data.mask.all(axis=1)
     complete_rows = np.nonzero(~incomplete)[0]
     inc_rows = np.nonzero(incomplete)[0]
-    rows = [complete_rows]
-    slots = [np.zeros(complete_rows.size, dtype=np.int64)]
-    for s in range(completions.n_samplings):
-        rows.append(inc_rows)
-        slots.append(np.full(inc_rows.size, s, dtype=np.int64))
-    return np.concatenate(rows), np.concatenate(slots)
+    s_count = completions.n_samplings
+    return (np.concatenate([complete_rows, np.tile(inc_rows, s_count)]),
+            np.concatenate([np.zeros(complete_rows.size, np.int64),
+                            np.repeat(np.arange(s_count), inc_rows.size)]))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -324,6 +322,22 @@ def save_model(model: TrainedModel, path) -> None:
     write_file(path, archive.getvalue())
 
 
+def _check_shapes(arrays: dict, v: int, sizes: list, class_count: int) -> None:
+    """Raise ValueError, naming the array, where head v's arrays or ``class_count``
+    disagree with the head's layer sizes."""
+    if sizes[-1] != class_count:
+        raise ValueError(f"class_count {class_count} is not head {v}'s {sizes[-1]} outputs")
+    rows = arrays[f"pool_view{v}"].shape[:1]  # MultiViewDataset checks the row counts
+    shapes = {f"pool_view{v}": (*rows, sizes[0]),
+              f"norm_mean{v}": (sizes[0],), f"norm_std{v}": (sizes[0],)}
+    for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        shapes[f"net{v}_w{layer}"] = (fan_in, fan_out)
+        shapes[f"net{v}_b{layer}"] = (fan_out,)
+    for key, shape in shapes.items():
+        if arrays[key].shape != shape:
+            raise ValueError(f"{key} has shape {arrays[key].shape}, layer_sizes give {shape}")
+
+
 def load_model(path) -> TrainedModel:
     """Read a checkpoint written by save_model; raises CheckpointError on damage."""
     try:
@@ -347,9 +361,11 @@ def load_model(path) -> TrainedModel:
             cfg = TrainConfig.from_dict(meta["config"])
         except ValueError as exc:
             raise CheckpointError(f"checkpoint {path} holds an unusable config: {exc}") from exc
+        class_count = int(meta["class_count"])
         networks = []
         for v, sizes in enumerate(meta["layer_sizes"]):
             net = EvidenceNetwork(sizes, seed=0)
+            _check_shapes(arrays, v, net.layer_sizes, class_count)
             net.set_params(
                 [arrays[f"net{v}_{kind}{layer}"]
                  for layer in range(len(sizes) - 1) for kind in ("w", "b")]
@@ -360,7 +376,7 @@ def load_model(path) -> TrainedModel:
             [arrays[f"pool_view{v}"] for v in range(view_count)],
             arrays["pool_labels"],
             arrays["pool_mask"],
-            int(meta["class_count"]),
+            class_count,
         )
         stats = ZScoreStats(
             [arrays[f"norm_mean{v}"] for v in range(view_count)],

@@ -42,13 +42,35 @@ def write_checkpoint_version(path, version):
 
 def rewrite_checkpoint_meta(path, edit):
     """Rewrite a checkpoint after ``edit`` has changed its meta dict in place."""
+    def edit_meta(arrays):
+        meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+        edit(meta)
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+    rewrite_checkpoint_arrays(path, edit_meta)
+
+
+def rewrite_checkpoint_arrays(path, edit):
+    """Rewrite a checkpoint after ``edit`` has changed its dict of arrays in place."""
     with np.load(path) as payload:
         arrays = {key: payload[key] for key in payload.files}
-    meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-    edit(meta)
-    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    edit(arrays)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+# Checkpoint arrays reshaped to disagree with the checkpoint's own layer_sizes
+SHAPE_FORGERIES = {
+    "net0_w0": lambda w: np.vstack([w, w[:1]]),  # one input row too many
+    "pool_view1": lambda x: np.hstack([x, x[:, :1]]),  # one feature too many
+    "norm_std0": lambda s: s[:-1],  # one feature too few
+}
+
+
+def forge_shape(path, key):
+    """Rewrite the checkpoint at ``path`` with array ``key`` reshaped by ``SHAPE_FORGERIES``."""
+    rewrite_checkpoint_arrays(path, lambda arrays: arrays.update(
+        {key: SHAPE_FORGERIES[key](arrays[key])}))
 
 
 @pytest.fixture

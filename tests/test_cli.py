@@ -20,8 +20,8 @@ from evifuse import cli, experiments, trainer
 from evifuse.dataset import load_dataset, zscore_fit_transform
 from evifuse.imputer import sample_completions
 from evifuse.trainer import TrainConfig
-from conftest import (make_blobs_dataset, rewrite_checkpoint_meta, write_checkpoint_version,
-                      write_dataset_dir)
+from conftest import (SHAPE_FORGERIES, forge_shape, make_blobs_dataset, rewrite_checkpoint_meta,
+                      write_checkpoint_version, write_dataset_dir)
 
 TINY = {"epochs": 1, "batch_size": 32, "n_samplings": 2, "hidden": [8], "anneal_epochs": 1}
 
@@ -38,13 +38,15 @@ def train_tiny(tmp_path, **config_overrides):
     return data_dir, ckpt
 
 
-def assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys):
+def assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys, *expected):
+    """``evifuse eval`` exits 2, writes nothing, and its error holds each of ``expected``."""
     capsys.readouterr()
     out = tmp_path / "eval.json"
     code = cli.main(["eval", "--model", str(ckpt), "--data", str(data_dir),
                      "--out", str(out)])
     assert code == cli.EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and all(part in err for part in expected)
     assert not out.exists()
 
 
@@ -66,6 +68,13 @@ def test_eval_schema_2_checkpoint_exits_config(tmp_path, capsys):
     rewrite_checkpoint_meta(ckpt, lambda meta: meta["config"].update(
         schema=2, anneal_final=1.0, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-5))
     assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("key", SHAPE_FORGERIES)
+def test_eval_checkpoint_array_unlike_its_layer_sizes_exits_config(tmp_path, capsys, key):
+    data_dir, ckpt = train_tiny(tmp_path)
+    forge_shape(ckpt, key)
+    assert_eval_exits_config(data_dir, ckpt, tmp_path, capsys, "corrupt checkpoint", key)
 
 
 def test_eval_on_fewer_views_than_the_model_exits_config(tmp_path, capsys):

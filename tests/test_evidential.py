@@ -16,8 +16,6 @@ from evifuse.evidential import (
     anneal_lambda,
     loss_and_grad,
     one_hot,
-    view_loss,
-    view_loss_grad,
 )
 from evifuse.special import digamma, gammaln, trigamma
 from evifuse.trainer import TrainConfig
@@ -89,7 +87,7 @@ class TestConversions:
 
 
 class TestLosses:
-    """ACE and KL values of _loss_parts; view_loss combines them."""
+    """ACE and KL values of _loss_parts; loss_and_grad combines them."""
 
     def test_ace_uniform_binary(self):
         # psi(2) - psi(1) = 1
@@ -134,17 +132,16 @@ class TestLosses:
 
     def test_view_loss_zero_lambda_equals_ace(self):
         alpha, y = np.array([3.0, 2.0]), [0.0, 1.0]
-        assert view_loss(alpha, y, 0.0) == pytest.approx(ace(alpha, y))
+        assert loss_and_grad(alpha, y, 0.0)[0] == pytest.approx(ace(alpha, y))
 
     def test_view_loss_uniform_lambda_one(self):
-        assert view_loss(np.array([1.0, 1.0]), [1.0, 0.0], 1.0) == pytest.approx(1.0)
+        assert loss_and_grad(np.array([1.0, 1.0]), [1.0, 0.0], 1.0)[0] == pytest.approx(1.0)
 
     def test_view_loss_is_exact_sum(self):
         rng = np.random.default_rng(11)
         alpha = 1.0 + rng.uniform(0, 10, (50, 3))
         y = one_hot(rng.integers(0, 3, 50), 3)
         lam = 0.37
-        np.testing.assert_array_equal(view_loss(alpha, y, lam), ace(alpha, y) + lam * kl(alpha, y))
         np.testing.assert_array_equal(loss_and_grad(alpha, y, lam)[0],
                                       ace(alpha, y) + lam * kl(alpha, y))
 
@@ -174,7 +171,6 @@ class TestGradients:
         y = one_hot(rng.integers(0, 3, 4), 3)
         _, _, ace_grad, kl_grad = _loss_parts(alpha, y)
         np.testing.assert_allclose(loss_and_grad(alpha, y, 0.6)[1], ace_grad + 0.6 * kl_grad)
-        np.testing.assert_allclose(view_loss_grad(alpha, y, 0.6), ace_grad + 0.6 * kl_grad)
 
     def test_more_true_evidence_never_raises_ace(self):
         rng = np.random.default_rng(29)
@@ -231,7 +227,7 @@ class TestStackedKernel:
             np.testing.assert_array_equal(grad[h], ace_grad + lam * kl_grad)
 
     def test_wrappers_match_reference_on_one_vector(self):
-        """One (K,) head: the kernel returns scalars, and the two loss wrappers agree."""
+        """One (K,) head: the kernel returns scalars, and loss_and_grad combines them."""
         rng = np.random.default_rng(7)
         for k in (2, 3, 10):
             alpha = random_heads(rng, (k,))
@@ -244,8 +240,6 @@ class TestStackedKernel:
             loss, grad = loss_and_grad(alpha, y, 0.37)
             np.testing.assert_array_equal(loss, expect[0] + 0.37 * expect[1])
             np.testing.assert_array_equal(grad, expect[2] + 0.37 * expect[3])
-            np.testing.assert_array_equal(view_loss(alpha, y, 0.37), loss)
-            np.testing.assert_array_equal(view_loss_grad(alpha, y, 0.37), grad)
 
     def test_non_finite_alpha_is_a_numerical_error(self):
         y = one_hot([0, 1], 2)

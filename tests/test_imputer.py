@@ -12,14 +12,12 @@ from evifuse import imputer
 from evifuse.dataset import MultiViewDataset
 from evifuse.experiments import write_completion_directory
 from evifuse.imputer import (
-    NeighborQuery,
     _moments,
     _nearest,
     _neighbor_unions,
     _SeedState,
     _slot_distribution,
     _slot_states,
-    neighbor_union,
     sample_completions,
     view_draws,
 )
@@ -102,15 +100,6 @@ class TestNeighborUnion:
         idx = slot_union(data, target[0], target[1], 3, data.labels[target[0]])
         assert len(idx) == len(set(idx.tolist()))
 
-    def test_observed_view_rejected(self):
-        data = tiny_dataset()
-        with pytest.raises(ValueError):
-            neighbor_union(NeighborQuery(1, 1, k=2), data)
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            NeighborQuery(0, 1, k=0)
-
     def test_empty_when_no_candidates(self):
         # all same-label candidates lack view 1
         v0 = np.array([[0.0], [1.0], [2.0]])
@@ -155,17 +144,6 @@ class TestNeighborUnion:
                     expect.append(union)
                 assert [idx.tolist() for idx in got] == expect
         assert fell_back > 0
-
-    def test_shim_is_one_slot_of_neighbor_unions(self):
-        """neighbor_union, kept for the benchmark's search span, is its slot's
-        ``_neighbor_unions`` union under its label, or under -1 without labels."""
-        data = make_blobs_dataset(n=30, class_count=3, view_dims=(2, 3, 2), eta=0.35,
-                                  seed=2, mask_seed=102)
-        for n, m in np.argwhere(~data.mask).tolist():
-            for use_labels in (True, False):
-                key = data.labels[n] if use_labels else -1
-                assert (neighbor_union(NeighborQuery(n, m, 4, use_labels), data).tolist()
-                        == slot_union(data, n, m, 4, key).tolist())
 
     # ids: <use_labels>-<shift> at 128 slots a block, then -block<b> with b slots
     @pytest.mark.parametrize("use_labels, shift, block", [

@@ -150,10 +150,10 @@ class TestPredictSample:
             assert res.label == int(np.argmax(all_b[0, 0]))
 
     def test_matches_batched_evaluation(self, fitted):
-        """Per-sample prediction agrees with the batched evaluate path."""
+        """Per-sample prediction agrees with the batched evaluate path on every row."""
         model, test = fitted
         metrics = evaluate(model, test, seed=5)
-        for i in range(12):
+        for i in range(test.n_samples):
             res = predict_sample(model, [v[i] for v in test.views], test.mask[i],
                                  seed=5)
             assert res.label == metrics["predictions"][i]

@@ -27,7 +27,8 @@ from evifuse.trainer import (
     save_model,
     train,
 )
-from conftest import make_blobs_dataset, rewrite_checkpoint_meta, write_checkpoint_version
+from conftest import (SHAPE_FORGERIES, forge_shape, make_blobs_dataset, rewrite_checkpoint_meta,
+                      write_checkpoint_version)
 
 # fields each older config schema held that the current one no longer has
 SCHEMA_4_FIELDS = {"patience": 20, "plateau_tol": 1e-3}
@@ -316,6 +317,25 @@ class TestCheckpoint:
         save_model(model, path)
         write_checkpoint_version(path, 1)
         with pytest.raises(CheckpointError, match="unsupported"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", SHAPE_FORGERIES)
+    def test_array_unlike_its_layer_sizes_rejected(self, toy_model, tmp_path, key):
+        """A checkpoint whose array disagrees with its own layer_sizes fails to
+        load, naming the array, rather than failing later in evaluate."""
+        _, _, model = toy_model
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        forge_shape(path, key)
+        with pytest.raises(CheckpointError, match=f"corrupt checkpoint .*{key}"):
+            load_model(path)
+
+    def test_class_count_unlike_the_heads_rejected(self, toy_model, tmp_path):
+        _, _, model = toy_model
+        path = tmp_path / "model.ckpt"
+        save_model(model, path)
+        rewrite_checkpoint_meta(path, lambda meta: meta.update(class_count=meta["class_count"] + 1))
+        with pytest.raises(CheckpointError, match="class_count"):
             load_model(path)
 
     def test_garbage_file_structured_error(self, tmp_path):
