@@ -1,19 +1,13 @@
 """Vectorized log-gamma, digamma, and trigamma for arguments z > 0.
 
-All three shift the argument to 8 or above with the recurrence relations,
+All three lift the argument a fixed 7 steps with the recurrence relations,
 then evaluate the de Moivre / Bernoulli-number asymptotic series. Each
-shift step adds 1 to every entry still below 8 and the recurrence term of
-those entries to a running sum. A float64 mask (1.0 below 8, else 0.0) is
-added to z and multiplies the term (it is the numerator of 1/z and
-1/z^2), so a finished entry gains exactly +0.0 and every entry goes
-through the same operations as in a loop that stops at 8, whatever the
-other entries are. The lift takes 8 - floor(m) steps, where m is the
-smallest entry (NaN skipped, at most 8): rounding is monotone and
-integers are exact, so an entry a >= j gives fl(a + 1) >= j + 1, and
-after 8 - floor(m) steps no entry is below 8. Any z > 0 needs at most 8
-steps; a training alpha, whose smallest entry is 1, needs 7. The absolute
-error is below 1e-13 for z >= 1 and the relative error below 1e-12 on
-(0, 1).
+step adds the recurrence term of every entry to a running sum and 1 to
+the entry, so an entry's result does not depend on the other entries.
+Seven steps put any z > 0 above 7, where the seven-term series errs by
+under 3e-14. The absolute error of digamma and trigamma is below 1e-13
+for z >= 1; that of log-gamma is relative for large z, one ulp (3e-8 at
+z = 1e7). On (0, 1) the relative error of all three is below 1e-12.
 """
 
 from __future__ import annotations
@@ -21,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-_SHIFT_THRESHOLD = 8.0
-_SHIFT_STEPS = 8
+_SHIFT_STEPS = 7
 
 # B_{2n} / (2n (2n-1)) for the log-gamma Stirling series
 _LGAMMA_COEFFS = (
@@ -59,46 +52,24 @@ _TRIGAMMA_COEFFS = (
 
 
 def _lifted(x, term) -> tuple[np.ndarray, np.ndarray]:
-    """Arguments lifted to >= 8 and, per entry, the sum of the recurrence term on the way.
+    """Arguments lifted ``_SHIFT_STEPS`` steps and, per entry, the sum of ``term`` on the way.
 
-    ``term(z, low)`` is the term where the mask ``low`` is 1.0 and +0.0
-    where it is 0.0 (there z >= 8, so the term is finite and positive and
-    adding +0.0 leaves the sum exact). It runs with overflow and division
-    warnings off: below 8 an infinite term is the true value's limit.
+    It runs with overflow and division warnings off: an infinite term is
+    the true value's limit.
     """
     z = np.array(x, dtype=np.float64)
-    lowest = np.fmin.reduce(z, axis=None, initial=_SHIFT_THRESHOLD)  # skips NaN
-    if lowest <= 0.0:
+    if np.fmin.reduce(z, axis=None, initial=1.0) <= 0.0:  # skips NaN
         raise ValueError("special functions require strictly positive arguments")
     acc = np.zeros(z.shape)
-    low = np.empty(z.shape)
     with np.errstate(over="ignore", divide="ignore"):
-        for _ in range(_SHIFT_STEPS - int(lowest)):
-            np.less(z, _SHIFT_THRESHOLD, out=low, casting="unsafe")
-            acc += term(z, low)
-            z += low
+        for _ in range(_SHIFT_STEPS):
+            acc += term(z)
+            z += 1.0
     return z, acc
 
 
-def _log_term(z, low):
-    """ln z times the mask."""
-    out = np.log(z)
-    out *= low
-    return out
-
-
-def _reciprocal_term(z, low):
-    """1 / z with the mask as numerator: 1.0 / z or +0.0 exactly."""
-    return low / z
-
-
-def _inverse_square_term(z, low):
-    """1 / z^2 with the mask as numerator."""
-    return low / (z * z)
-
-
 def _inverse_square(z):
-    """1 / z^2 of a lifted argument z >= 8, 0 where z * z overflows.
+    """1 / z^2, 0 where z * z overflows.
 
     Beyond ~1.3e154 z * z overflows and 1 / inf = 0 is the limit the series
     needs.
@@ -118,7 +89,7 @@ def _series(coeffs, r2):
 
 def gammaln(x) -> np.ndarray | np.floating:
     """Natural log of the gamma function, elementwise, for x > 0."""
-    z, logs = _lifted(x, _log_term)  # ln G(z) = ln G(z+1) - ln z
+    z, logs = _lifted(x, np.log)  # ln G(z) = ln G(z+1) - ln z
     # terms are c_n / z^(2n-1)
     series = z * _series(_LGAMMA_COEFFS, _inverse_square(z))
     return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series - logs
@@ -126,13 +97,13 @@ def gammaln(x) -> np.ndarray | np.floating:
 
 def digamma(x) -> np.ndarray | np.floating:
     """Logarithmic derivative of the gamma function, elementwise, for x > 0."""
-    z, inverses = _lifted(x, _reciprocal_term)  # psi(z) = psi(z+1) - 1/z
+    z, inverses = _lifted(x, np.reciprocal)  # psi(z) = psi(z+1) - 1/z
     return np.log(z) - 0.5 / z - _series(_DIGAMMA_COEFFS, _inverse_square(z)) - inverses
 
 
 def trigamma(x) -> np.ndarray | np.floating:
     """Derivative of the digamma function, elementwise, for x > 0."""
-    z, inverse_squares = _lifted(x, _inverse_square_term)  # psi'(z) = psi'(z+1) + 1/z^2
+    z, inverse_squares = _lifted(x, _inverse_square)  # psi'(z) = psi'(z+1) + 1/z^2
     r = 1.0 / z
     r2 = r * r
     # terms are B_2n / z^(2n+1)
