@@ -40,6 +40,8 @@ _SEED_TEST_IMPUTE = 201
 _FORWARD_ROWS = 2048
 # equal-width confidence bins of the expected calibration error, as in Guo et al. (2017)
 _ECE_BINS = 15
+# shares of the rows at which selective_accuracy reads the accuracy of those admitted
+_COVERAGES = (0.5, 0.8, 1.0)
 
 
 @dataclass(frozen=True)
@@ -175,6 +177,10 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
     ``projected``, 1 - the largest mean projected probability b + u / K; and
     ``disagreement``, 1 - the top class's share of the valid votes. ``ece``
     is the calibration error of that largest projected probability.
+    ``selective_accuracy`` gives, per score, the accuracy of the rows
+    admitted by increasing score once at least each share of
+    ``_COVERAGES`` of the rows is in. ``mean_uncertainty_by_missing`` gives
+    the mean u of the rows missing 0, 1, ..., V - 1 views.
     """
     if np.any(test.labels >= model.class_count):
         raise ValueError(f"test label {test.labels.max()} is outside the model's "
@@ -184,6 +190,7 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
                                                _test_draws(model, std, n_samplings, seed))
     labels, counts, mean_b, mean_u = _vote(all_b, all_u, all_bad)
     correct = labels == test.labels
+    n_missing = test.n_views - test.mask.sum(axis=1)
     confidence = (mean_b + mean_u[:, None] / model.class_count).max(axis=1)
     scores = {"u": mean_u, "projected": 1.0 - confidence,
               "disagreement": 1.0 - counts.max(axis=1) / np.maximum(counts.sum(axis=1), 1)}
@@ -201,8 +208,12 @@ def evaluate(model: TrainedModel, test: MultiViewDataset,
         "mean_uncertainty": float(mean_u.mean()),
         "mean_uncertainty_correct": _mean(mean_u[correct]),
         "mean_uncertainty_incorrect": _mean(mean_u[~correct]),
+        "mean_uncertainty_by_missing": [_mean(mean_u[n_missing == j])
+                                        for j in range(test.n_views)],
         "auroc": {name: _auroc(score, ~correct) for name, score in scores.items()},
         "aurc": {name: _aurc(score, ~correct) for name, score in scores.items()},
+        "selective_accuracy": {name: _selective_accuracy(score, correct)
+                               for name, score in scores.items()},
         "ece": _ece(confidence, correct),
         "excluded_samplings": int(all_bad.sum()),
         "predictions": labels.tolist(),
@@ -226,13 +237,27 @@ def _auroc(score: np.ndarray, wrong: np.ndarray):
                  / (n_wrong * n_right))
 
 
-def _aurc(score: np.ndarray, wrong: np.ndarray) -> float:
-    """Area under the risk-coverage curve (Geifman & El-Yaniv, 2017): rows enter by
-    increasing score, rows of equal score together, and each row counts the error
-    rate among the rows admitted by the time it enters."""
+def _admitted(score: np.ndarray, flags: np.ndarray):
+    """Rows enter by increasing score, rows of equal score together: per tie group,
+    the rows and the flagged rows admitted by the time it enters."""
     _, group, counts = np.unique(score, return_inverse=True, return_counts=True)
-    errors = np.bincount(group, weights=wrong.astype(float), minlength=counts.size)
-    return float((counts * np.cumsum(errors) / np.cumsum(counts)).sum() / score.size)
+    return np.cumsum(counts), np.cumsum(np.bincount(group, weights=flags, minlength=counts.size))
+
+
+def _aurc(score: np.ndarray, wrong: np.ndarray) -> float:
+    """Area under the risk-coverage curve (Geifman & El-Yaniv, 2017): rows enter as
+    ``_admitted`` has them, and each row counts the error rate among the rows
+    admitted by the time it enters."""
+    rows, errors = _admitted(score, wrong)
+    return float((np.diff(rows, prepend=0) * errors / rows).sum() / score.size)
+
+
+def _selective_accuracy(score: np.ndarray, correct: np.ndarray) -> list[float]:
+    """Accuracy of the rows admitted (as ``_admitted`` has them) once at least each
+    share of ``_COVERAGES`` of the rows is in."""
+    rows, right = _admitted(score, correct)
+    first = np.searchsorted(rows, np.multiply(_COVERAGES, score.size))
+    return (right[first] / rows[first]).tolist()
 
 
 def _ece(confidence: np.ndarray, correct: np.ndarray) -> float:

@@ -19,6 +19,7 @@ from evifuse.predictor import (
     _auroc,
     _ece,
     _sampling_opinions,
+    _selective_accuracy,
     _test_draws,
     _vote,
     evaluate,
@@ -360,6 +361,32 @@ class TestEvaluate:
         assert complete.shape == (test.n_samples,)
 
 
+    def test_mean_uncertainty_by_missing_views(self):
+        """The mean u of the rows missing 0, 1 and 2 of 3 views; None for an empty group."""
+        view_dims = (3, 2, 2)
+        data = make_blobs_dataset(n=90, view_dims=view_dims, eta=0.5, seed=61, mask_seed=62)
+        model = train(data, TrainConfig(seed=3, **dict(FAST, epochs=2)))
+        test = make_blobs_dataset(n=60, view_dims=view_dims, eta=0.5, seed=61, mask_seed=64)
+        n_missing = len(view_dims) - test.mask.sum(axis=1)
+        assert set(n_missing.tolist()) == {0, 1, 2}
+        std = zscore_apply(test, model.stats)
+        u = _vote(*_sampling_opinions(model, std, _test_draws(model, std, seed=5)))[3]
+        metrics = evaluate(model, test, seed=5)
+        assert metrics["mean_uncertainty_by_missing"] == [float(u[n_missing == j].mean())
+                                                          for j in range(3)]
+        complete = evaluate(model, test.subset(np.nonzero(n_missing == 0)[0]), seed=5)
+        assert complete["mean_uncertainty_by_missing"][1:] == [None, None]
+        json.dumps(complete, allow_nan=False)
+
+    def test_selective_accuracy_ends_at_the_accuracy(self, fitted):
+        model, test = fitted
+        metrics = evaluate(model, test, seed=0)
+        assert set(metrics["selective_accuracy"]) == {"u", "projected", "disagreement"}
+        for accuracies in metrics["selective_accuracy"].values():
+            assert len(accuracies) == len(predictor._COVERAGES)
+            assert accuracies[-1] == metrics["accuracy"]
+
+
 class TestErrorRanking:
     """AUROC, AURC and ECE on cases worked by hand."""
 
@@ -382,6 +409,16 @@ class TestErrorRanking:
         assert _aurc(np.zeros(4), wrong) == 0.5  # a constant score gives the error rate
         assert _aurc(np.array([0.1, 0.2, 0.3, 0.4]), self.WRONG) == pytest.approx(
             (0 + 0 + 1 / 3 + 2 / 4) / 4, rel=1e-15)
+
+    def test_selective_accuracy_admits_tied_rows_together(self):
+        score = np.array([0.1, 0.2, 0.2, 0.2, 0.3])
+        correct = np.array([True, False, True, True, False])
+        # 50 % (2.5 rows) and 80 % (4 rows) are first reached as the three tied rows enter
+        assert _selective_accuracy(score, correct) == [3 / 4, 3 / 4, 3 / 5]
+        # no ties: the first 5, 8 and 10 rows, of which 4, 6 and 7 are right
+        assert _selective_accuracy(np.arange(10.0), np.arange(10) % 3 != 2) == [0.8, 0.75, 0.7]
+        # a constant score admits every row at once
+        assert _selective_accuracy(np.zeros(5), correct) == [3 / 5] * 3
 
     def test_ece_bins_confidence_in_fifteenths(self):
         confidence = np.array([0.95, 0.95, 0.3, 1.0])
