@@ -7,7 +7,9 @@ the entry, so an entry's result does not depend on the other entries.
 Seven steps put any z > 0 above 7, where the seven-term series errs by
 under 3e-14. The absolute error of digamma and trigamma is below 1e-13
 for z >= 1; that of log-gamma is relative for large z, one ulp (3e-8 at
-z = 1e7). On (0, 1) the relative error of all three is below 1e-12.
+z = 1e7). On (0, 1) digamma and trigamma err by under 1e-12 relative,
+and so does log-gamma below 0.5; from 0.5 to its zero at 1 its error is
+under 1e-13 absolute.
 """
 
 from __future__ import annotations
